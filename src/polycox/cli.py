@@ -149,7 +149,11 @@ def cmd_garside(args) -> int:
         print(f"generators: {gp.pg.n_generators}; rules: {len(gp.pg.rules)}", file=sys.stderr)
         return EXIT_OK
     if args.stage == "completed":
-        gc = garside.complete_garside(group)
+        gc = garside.complete_garside(
+            group,
+            rule_budget=args.budget_rules,
+            branching_budget=args.budget_branchings,
+        )
         meta = element_meta(gc.p31.base, gc.gp.elt_of_gen)
         meta["families"] = {
             gc.p31.cells[i].name: tag.letter for i, tag in enumerate(gc.tags)
@@ -160,7 +164,9 @@ def cmd_garside(args) -> int:
             file=sys.stderr,
         )
         return EXIT_OK
-    g3 = garside.garside_coherent(group)
+    g3 = garside.garside_coherent(
+        group, rule_budget=args.budget_rules, branching_budget=args.budget_branchings
+    )
     _emit(
         serialize.polygraph31_to_dict(
             g3.p31, element_meta(g3.p31.base, g3.elt_of_gen)

@@ -80,22 +80,26 @@ class ThreeCell:
 
 
 class Polygraph31:
-    """A 2-polygraph extended by generating 3-cells."""
+    """A 2-polygraph extended by generating 3-cells.
 
-    __slots__ = ("base", "cells")
+    The cell list is fixed at construction, together with its name ->
+    index table.
+    """
+
+    __slots__ = ("base", "cells", "_index")
 
     def __init__(self, base: Polygraph2, cells: Iterable[ThreeCell] = ()):
         self.base = base
         self.cells: list[ThreeCell] = list(cells)
-        names = [c.name for c in self.cells]
-        if len(set(names)) != len(names):
+        self._index = {c.name: i for i, c in enumerate(self.cells)}
+        if len(self._index) != len(self.cells):
             raise PreconditionError("3-cell names must be unique")
 
     def cell_index(self, name: str) -> int:
-        for i, c in enumerate(self.cells):
-            if c.name == name:
-                return i
-        raise PreconditionError(f"no 3-cell named {name!r}")
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise PreconditionError(f"no 3-cell named {name!r}") from None
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -32,7 +32,13 @@ from .completion import (
     generating_triple_confluence,
 )
 from .coxeter import CoxeterGroup, CoxeterMatrix, enumerate_group, rank3_finite
-from .errors import ClassificationError, CoherenceError, CycleError, PreconditionError
+from .errors import (
+    ClassificationError,
+    CoherenceError,
+    CycleError,
+    DivergenceError,
+    PreconditionError,
+)
 from .paths import Path2, Step2, compose, identity_path, inverse, normalize_path, whisker
 from .tietze import (
     CollapsiblePart,
@@ -122,7 +128,12 @@ def _additive(g: CoxeterGroup, *elts: int) -> bool:
     return g.length[total] == sum(g.length[e] for e in elts)
 
 
-def complete_garside(g: CoxeterGroup) -> GarsideCompletion:
+def complete_garside(
+    g: CoxeterGroup,
+    *,
+    rule_budget: Optional[int] = None,
+    branching_budget: Optional[int] = None,
+) -> GarsideCompletion:
     """The homotopical completion S(Gar_2(W)) with its family classification.
 
     All critical branchings of Gar_2(W) are completed against Gar_2(W)
@@ -132,6 +143,11 @@ def complete_garside(g: CoxeterGroup) -> GarsideCompletion:
     unconfluent.  Each critical branching of the completed rule set then
     receives the 3-cell of its family shape; a branching matching no
     family raises, signalling an engine bug.
+
+    ``rule_budget`` bounds the adjoined rules, checked as they are adjoined
+    and so before the overlap search, and ``branching_budget`` bounds the
+    critical branchings of the completed rule set; either raises
+    DivergenceError when exceeded.  None leaves that count unbounded.
     """
     gp = garside_presentation(g)
     pg = Polygraph2(list(gp.pg.generators), list(gp.pg.rules))
@@ -154,6 +170,11 @@ def complete_garside(g: CoxeterGroup) -> GarsideCompletion:
             for w in gp.elt_of_gen:
                 if not g.is_reduced_product(v, w) or _additive(g, u, v, w):
                     continue
+                if rule_budget is not None and len(beta) >= rule_budget:
+                    raise DivergenceError(
+                        f"rule budget {rule_budget} exceeded: reached "
+                        f"{len(beta) + 1} adjoined rules"
+                    )
                 vw = g.mult(v, w)
                 idx = pg.add_rule(
                     Rule(
@@ -295,9 +316,15 @@ def complete_garside(g: CoxeterGroup) -> GarsideCompletion:
             (beta_step(u, v2, w2, 0), beta_step(g.mult(u, v2), x2, y, 0)),
         )
 
+    branchings = critical_branchings(pg)
+    if branching_budget is not None and len(branchings) > branching_budget:
+        raise DivergenceError(
+            f"branching budget {branching_budget} exceeded: reached "
+            f"{len(branchings)} critical branchings"
+        )
     tags: list[FamilyTag] = []
     cells: list[ThreeCell] = []
-    for i, br in enumerate(critical_branchings(pg)):
+    for i, br in enumerate(branchings):
         tag = classify(br)
         left_steps, right_steps = sides(tag)
         if left_steps[0] != br.left or right_steps[0] != br.right:
@@ -335,12 +362,11 @@ def _resolve_side(
     out = []
     for idx, lw, rw, pre, post in specs:
         c = p31.cells[idx]
+        cur_nf = normalize_path(cur).steps
         for d in (1, -1):
             a, b = (c.src, c.tgt) if d > 0 else (c.tgt, c.src)
             cand = compose(compose(pre, whisker(lw, a, rw)), post)
-            if cand.source == cur.source and (
-                normalize_path(cand).steps == normalize_path(cur).steps
-            ):
+            if cand.source == cur.source and normalize_path(cand).steps == cur_nf:
                 out.append(SphereEntry(idx, d, lw, rw, pre, post))
                 cur = compose(compose(pre, whisker(lw, b, rw)), post)
                 break
@@ -566,9 +592,19 @@ class Gar3:
     alpha: dict[tuple[int, int], int]
 
 
-def garside_coherent(g: CoxeterGroup) -> Gar3:
-    """Gar_3(W): complete, then homotopically reduce to the A-family cells."""
-    gc = complete_garside(g)
+def garside_coherent(
+    g: CoxeterGroup,
+    *,
+    rule_budget: Optional[int] = None,
+    branching_budget: Optional[int] = None,
+) -> Gar3:
+    """Gar_3(W): complete, then homotopically reduce to the A-family cells.
+
+    The budgets bound the completion, as in ``complete_garside``.
+    """
+    gc = complete_garside(
+        g, rule_budget=rule_budget, branching_budget=branching_budget
+    )
     part = garside_reduction_part(gc)
     reduced = homotopical_reduce(gc.p31, part)
     gp = gc.gp

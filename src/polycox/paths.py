@@ -9,8 +9,13 @@ offsets re-derived when the earlier step changes the word length).
 Two steps commute exactly when their redex intervals against the common
 ambient word are disjoint.
 
-Intermediate words are not stored; they are recomputed on demand and
-memoized per path.
+Every path the module derives (composites, whiskerings, inverses, exchange
+normal forms, normalizing reductions) carries its target word, obtained by
+an exact identity from its operands, so asking for an endpoint never
+replays the chain.  The chain of intermediate words is computed only when
+``words()`` is asked for, and that replay checks every step.  A path built
+through the public constructor carries no target: it is replayed, and
+checked, the first time its target or its chain is needed.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .words import (
     apply_step,
     find_redexes,
 )
+
+
+_new_object = object.__new__
+_new_tuple = tuple.__new__
 
 
 class Step2(NamedTuple):
@@ -42,13 +51,37 @@ class Path2:
     intermediate words and validates every step against it.
     """
 
-    __slots__ = ("pg", "source", "steps", "_chain")
+    __slots__ = ("pg", "source", "steps", "_chain", "_target", "_nf")
 
     def __init__(self, pg: Polygraph2, source, steps=()):
         self.pg = pg
         self.source: Word = tuple(source)
-        self.steps: tuple[Step2, ...] = tuple(Step2(*s) for s in steps)
+        self.steps: tuple[Step2, ...] = tuple(
+            [s if type(s) is Step2 else Step2(*s) for s in steps]
+        )
         self._chain: Optional[tuple[Word, ...]] = None
+        self._target: Optional[Word] = None
+        self._nf: Optional[tuple[Step2, ...]] = None
+
+    @classmethod
+    def _make(
+        cls,
+        pg: Polygraph2,
+        source: Word,
+        steps: tuple[Step2, ...],
+        target: Optional[Word],
+    ) -> "Path2":
+        """Trusted constructor for derived paths: ``source`` is a word tuple,
+        ``steps`` a tuple of Step2, and ``target`` either None or the word
+        the steps provably lead to."""
+        path = _new_object(cls)
+        path.pg = pg
+        path.source = source
+        path.steps = steps
+        path._chain = None
+        path._target = target
+        path._nf = None
+        return path
 
     def words(self) -> tuple[Word, ...]:
         """All intermediate words, source first, target last."""
@@ -59,11 +92,14 @@ class Path2:
                 w = apply_step(w, self.pg, s.rule, s.pos, s.dir)
                 chain.append(w)
             self._chain = tuple(chain)
+            self._target = w
         return self._chain
 
     @property
     def target(self) -> Word:
-        return self.words()[-1]
+        if self._target is None:
+            self.words()
+        return self._target
 
     def io_lengths(self, s: Step2) -> tuple[int, int]:
         """(consumed, produced) letter counts of a step."""
@@ -103,7 +139,7 @@ def compose(f: Path2, g: Path2) -> Path2:
         raise CompositionError(
             f"cannot compose: target {f.target} != source {g.source}"
         )
-    return Path2(f.pg, f.source, f.steps + g.steps)
+    return Path2._make(f.pg, f.source, f.steps + g.steps, g._target)
 
 
 def inverse(f: Path2) -> Path2:
@@ -112,21 +148,23 @@ def inverse(f: Path2) -> Path2:
     The rewritten factor starts at the same offset on both sides of a
     step, so positions carry over unchanged.
     """
-    steps = tuple(Step2(s.rule, -s.dir, s.pos) for s in reversed(f.steps))
-    return Path2(f.pg, f.target, steps)
+    steps = tuple([_new_tuple(Step2, (r, -d, i)) for r, d, i in reversed(f.steps)])
+    return Path2._make(f.pg, f.target, steps, f.source)
 
 
 def whisker(u, f: Path2, v) -> Path2:
     """The 0-composite u.f.v: every step shifts right by len(u)."""
     u, v = tuple(u), tuple(v)
     shift = len(u)
-    steps = tuple(Step2(s.rule, s.dir, s.pos + shift) for s in f.steps)
-    return Path2(f.pg, u + f.source + v, steps)
-
-
-def _interval(path_like: Path2, s: Step2) -> tuple[int, int]:
-    a, _ = path_like.io_lengths(s)
-    return (s.pos, s.pos + a)
+    steps = (
+        tuple([_new_tuple(Step2, (r, d, i + shift)) for r, d, i in f.steps])
+        if shift
+        else f.steps
+    )
+    t = f._target
+    return Path2._make(
+        f.pg, u + f.source + v, steps, None if t is None else u + t + v
+    )
 
 
 def normalize_path(f: Path2) -> Path2:
@@ -135,36 +173,55 @@ def normalize_path(f: Path2) -> Path2:
     Repeats to a fixed point: (a) adjacent mutually-inverse steps cancel;
     (b) when of two adjacent steps the later one acts entirely to the left
     of the earlier one's redex, they are swapped, re-deriving the offset of
-    the step that crosses over.
+    the step that crosses over.  The canonical steps are computed once per
+    path object; a path already canonical is its own representative.
     """
-    steps = list(f.steps)
+    nf = f._nf
+    if nf is None:
+        nf = f._nf = _exchange_normal_form(f.pg.rule_lengths, f.steps)
+    if nf is f.steps:
+        return f
+    g = Path2._make(f.pg, f.source, nf, f._target)
+    g._nf = nf
+    return g
+
+
+def _exchange_normal_form(
+    lengths: list[tuple[int, int]], path_steps: tuple[Step2, ...]
+) -> tuple[Step2, ...]:
+    """The canonical step sequence; ``path_steps`` itself when unchanged."""
+    steps = list(path_steps)
+    touched = False
     changed = True
     while changed:
         changed = False
         i = 0
-        while i + 1 <= len(steps) - 1:
+        while i + 1 < len(steps):
             s1, s2 = steps[i], steps[i + 1]
-            a1, b1 = f.io_lengths(s1)
-            a2, b2 = f.io_lengths(s2)
+            r1, d1, p1 = s1
+            r2, d2, p2 = s2
             # cancellation: s2 exactly undoes s1
-            if s2.rule == s1.rule and s2.dir == -s1.dir and s2.pos == s1.pos:
+            if r2 == r1 and d2 == -d1 and p2 == p1:
                 del steps[i : i + 2]
-                changed = True
+                changed = touched = True
                 i = max(i - 1, 0)
                 continue
             # s2 acts right of s1's output: canonical already
-            if s2.pos >= s1.pos + b1:
+            n_lhs, n_rhs = lengths[r1]
+            if p2 >= p1 + (n_rhs if d1 > 0 else n_lhs):
                 i += 1
                 continue
             # s2 acts entirely left of s1's redex: swap
-            if s2.pos + a2 <= s1.pos:
-                steps[i] = Step2(s2.rule, s2.dir, s2.pos)
-                steps[i + 1] = Step2(s1.rule, s1.dir, s1.pos + (b2 - a2))
-                changed = True
+            n_lhs, n_rhs = lengths[r2]
+            a2, b2 = (n_lhs, n_rhs) if d2 > 0 else (n_rhs, n_lhs)
+            if p2 + a2 <= p1:
+                steps[i] = s2
+                steps[i + 1] = _new_tuple(Step2, (r1, d1, p1 + (b2 - a2)))
+                changed = touched = True
                 i = max(i - 1, 0)
                 continue
             i += 1
-    return Path2(f.pg, f.source, steps)
+    return tuple(steps) if touched else path_steps
 
 
 def paths_equal(f: Path2, g: Path2) -> bool:
@@ -227,12 +284,12 @@ def normalize(
         steps.append(Step2(r, 1, i))
         cur = apply_step(cur, p, r, i, 1)
         seen.append(cur)
-    path = Path2(p, w, steps)
+    path = Path2._make(p, w, tuple(steps), cur)
     if memo is not None:
         memo[w] = path
         # every suffix of the reduction is itself a reduction
         for k in range(1, len(seen) - 1):
             word_k = seen[k]
             if word_k not in memo:
-                memo[word_k] = Path2(p, word_k, steps[k:])
+                memo[word_k] = Path2._make(p, word_k, path.steps[k:], cur)
     return cur, path

@@ -344,7 +344,6 @@ def homotopical_reduce(
         key=lambda tc: part.order.rule_rank.get(tc.redundant, 0),
         reverse=True,
     )
-    stub = Polygraph31(work_pg, [])
     for tc in order3:
         s, t = collapse_bnd.pop(tc.cell)
         cell = ThreeCell(p31.cells[tc.cell].name, s, t)
@@ -390,9 +389,7 @@ def homotopical_reduce(
             else r
             for i, r in enumerate(work_pg.rules)
         ]
-        new_pg = Polygraph2(list(work_pg.generators), [])
-        new_pg.rules = new_rules
-        new_pg._names = {r.name for r in new_rules}
+        new_pg = Polygraph2(list(work_pg.generators), new_rules)
         live = {
             i: (
                 n,

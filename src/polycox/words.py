@@ -51,17 +51,27 @@ class Polygraph2:
     Mutable only through ``add_rule`` (completion appends rules); rule
     indices are stable, so paths built against an instance stay valid
     while it grows.  Treat instances as frozen once a construction has
-    returned them.
+    returned them.  ``add_rule`` keeps the name -> index table and
+    ``rule_lengths``, the (len(lhs), len(rhs)) of each rule, in step with
+    ``rules``.
     """
 
-    __slots__ = ("generators", "rules", "_names", "_by_first", "_by_first_len")
+    __slots__ = (
+        "generators",
+        "rules",
+        "rule_lengths",
+        "_index",
+        "_by_first",
+        "_by_first_len",
+    )
 
     def __init__(self, generators: Iterable[str], rules: Iterable[Rule] = ()):
         self.generators = list(generators)
         if len(set(self.generators)) != len(self.generators):
             raise InputError("generator names must be unique")
         self.rules: list[Rule] = []
-        self._names: set[str] = set()
+        self.rule_lengths: list[tuple[int, int]] = []
+        self._index: dict[str, int] = {}
         self._by_first: dict[int, list[int]] = {}
         self._by_first_len = 0
         for r in rules:
@@ -81,17 +91,18 @@ class Polygraph2:
     def add_rule(self, rule: Rule) -> int:
         self.check_word(rule.lhs)
         self.check_word(rule.rhs)
-        if rule.name in self._names:
+        if rule.name in self._index:
             raise InputError(f"duplicate rule name {rule.name!r}")
-        self._names.add(rule.name)
+        self._index[rule.name] = len(self.rules)
         self.rules.append(rule)
+        self.rule_lengths.append((len(rule.lhs), len(rule.rhs)))
         return len(self.rules) - 1
 
     def rule_index(self, name: str) -> int:
-        for i, r in enumerate(self.rules):
-            if r.name == name:
-                return i
-        raise InputError(f"no rule named {name!r}")
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise InputError(f"no rule named {name!r}") from None
 
     def by_first_letter(self) -> dict[int, list[int]]:
         """Rule indices bucketed by the first letter of their lhs."""

@@ -26,17 +26,31 @@ def report(n, label, t0, budget):
 # -- helpers ----------------------------------------------------------------
 
 
-def fast_nf(word, rules, memo, pick):
-    """Iterative normal form under a redex-picking strategy, memoized."""
+def first_letter_index(rules):
+    """Rule ids bucketed by the first letter of their (non-empty) lhs."""
+    index = {}
+    for k, (lhs, _) in enumerate(rules):
+        index.setdefault(lhs[0], []).append(k)
+    return index
+
+
+def fast_nf(word, rules, index, memo, pick):
+    """Iterative normal form under a redex-picking strategy, memoized.
+
+    ``index`` is ``first_letter_index(rules)``.  Redexes (position, rule)
+    are listed sorted by (rule, position), so a random pick sees the same
+    list as a scan of every rule at every position would give.
+    """
     trail = []
     w = word
     while w not in memo:
         redexes = [
             (i, k)
-            for k, (lhs, _) in enumerate(rules)
-            for i in range(len(w) - len(lhs) + 1)
-            if w[i : i + len(lhs)] == lhs
+            for i, g in enumerate(w)
+            for k in index.get(g, ())
+            if w[i : i + len(rules[k][0])] == rules[k][0]
         ]
+        redexes.sort(key=lambda ik: (ik[1], ik[0]))
         if not redexes:
             memo[w] = w
             break
@@ -60,6 +74,7 @@ def rightmost(redexes):
 
 def strategies_agree(pg, max_len, exhaustive, sample=4000, seed=7):
     rules = [(r.lhs, r.rhs) for r in pg.rules]
+    index = first_letter_index(rules)
     n = pg.n_generators
     memo_l, memo_r, memo_x = {}, {}, {}
     rng = random.Random(seed)
@@ -77,10 +92,10 @@ def strategies_agree(pg, max_len, exhaustive, sample=4000, seed=7):
             for _ in range(sample)
         )
     for w in words:
-        a = fast_nf(w, rules, memo_l, leftmost)
-        b = fast_nf(w, rules, memo_r, rightmost)
+        a = fast_nf(w, rules, index, memo_l, leftmost)
+        b = fast_nf(w, rules, index, memo_r, rightmost)
         assert a == b, (w, a, b)
-        c = fast_nf(w, rules, memo_x, rand_pick)
+        c = fast_nf(w, rules, index, memo_x, rand_pick)
         assert a == c, (w, a, c)
 
 

@@ -154,6 +154,22 @@ class TestGarsideCmd:
         f = write_matrix(tmp_path, "Atilde2")
         assert main(["garside", str(f), "--budget-cosets", "2000"]) == 3
 
+    @pytest.mark.parametrize("stage", ["completed", "reduced"])
+    def test_rule_budget_exit(self, tmp_path, capsys, stage):
+        # A3 adjoins more than 100 beta rules; the budget stops the run
+        # before the overlap search
+        f = write_matrix(tmp_path, "A3")
+        argv = ["garside", str(f), "--stage", stage, "--budget-rules", "100"]
+        assert main(argv) == 4
+        assert "rule budget 100 exceeded: reached 101" in capsys.readouterr().err
+
+    def test_branching_budget_exit(self, tmp_path, capsys):
+        f = write_matrix(tmp_path, "A2")
+        argv = ["garside", str(f), "--stage", "completed", "--budget-branchings", "3"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "branching budget 3 exceeded: reached" in err
+
 
 class TestArtinCmd:
     def test_a3_census(self, tmp_path, capsys):

@@ -272,16 +272,17 @@ class TestArtinCoherent:
 
 
 class TestArtinViaReduction:
-    def test_a1cubed_cross_check(self, groups):
+    @pytest.mark.parametrize("name", ["A1^3", "A3"])
+    def test_direct_vs_reduction_cross_check(self, groups, name):
         # the generic homotopical reduction of Gar_3 must produce the same
         # Z-cell as the direct projection
-        g = groups("A1^3")
+        g = groups(name)
         g3 = px.garside_coherent(g)
         part = px.artin_reduction_part(g3)
         assert px.validate_collapsible(g3.p31, part) == []
         red = px.homotopical_reduce(g3.p31, part, validate=False)
         assert px.cell_census(red) == (1, 3, 3, 1)
-        direct = px.artin_coherent(MATRICES["A1^3"])
+        direct = px.artin_coherent(MATRICES[name])
         # identify rules of the two presentations by their boundaries
         rule_map = {}
         for i, r in enumerate(red.base.rules):

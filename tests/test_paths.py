@@ -21,9 +21,14 @@ def pg():
     )
 
 
-def random_path(pg, data, max_len=6):
-    """Draw a valid signed path over pg."""
-    w = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=6)))
+def random_word(pg, data, min_size=1, max_size=6):
+    letters = st.integers(0, pg.n_generators - 1)
+    return tuple(data.draw(st.lists(letters, min_size=min_size, max_size=max_size)))
+
+
+def random_path(pg, data, max_len=6, source=None):
+    """Draw a valid signed path over pg, from ``source`` when given."""
+    w = random_word(pg, data) if source is None else source
     steps = []
     cur = w
     for _ in range(data.draw(st.integers(0, max_len))):
@@ -220,3 +225,77 @@ class TestPathsEqual:
         f = Path2(pg, (0, 1), [Step2(0, 1, 0)])
         g = px.identity_path(pg, (0, 1))
         assert not px.paths_equal(f, g)
+
+
+@pytest.fixture(scope="module")
+def core_polygraphs(b3plus_completed, groups):
+    """The completed B3+ presentation and S(Gar_2(A2)), both convergent."""
+    p31, _ = b3plus_completed
+    return [p31.base, px.complete_garside(groups("A2")).p31.base]
+
+
+def replayed(p):
+    """The same 2-cell rebuilt through the public, replaying constructor."""
+    return Path2(p.pg, p.source, p.steps)
+
+
+class TestCarriedTargets:
+    """Derived paths carry their target; it must equal a full replay."""
+
+    def check(self, p):
+        q = replayed(p)
+        # the carried target is read before words() replays the chain
+        assert p.target == q.target
+        assert p.words() == q.words()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derived_paths_match_replay(self, core_polygraphs, data):
+        pg = data.draw(st.sampled_from(core_polygraphs))
+        f = random_path(pg, data)
+        g = random_path(pg, data, source=f.target)
+        u = random_word(pg, data, min_size=0, max_size=3)
+        v = random_word(pg, data, min_size=0, max_size=3)
+        fg = px.compose(f, g)
+        derived = [
+            fg,
+            px.inverse(f),
+            px.whisker(u, f, v),
+            px.whisker(u, fg, v),
+            px.normalize_path(f),
+            px.normalize_path(px.compose(fg, px.inverse(g))),
+            px.inverse(px.whisker(u, px.normalize_path(fg), v)),
+            # a user-built operand, whose target is not yet known
+            px.whisker(u, replayed(g), v),
+            px.compose(replayed(f), replayed(g)),
+        ]
+        memo = {}
+        for w in (f.source, f.target, u + g.target + v):
+            nf, path = px.normalize(w, pg, memo=memo)
+            assert nf == path.target
+            derived.append(path)
+        derived.extend(memo.values())
+        for p in derived:
+            self.check(p)
+
+    def test_user_path_with_bad_step_raises_on_use(self, pg):
+        bad = Path2(pg, (2, 1), [Step2(0, 1, 0)])  # "p" needs "ab" at 0
+        with pytest.raises(px.StepError):
+            bad.target
+        with pytest.raises(px.StepError):
+            Path2(pg, (2, 1), [Step2(0, 1, 0)]).words()
+        # derived from an unchecked operand: replayed, hence checked, on use
+        with pytest.raises(px.StepError):
+            px.whisker((0,), Path2(pg, (2, 1), [Step2(0, 1, 0)]), ()).target
+        with pytest.raises(px.StepError):
+            px.normalize_path(Path2(pg, (2, 1), [Step2(0, 1, 0)])).words()
+        with pytest.raises(px.StepError):
+            px.compose(Path2(pg, (2, 1), [Step2(0, 1, 0)]), px.identity_path(pg, (1,)))
+
+    def test_compose_mismatch_with_carried_target(self, pg):
+        f = px.whisker((2,), Path2(pg, (0, 1), [Step2(0, 1, 0)]), ())
+        assert f.target == (2, 1, 0)
+        with pytest.raises(px.CompositionError):
+            px.compose(f, px.identity_path(pg, (2, 0, 1)))
+        with pytest.raises(px.CompositionError):
+            px.compose(px.inverse(f), px.identity_path(pg, (2, 1, 0)))
