@@ -4,14 +4,12 @@ and Artin's coherent presentations of Artin monoids."""
 
 from .completion import (
     Branching,
-    BranchKind,
     Polygraph31,
     Sphere3,
     SphereEntry,
     ThreeCell,
     TripleBranching,
     cells_by_branching,
-    classify_local,
     critical_branchings,
     fill_parallel,
     generating_triple_confluence,
@@ -21,15 +19,9 @@ from .completion import (
 from .coxeter import (
     CoxeterGroup,
     CoxeterMatrix,
-    WElement,
-    complement,
     enumerate_group,
-    is_reduced_product,
-    left_weighted,
-    longest_element,
     rank3_finite,
     sliding_normal_form,
-    smallest_divisor,
 )
 from .errors import (
     BudgetError,

@@ -29,7 +29,6 @@ from .words import (
     DEFAULT_COSET_CAP,
     DEFAULT_RULE_BUDGET,
     DEFAULT_STEP_BUDGET,
-    check_termination,
     deglex_from_names,
 )
 
@@ -79,11 +78,6 @@ def _step_budget(args) -> int:
 def cmd_complete(args) -> int:
     p = serialize.polygraph2_from_dict(_load_json(args.input))
     order = _order_for(p, args.order)
-    bad = check_termination(p, order)
-    if bad:
-        raise PreconditionError(
-            "termination check failed for rules: " + ", ".join(r.name for r in bad)
-        )
     before = len(p.rules)
     p31 = homotopical_complete(
         p,
@@ -96,8 +90,7 @@ def cmd_complete(args) -> int:
     _emit(doc, args.out)
     print(
         f"rules added: {len(p31.base.rules) - before}; "
-        f"3-cells: {len(p31.cells)}; "
-        f"critical branchings: {len(p31.cells)}",
+        f"3-cells: {len(p31.cells)}",
         file=sys.stderr,
     )
     return EXIT_OK

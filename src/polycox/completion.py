@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     CoherenceError,
@@ -43,13 +42,6 @@ from .words import (
 )
 
 
-class BranchKind(Enum):
-    ASPHERICAL = "aspherical"
-    PEIFFER = "peiffer"
-    OVERLAP = "overlap"
-    CRITICAL = "critical"
-
-
 @dataclass(frozen=True)
 class Branching:
     """A pair of rewriting steps out of a common source word."""
@@ -57,7 +49,6 @@ class Branching:
     source: Word
     left: Step2
     right: Step2
-    kind: BranchKind
 
 
 @dataclass(frozen=True)
@@ -112,17 +103,6 @@ class Polygraph31:
         return f"Polygraph31({self.base!r}, {len(self.cells)} cells)"
 
 
-def classify_local(p: Polygraph2, w: Word, s1: Step2, s2: Step2) -> BranchKind:
-    """Classify the local branching (s1, s2) at w."""
-    if s1 == s2:
-        return BranchKind.ASPHERICAL
-    a1 = len(p.rules[s1.rule].lhs)
-    a2 = len(p.rules[s2.rule].lhs)
-    if s1.pos + a1 <= s2.pos or s2.pos + a2 <= s1.pos:
-        return BranchKind.PEIFFER
-    return BranchKind.OVERLAP
-
-
 def critical_branchings(p: Polygraph2) -> list[Branching]:
     """All minimal overlap branchings, deduplicated by symmetry.
 
@@ -140,9 +120,7 @@ def critical_branchings(p: Polygraph2) -> list[Branching]:
             # equal-offset branchings: one lhs a prefix of the other
             if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
                 source = la if len(la) >= len(lb) else lb
-                out.append(
-                    Branching(source, Step2(a, 1, 0), Step2(b, 1, 0), BranchKind.CRITICAL)
-                )
+                out.append(Branching(source, Step2(a, 1, 0), Step2(b, 1, 0)))
             for k in range(1, len(la)):
                 if k + len(lb) <= len(la):
                     if la[k : k + len(lb)] != lb:
@@ -152,9 +130,7 @@ def critical_branchings(p: Polygraph2) -> list[Branching]:
                     if la[k:] != lb[: len(la) - k]:
                         continue
                     source = la + lb[len(la) - k :]
-                out.append(
-                    Branching(source, Step2(a, 1, 0), Step2(b, 1, k), BranchKind.CRITICAL)
-                )
+                out.append(Branching(source, Step2(a, 1, 0), Step2(b, 1, k)))
     out.sort(key=lambda br: (len(br.source), br.source, br.left, br.right))
     return out
 
@@ -227,13 +203,9 @@ def homotopical_complete(
     p: Polygraph2,
     order: TerminationOrder,
     *,
-    strategy="leftmost",
     rule_budget: int = DEFAULT_RULE_BUDGET,
     branching_budget: int = DEFAULT_BRANCHING_BUDGET,
     step_budget: Optional[int] = None,
-    rule_namer: Optional[Callable[[Word, Word, int], str]] = None,
-    cell_namer: Optional[Callable[[int, Branching], str]] = None,
-    check: bool = True,
 ) -> Polygraph31:
     """Complete ``p`` to a convergent, coherent (3,1)-polygraph.
 
@@ -243,14 +215,14 @@ def homotopical_complete(
     rule set, so every 3-cell's endpoints are genuine normal forms and the
     number of 3-cells equals the number of critical branchings.  If ``p``
     is already confluent, phase one adds nothing and the result is exactly
-    Squier's completion.
+    Squier's completion.  Raises PreconditionError unless ``order``
+    orients every rule of ``p``.
     """
-    if check:
-        bad = check_termination(p, order)
-        if bad:
-            raise PreconditionError(
-                "rules not oriented by the order: " + ", ".join(r.name for r in bad)
-            )
+    bad = check_termination(p, order)
+    if bad:
+        raise PreconditionError(
+            "rules not oriented by the order: " + ", ".join(r.name for r in bad)
+        )
     work = Polygraph2(list(p.generators), list(p.rules))
     memo: dict = {}
     processed: set = set()
@@ -265,7 +237,6 @@ def homotopical_complete(
 
     push_all()
     n_initial = len(p.rules)
-    adjoined = 0
     while queue:
         _, _, _, br = heapq.heappop(queue)
         key = (br.source, br.left, br.right)
@@ -278,8 +249,8 @@ def homotopical_complete(
         w = br.source
         left_word = Path2(work, w, (br.left,)).target
         right_word = Path2(work, w, (br.right,)).target
-        nf_l, _ = normalize(left_word, work, strategy, budget=step_budget, memo=memo)
-        nf_r, _ = normalize(right_word, work, strategy, budget=step_budget, memo=memo)
+        nf_l, _ = normalize(left_word, work, budget=step_budget, memo=memo)
+        nf_r, _ = normalize(right_word, work, budget=step_budget, memo=memo)
         if nf_l == nf_r:
             continue
         cmp = order.compare(nf_l, nf_r)
@@ -290,12 +261,9 @@ def homotopical_complete(
         big, small = (nf_l, nf_r) if cmp is Ordering.GREATER else (nf_r, nf_l)
         if any(r.lhs == big and r.rhs == small for r in work.rules):
             continue
-        adjoined += 1
         if len(work.rules) + 1 - n_initial > rule_budget:
             raise DivergenceError(f"rule budget {rule_budget} exceeded")
-        idx = len(work.rules)
-        name = rule_namer(big, small, idx) if rule_namer else f"kb{idx}"
-        work.add_rule(Rule(name, big, small))
+        work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
         memo.clear()
         push_all()
 
@@ -304,22 +272,19 @@ def homotopical_complete(
     finals = critical_branchings(work)
     finals.sort(key=lambda br: (_qkey(br.source), br.left, br.right))
     for i, br in enumerate(finals):
-        src = _branch_side(work, br.source, br.left, strategy, memo, step_budget)
-        tgt = _branch_side(work, br.source, br.right, strategy, memo, step_budget)
+        src = _branch_side(work, br.source, br.left, memo, step_budget)
+        tgt = _branch_side(work, br.source, br.right, memo, step_budget)
         if src.target != tgt.target:
             raise CoherenceError(
                 f"completion not confluent at {work.word_str(br.source)}"
             )
-        name = cell_namer(i, br) if cell_namer else f"c{i}"
-        cells.append(ThreeCell(name, src, tgt))
+        cells.append(ThreeCell(f"c{i}", src, tgt))
     return Polygraph31(work, cells)
 
 
-def _branch_side(
-    pg: Polygraph2, w: Word, step: Step2, strategy, memo, budget=None
-) -> Path2:
+def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo, budget=None) -> Path2:
     first = Path2(pg, w, (step,))
-    _, rest = normalize(first.target, pg, strategy, budget=budget, memo=memo)
+    _, rest = normalize(first.target, pg, budget=budget, memo=memo)
     return compose(first, rest)
 
 
@@ -450,7 +415,6 @@ def fill_parallel(
     pB: Path2,
     *,
     lookup: Optional[dict] = None,
-    strategy="leftmost",
     memo: Optional[dict] = None,
 ) -> list[SphereEntry]:
     """Decompose the parallel positive reduction paths pA, pB (with a common
@@ -486,7 +450,7 @@ def fill_parallel(
         w = a.source
         s1, s2 = a.steps[0], b.steps[0]
         entry, c1, c2, z = _local_cell(p31, lookup, w, s1, s2)
-        _, n = normalize(z, pg, strategy, memo=memo)
+        _, n = normalize(z, pg, memo=memo)
         mid1 = compose(Path2(pg, Path2(pg, w, (s1,)).target, c1), n)
         mid2 = compose(Path2(pg, Path2(pg, w, (s2,)).target, c2), n)
         left = prefixed(s1, w, go(Path2(pg, a.words()[1], a.steps[1:]), mid1))
@@ -506,7 +470,6 @@ def generating_triple_confluence(
     p31: Polygraph31,
     triple: TripleBranching,
     *,
-    strategy="leftmost",
     lookup: Optional[dict] = None,
     memo: Optional[dict] = None,
 ) -> Sphere3:
@@ -524,11 +487,11 @@ def generating_triple_confluence(
     w = triple.source
     sides = []
     for s in triple.steps:
-        sides.append(_branch_side(pg, w, s, strategy, memo))
+        sides.append(_branch_side(pg, w, s, memo))
     F, G, H = sides
     if not (F.target == G.target == H.target):
         raise CoherenceError("triple branching does not converge")
-    lhs = fill_parallel(p31, F, G, lookup=lookup, strategy=strategy, memo=memo)
-    lhs += fill_parallel(p31, G, H, lookup=lookup, strategy=strategy, memo=memo)
-    rhs = fill_parallel(p31, F, H, lookup=lookup, strategy=strategy, memo=memo)
+    lhs = fill_parallel(p31, F, G, lookup=lookup, memo=memo)
+    lhs += fill_parallel(p31, G, H, lookup=lookup, memo=memo)
+    rhs = fill_parallel(p31, F, H, lookup=lookup, memo=memo)
     return Sphere3(F, H, tuple(lhs), tuple(rhs))

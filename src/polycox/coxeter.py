@@ -404,55 +404,3 @@ def sliding_normal_form(g: CoxeterGroup, word: Iterable[int]) -> tuple[int, ...]
             w = [e for e in w if e != g.identity]
             changed = True
     return tuple(w)
-
-
-@dataclass(frozen=True)
-class WElement:
-    """A group element handle; arithmetic delegates to the Cayley graph."""
-
-    group: CoxeterGroup
-    id: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.id < self.group.size):
-            raise InputError(f"element id {self.id} out of range")
-
-    @property
-    def length(self) -> int:
-        return self.group.length[self.id]
-
-    def __mul__(self, other: "WElement") -> "WElement":
-        _same_group(self, other)
-        return WElement(self.group, self.group.mult(self.id, other.id))
-
-    def inverse(self) -> "WElement":
-        return WElement(self.group, self.group.inv[self.id])
-
-
-def _same_group(u: WElement, v: WElement) -> None:
-    if u.group is not v.group:
-        raise InputError("elements of different groups")
-
-
-def is_reduced_product(u: WElement, v: WElement) -> bool:
-    _same_group(u, v)
-    return u.group.is_reduced_product(u.id, v.id)
-
-
-def smallest_divisor(u: WElement) -> WElement:
-    s = u.group.smallest_divisor(u.id)
-    return WElement(u.group, u.group.generator(s))
-
-
-def complement(u: WElement, v: WElement) -> WElement:
-    _same_group(u, v)
-    return WElement(u.group, u.group.complement(u.id, v.id))
-
-
-def longest_element(g: CoxeterGroup, gens: Iterable[int]) -> WElement:
-    return WElement(g, g.longest_element(gens))
-
-
-def left_weighted(g: CoxeterGroup, u: WElement, v: WElement) -> tuple[WElement, WElement]:
-    a, b = g.left_weighted(u.id, v.id)
-    return WElement(g, a), WElement(g, b)

@@ -69,9 +69,6 @@ class GarsidePresentation:
     gen_of_elt: dict[int, int]
     alpha: dict[tuple[int, int], int]  # (u, v) element ids -> rule index
 
-    def elements(self, w: Word) -> tuple[int, ...]:
-        return tuple(self.elt_of_gen[g] for g in w)
-
 
 def garside_presentation(g: CoxeterGroup) -> GarsidePresentation:
     """Build Gar_2(W) for a finite Coxeter group."""
@@ -154,9 +151,6 @@ def complete_garside(
     n_alpha = len(pg.rules)
     names = pg.generators
 
-    def elt(gen: int) -> int:
-        return gp.elt_of_gen[gen]
-
     def gen(e: int) -> int:
         return gp.gen_of_elt[e]
 
@@ -191,129 +185,87 @@ def complete_garside(
             "wreath order does not orient: " + ", ".join(r.name for r in bad)
         )
 
-    def rule_kind(step: Step2):
-        if step.rule < n_alpha:
-            lhs = pg.rules[step.rule].lhs
-            return ("alpha", (elt(lhs[0]), elt(lhs[1])))
-        return ("beta", beta_of_rule[step.rule])
+    m = g.mult
+    elt = gp.elt_of_gen
 
-    def classify(br: Branching) -> FamilyTag:
-        ka, ia = rule_kind(br.left)
-        kb, ib = rule_kind(br.right)
-        if br.right.pos == 1:
-            if ka == "alpha":
-                u, v = ia
-                if kb == "alpha":
-                    v2, wv = ib
-                    if v2 != v:
-                        raise ClassificationError("misaligned overlap")
-                    letter = "A" if _additive(g, u, v, wv) else "B"
-                    return FamilyTag(letter, (u, v, wv))
-                v2, x, y = ib
-                if v2 != v:
-                    raise ClassificationError("misaligned overlap")
-                letter = "C" if _additive(g, u, v, x) else "D"
-                return FamilyTag(letter, (u, v, x, y))
-            u, v, wv = ia
-            vw = g.mult(v, wv)
-            if kb == "alpha":
-                vw2, x = ib
-                if vw2 != vw:
-                    raise ClassificationError("misaligned overlap")
-                return FamilyTag("E", (u, v, wv, x))
-            vw2, x, y = ib
-            if vw2 != vw:
-                raise ClassificationError("misaligned overlap")
-            letter = "F" if _additive(g, wv, x, y) else "G"
-            return FamilyTag(letter, (u, v, wv, x, y))
-        if br.right.pos == 0:
-            if ka != "beta" or kb != "beta":
-                raise ClassificationError("equal-source branching without two betas")
-            u1, v1, w1 = ia
-            u2, v2, w2 = ib
-            if u1 != u2 or g.mult(v1, w1) != g.mult(v2, w2):
-                raise ClassificationError("equal-source branching mismatch")
-            if g.divides(v1, v2):
-                return FamilyTag("H", (u1, v1, g.complement(v1, v2), w2))
-            if g.divides(v2, v1):
-                return FamilyTag("H", (u1, v2, g.complement(v2, v1), w1))
-            return FamilyTag("I", (u1, v1, w1, v2, w2))
-        raise ClassificationError(f"unexpected branching shape at {br.source}")
-
-    def alpha_step(u: int, v: int, pos: int) -> Step2:
+    def a(u: int, v: int, pos: int) -> Step2:
         return Step2(gp.alpha[(u, v)], 1, pos)
 
-    def beta_step(u: int, v: int, w: int, pos: int) -> Step2:
+    def b(u: int, v: int, w: int, pos: int) -> Step2:
         return Step2(beta[(u, v, w)], 1, pos)
 
-    def sides(tag: FamilyTag) -> tuple[tuple[Step2, ...], tuple[Step2, ...]]:
-        """The two reduction paths of the family's confluence diagram."""
-        if tag.letter == "A":
-            u, v, w = tag.indices
+    def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
+        """The family of a critical branching with the two reduction paths
+        of its confluence diagram, read off the branching's shape; None
+        for a shape no family has.  A rule lookup that fails raises
+        KeyError."""
+        left, right = br.left.rule, br.right.rule
+        if br.right.pos == 0:  # beta/beta on one source u|vw
+            u, v1, w1 = beta_of_rule[left]
+            _, v2, w2 = beta_of_rule[right]
+            if g.divides(v1, v2):
+                x = g.complement(v1, v2)
+                return (
+                    FamilyTag("H", (u, v1, x, w2)),
+                    (b(u, v1, w1, 0), b(m(u, v1), x, w2, 0)),
+                    (b(u, v2, w2, 0),),
+                )
+            join = g.lcm(v1, v2)
+            x1, x2 = g.complement(v1, join), g.complement(v2, join)
+            y = g.complement(join, m(v1, w1))
             return (
-                (alpha_step(u, v, 0), alpha_step(g.mult(u, v), w, 0)),
-                (alpha_step(v, w, 1), alpha_step(u, g.mult(v, w), 0)),
+                FamilyTag("I", (u, v1, w1, v2, w2)),
+                (b(u, v1, w1, 0), b(m(u, v1), x1, y, 0)),
+                (b(u, v2, w2, 0), b(m(u, v2), x2, y, 0)),
             )
-        if tag.letter == "B":
-            u, v, w = tag.indices
+        if br.right.pos != 1:
+            return None
+        if left < n_alpha:
+            u, v = (elt[x] for x in pg.rules[left].lhs)
+            if right < n_alpha:  # alpha/alpha on u|v|w
+                w = elt[pg.rules[right].lhs[1]]
+                if _additive(g, u, v, w):
+                    return (
+                        FamilyTag("A", (u, v, w)),
+                        (a(u, v, 0), a(m(u, v), w, 0)),
+                        (a(v, w, 1), a(u, m(v, w), 0)),
+                    )
+                return (
+                    FamilyTag("B", (u, v, w)),
+                    (a(u, v, 0),),
+                    (a(v, w, 1), b(u, v, w, 0)),
+                )
+            _, x, y = beta_of_rule[right]  # alpha/beta on u|v|xy
+            if _additive(g, u, v, x):
+                return (
+                    FamilyTag("C", (u, v, x, y)),
+                    (a(u, v, 0), b(m(u, v), x, y, 0)),
+                    (b(v, x, y, 1), a(u, m(v, x), 0)),
+                )
             return (
-                (alpha_step(u, v, 0),),
-                (alpha_step(v, w, 1), beta_step(u, v, w, 0)),
+                FamilyTag("D", (u, v, x, y)),
+                (a(u, v, 0),),
+                (b(v, x, y, 1), b(u, v, x, 0), a(x, y, 1)),
             )
-        if tag.letter == "C":
-            u, v, w, x = tag.indices
+        u, v, w = beta_of_rule[left]
+        if right < n_alpha:  # beta/alpha on u|vw|x
+            x = elt[pg.rules[right].lhs[1]]
             return (
-                (alpha_step(u, v, 0), beta_step(g.mult(u, v), w, x, 0)),
-                (beta_step(v, w, x, 1), alpha_step(u, g.mult(v, w), 0)),
+                FamilyTag("E", (u, v, w, x)),
+                (b(u, v, w, 0), a(w, x, 1)),
+                (a(m(v, w), x, 1), b(u, v, m(w, x), 0)),
             )
-        if tag.letter == "D":
-            u, v, w, x = tag.indices
+        _, x, y = beta_of_rule[right]  # beta/beta on u|vw|xy
+        if _additive(g, w, x, y):
             return (
-                (alpha_step(u, v, 0),),
-                (
-                    beta_step(v, w, x, 1),
-                    beta_step(u, v, w, 0),
-                    alpha_step(w, x, 1),
-                ),
+                FamilyTag("F", (u, v, w, x, y)),
+                (b(u, v, w, 0), a(w, m(x, y), 1)),
+                (b(m(v, w), x, y, 1), b(u, v, m(w, x), 0), a(m(w, x), y, 1)),
             )
-        if tag.letter == "E":
-            u, v, w, x = tag.indices
-            return (
-                (beta_step(u, v, w, 0), alpha_step(w, x, 1)),
-                (alpha_step(g.mult(v, w), x, 1), beta_step(u, v, g.mult(w, x), 0)),
-            )
-        if tag.letter == "F":
-            u, v, w, x, y = tag.indices
-            return (
-                (beta_step(u, v, w, 0), alpha_step(w, g.mult(x, y), 1)),
-                (
-                    beta_step(g.mult(v, w), x, y, 1),
-                    beta_step(u, v, g.mult(w, x), 0),
-                    alpha_step(g.mult(w, x), y, 1),
-                ),
-            )
-        if tag.letter == "G":
-            u, v, w, x, y = tag.indices
-            return (
-                (beta_step(u, v, w, 0), beta_step(w, x, y, 1)),
-                (
-                    beta_step(g.mult(v, w), x, y, 1),
-                    beta_step(u, v, g.mult(w, x), 0),
-                ),
-            )
-        if tag.letter == "H":
-            u, v, x, y = tag.indices
-            return (
-                (beta_step(u, v, g.mult(x, y), 0), beta_step(g.mult(u, v), x, y, 0)),
-                (beta_step(u, g.mult(v, x), y, 0),),
-            )
-        u, v1, w1, v2, w2 = tag.indices
-        join = g.lcm(v1, v2)
-        x1, x2 = g.complement(v1, join), g.complement(v2, join)
-        y = g.complement(join, g.mult(v1, w1))
         return (
-            (beta_step(u, v1, w1, 0), beta_step(g.mult(u, v1), x1, y, 0)),
-            (beta_step(u, v2, w2, 0), beta_step(g.mult(u, v2), x2, y, 0)),
+            FamilyTag("G", (u, v, w, x, y)),
+            (b(u, v, w, 0), b(w, x, y, 1)),
+            (b(m(v, w), x, y, 1), b(u, v, m(w, x), 0)),
         )
 
     branchings = critical_branchings(pg)
@@ -325,16 +277,16 @@ def complete_garside(
     tags: list[FamilyTag] = []
     cells: list[ThreeCell] = []
     for i, br in enumerate(branchings):
-        tag = classify(br)
-        left_steps, right_steps = sides(tag)
-        if left_steps[0] != br.left or right_steps[0] != br.right:
-            # the branching steps fix which side is which; re-anchor on ties
-            if left_steps[0] == br.right and right_steps[0] == br.left:
-                left_steps, right_steps = right_steps, left_steps
-            else:
-                raise ClassificationError(
-                    f"family shape does not match its branching at {br.source}"
-                )
+        try:
+            found = family(br)
+        except KeyError:
+            found = None
+        # the sides must begin with the branching's own two steps
+        if found is None or found[1][0] != br.left or found[2][0] != br.right:
+            raise ClassificationError(
+                f"no family matches the branching at {pg.word_str(br.source)}"
+            )
+        tag, left_steps, right_steps = found
         idx = ",".join(
             "".join(g.matrix.names[s] for s in g.word[e]) for e in tag.indices
         )
@@ -349,7 +301,7 @@ def complete_garside(
     return GarsideCompletion(gp, Polygraph31(pg, cells), tags, beta, beta_of_rule)
 
 
-_FAMILY_RANK = {letter: i for i, letter in enumerate("ABCDEFGHI")}
+_FAMILIES = "ABCDEFGHI"
 
 
 def _resolve_side(
@@ -574,7 +526,7 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
 
     rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
     rule_rank.update({i: (1, i) for i in gc.beta_of_rule})
-    cell_rank = {i: (_FAMILY_RANK[tag.letter], i) for i, tag in enumerate(gc.tags)}
+    cell_rank = {i: (_FAMILIES.index(tag.letter), i) for i, tag in enumerate(gc.tags)}
     gen_rank = {i: (g.length[e], i) for i, e in enumerate(gp.elt_of_gen)}
     return CollapsiblePart(
         (), tuple(three), tuple(spheres), OrderWitness(gen_rank, rule_rank, cell_rank)
@@ -608,38 +560,20 @@ def garside_coherent(
     part = garside_reduction_part(gc)
     reduced = homotopical_reduce(gc.p31, part)
     gp = gc.gp
-    name_of_gen = {name: i for i, name in enumerate(reduced.base.generators)}
-    old_names = gp.pg.generators
-    elt_of_gen = [0] * len(reduced.base.generators)
-    for old_gen, e in enumerate(gp.elt_of_gen):
-        new = name_of_gen.get(old_names[old_gen])
-        if new is None:
-            raise CoherenceError("Garside reduction eliminated a generator")
-        elt_of_gen[new] = e
-    gen_of_elt = {e: i for i, e in enumerate(elt_of_gen)}
-    alpha = {}
-    for idx, rule in enumerate(reduced.base.rules):
-        if len(rule.lhs) != 2 or len(rule.rhs) != 1:
-            raise CoherenceError("Garside reduction left a non-alpha rule")
-        alpha[(elt_of_gen[rule.lhs[0]], elt_of_gen[rule.lhs[1]])] = idx
-    return Gar3(g, reduced, elt_of_gen, gen_of_elt, alpha)
+    if reduced.base != gp.pg:
+        raise CoherenceError("Garside reduction did not leave Gar_2(W)")
+    return Gar3(g, reduced, gp.elt_of_gen, gp.gen_of_elt, gp.alpha)
 
 
-def gar4_spheres(g3: Gar3) -> list[Sphere3]:
-    """The spheres of Gar_4(W): one per fully length-additive quadruple,
-    assembled from the all-alpha triple branchings of Gar_3(W)."""
-    g = g3.group
-    lookup = cells_by_branching(g3.p31)
-    memo: dict = {}
-    out = []
+def _additive_quadruples(g3: Gar3):
+    """Each fully length-additive quadruple (u, v, w, x) of Gar_3(W),
+    with the all-alpha triple branching on u|v|w|x."""
     for (u, v), r_uv in sorted(g3.alpha.items()):
         for w in g3.elt_of_gen:
             if (v, w) not in g3.alpha:
                 continue
             for x in g3.elt_of_gen:
-                if (w, x) not in g3.alpha:
-                    continue
-                if not _additive(g, u, v, w, x):
+                if (w, x) not in g3.alpha or not _additive(g3.group, u, v, w, x):
                     continue
                 source = tuple(g3.gen_of_elt[e] for e in (u, v, w, x))
                 steps = (
@@ -647,15 +581,18 @@ def gar4_spheres(g3: Gar3) -> list[Sphere3]:
                     Step2(g3.alpha[(v, w)], 1, 1),
                     Step2(g3.alpha[(w, x)], 1, 2),
                 )
-                out.append(
-                    generating_triple_confluence(
-                        g3.p31,
-                        TripleBranching(source, steps),
-                        lookup=lookup,
-                        memo=memo,
-                    )
-                )
-    return out
+                yield (u, v, w, x), TripleBranching(source, steps)
+
+
+def gar4_spheres(g3: Gar3) -> list[Sphere3]:
+    """The spheres of Gar_4(W): one per fully length-additive quadruple,
+    assembled from the all-alpha triple branchings of Gar_3(W)."""
+    lookup = cells_by_branching(g3.p31)
+    memo: dict = {}
+    return [
+        generating_triple_confluence(g3.p31, triple, lookup=lookup, memo=memo)
+        for _, triple in _additive_quadruples(g3)
+    ]
 
 
 class Classification(Enum):
@@ -664,50 +601,43 @@ class Classification(Enum):
     REDUNDANT = "redundant"
 
 
-def _chain_break(g: CoxeterGroup, tup: tuple[int, ...]) -> Optional[int]:
-    """Least k (1-based) with u1..uk != w0(s1,..,sk), or None (essential)."""
+def _prefix_products(g: CoxeterGroup, tup: tuple[int, ...]) -> list[int]:
+    """u1, u1u2, ..., u1..un."""
     prods = []
     acc = g.identity
     for u in tup:
         acc = g.mult(acc, u)
         prods.append(acc)
+    return prods
+
+
+def _classify(
+    g: CoxeterGroup, tup: tuple[int, ...]
+) -> tuple[Classification, Optional[int]]:
+    """The class of a length-additive tuple with the least k (1-based) such
+    that u1..uk != w0(s1,..,sk), or None when the tuple is essential."""
+    prods = _prefix_products(g, tup)
     if g.length[prods[-1]] != sum(g.length[u] for u in tup):
         raise PreconditionError("tuple is not length-additive")
     smalls = [g.smallest_divisor(p) for p in prods]
     for k in range(1, len(tup) + 1):
         if prods[k - 1] != g.longest_element(smalls[:k]):
-            return k
-    return None
+            if k > 1 and smalls[k - 2] == smalls[k - 1]:
+                return Classification.COLLAPSIBLE, k
+            return Classification.REDUNDANT, k
+    return Classification.ESSENTIAL, None
 
 
 def classify_tuple(g: CoxeterGroup, tup: Iterable[int]) -> Classification:
     """The essential/collapsible/redundant trichotomy of a length-additive
     tuple, via the chain of longest elements over its smallest divisors."""
-    tup = tuple(tup)
-    k = _chain_break(g, tup)
-    if k is None:
-        return Classification.ESSENTIAL
-    if k == 1:
-        return Classification.REDUNDANT
-    prods = []
-    acc = g.identity
-    for u in tup:
-        acc = g.mult(acc, u)
-        prods.append(acc)
-    s_prev = g.smallest_divisor(prods[k - 2])
-    s_k = g.smallest_divisor(prods[k - 1])
-    return Classification.COLLAPSIBLE if s_prev == s_k else Classification.REDUNDANT
+    return _classify(g, tuple(tup))[0]
 
 
 def phi_key(g: CoxeterGroup, tup: Iterable[int]) -> tuple:
     """The well-founded lexicographic key (total length, then alternating
     smallest divisor and length of each proper prefix product)."""
-    tup = tuple(tup)
-    prods = []
-    acc = g.identity
-    for u in tup:
-        acc = g.mult(acc, u)
-        prods.append(acc)
+    prods = _prefix_products(g, tuple(tup))
     key: list[int] = [g.length[prods[-1]]]
     for p in prods[:-1]:
         key.append(g.smallest_divisor(p))
@@ -894,9 +824,10 @@ def artin_reduction_part(g3: Gar3) -> CollapsiblePart:
 
     three: list[ThreeCollapse] = []
     for i, (u, v, w) in sorted(triple_of_cell.items()):
-        if classify_tuple(g, (u, v, w)) is not Classification.COLLAPSIBLE:
+        kind, k = _classify(g, (u, v, w))
+        if kind is not Classification.COLLAPSIBLE:
             continue
-        if _chain_break(g, (u, v, w)) == 2:
+        if k == 2:
             redundant = g3.alpha[(g.mult(u, v), w)]
         else:
             redundant = g3.alpha[(u, g.mult(v, w))]
@@ -905,32 +836,20 @@ def artin_reduction_part(g3: Gar3) -> CollapsiblePart:
     spheres: list[SphereCollapse] = []
     lookup = cells_by_branching(p31)
     memo: dict = {}
-    for (u, v), r_uv in sorted(g3.alpha.items()):
-        for w in g3.elt_of_gen:
-            if (v, w) not in g3.alpha:
-                continue
-            for x in g3.elt_of_gen:
-                if (w, x) not in g3.alpha or not _additive(g, u, v, w, x):
-                    continue
-                if classify_tuple(g, (u, v, w, x)) is not Classification.COLLAPSIBLE:
-                    continue
-                k = _chain_break(g, (u, v, w, x))
-                if k == 2:
-                    dead = cell_of_triple[(g.mult(u, v), w, x)]
-                elif k == 3:
-                    dead = cell_of_triple[(u, g.mult(v, w), x)]
-                else:
-                    dead = cell_of_triple[(u, v, g.mult(w, x))]
-                source = tuple(g3.gen_of_elt[e] for e in (u, v, w, x))
-                steps = (
-                    Step2(r_uv, 1, 0),
-                    Step2(g3.alpha[(v, w)], 1, 1),
-                    Step2(g3.alpha[(w, x)], 1, 2),
-                )
-                sphere = generating_triple_confluence(
-                    p31, TripleBranching(source, steps), lookup=lookup, memo=memo
-                )
-                spheres.append(SphereCollapse(sphere, dead))
+    for (u, v, w, x), triple in _additive_quadruples(g3):
+        kind, k = _classify(g, (u, v, w, x))
+        if kind is not Classification.COLLAPSIBLE:
+            continue
+        if k == 2:
+            dead = cell_of_triple[(g.mult(u, v), w, x)]
+        elif k == 3:
+            dead = cell_of_triple[(u, g.mult(v, w), x)]
+        else:
+            dead = cell_of_triple[(u, v, g.mult(w, x))]
+        sphere = generating_triple_confluence(
+            p31, triple, lookup=lookup, memo=memo
+        )
+        spheres.append(SphereCollapse(sphere, dead))
 
     gen_rank = {
         i: (g.length[e], e) for i, e in enumerate(g3.elt_of_gen)

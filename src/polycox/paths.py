@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Union
 
-from .errors import CompositionError, NonterminationError, StepError
+from .errors import CompositionError, NonterminationError
 from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
@@ -100,15 +100,6 @@ class Path2:
         if self._target is None:
             self.words()
         return self._target
-
-    def io_lengths(self, s: Step2) -> tuple[int, int]:
-        """(consumed, produced) letter counts of a step."""
-        rule = self.pg.rules[s.rule]
-        return (
-            (len(rule.lhs), len(rule.rhs))
-            if s.dir > 0
-            else (len(rule.rhs), len(rule.lhs))
-        )
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -78,11 +78,19 @@ def path_to_dict(path: Path2) -> dict:
     }
 
 
+def _step_dir(value) -> int:
+    """A step direction read from JSON: 1 (forward) or -1 (reverse)."""
+    d = int(value)
+    if d not in (1, -1):
+        raise InputError(f"step direction must be 1 or -1, not {value!r}")
+    return d
+
+
 def path_from_dict(d: dict, p: Polygraph2) -> Path2:
     try:
         source = word_from_str(p, d["source"])
         steps = tuple(
-            Step2(p.rule_index(s["rule"]), int(s["dir"]), int(s["at"]))
+            Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), int(s["at"]))
             for s in d["steps"]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -154,7 +162,7 @@ def sphere_from_dict(d: dict, p31: Polygraph31) -> Sphere3:
     def entry(e: dict) -> SphereEntry:
         return SphereEntry(
             p31.cell_index(e["cell"]),
-            int(e["dir"]),
+            _step_dir(e["dir"]),
             word_from_str(base, e["left"]),
             word_from_str(base, e["right"]),
             path_from_dict(e["pre"], base),

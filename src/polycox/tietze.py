@@ -307,36 +307,32 @@ def homotopical_reduce(
 
     dead_cells = {sc.redundant for sc in part.spheres}
     dead_cells |= {tc.cell for tc in part.three_cells}
-    live: dict[int, tuple[str, Path2, Path2]] = {
-        i: (c.name, c.src, c.tgt)
+    work_pg = Polygraph2(list(base.generators), list(base.rules))
+
+    def rebind(path: Path2) -> Path2:
+        return Path2(work_pg, path.source, path.steps)
+
+    # boundaries of the surviving ("live") and collapsing 3-cells, keyed
+    # (kind, cell index)
+    bnd: dict[tuple[str, int], tuple[Path2, Path2]] = {
+        ("live", i): (rebind(c.src), rebind(c.tgt))
         for i, c in enumerate(p31.cells)
         if i not in dead_cells
     }
-    collapse_bnd: dict[int, tuple[Path2, Path2]] = {
-        tc.cell: (p31.cells[tc.cell].src, p31.cells[tc.cell].tgt)
-        for tc in part.three_cells
-    }
+    for tc in part.three_cells:
+        c = p31.cells[tc.cell]
+        bnd[("collapse", tc.cell)] = (rebind(c.src), rebind(c.tgt))
 
-    # rules referenced by each live or collapsing boundary, for cheap splicing
-    refs: dict[int, set[int]] = {}
+    # boundaries referencing each rule, for cheap splicing
+    refs: dict[int, set[tuple[str, int]]] = {}
 
     def index_refs(key, *paths: Path2) -> None:
         for p in paths:
             for s in p.steps:
                 refs.setdefault(s.rule, set()).add(key)
 
-    for i, (_, s, t) in live.items():
-        index_refs(("live", i), s, t)
-    for i, (s, t) in collapse_bnd.items():
-        index_refs(("collapse", i), s, t)
-
-    work_pg = Polygraph2(list(base.generators), list(base.rules))
-
-    def rebind(path: Path2) -> Path2:
-        return Path2(work_pg, path.source, path.steps)
-
-    live = {i: (n, rebind(s), rebind(t)) for i, (n, s, t) in live.items()}
-    collapse_bnd = {i: (rebind(s), rebind(t)) for i, (s, t) in collapse_bnd.items()}
+    for key, (s, t) in bnd.items():
+        index_refs(key, s, t)
 
     dead_rules: set[int] = set()
     order3 = sorted(
@@ -345,24 +341,15 @@ def homotopical_reduce(
         reverse=True,
     )
     for tc in order3:
-        s, t = collapse_bnd.pop(tc.cell)
+        s, t = bnd.pop(("collapse", tc.cell))
         cell = ThreeCell(p31.cells[tc.cell].name, s, t)
         rep = _solve_replacement(Polygraph31(work_pg, []), cell, tc.redundant)
         for key in sorted(refs.get(tc.redundant, ()), key=str):
-            kind, i = key
-            if kind == "live" and i in live:
-                name, a, b = live[i]
-                a2, b2 = _splice_rule(a, tc.redundant, rep), _splice_rule(
-                    b, tc.redundant, rep
-                )
-                live[i] = (name, a2, b2)
-                index_refs(key, a2, b2)
-            elif kind == "collapse" and i in collapse_bnd:
-                a, b = collapse_bnd[i]
-                a2, b2 = _splice_rule(a, tc.redundant, rep), _splice_rule(
-                    b, tc.redundant, rep
-                )
-                collapse_bnd[i] = (a2, b2)
+            if key in bnd:
+                a, b = bnd[key]
+                a2 = _splice_rule(a, tc.redundant, rep)
+                b2 = _splice_rule(b, tc.redundant, rep)
+                bnd[key] = (a2, b2)
                 index_refs(key, a2, b2)
         dead_rules.add(tc.redundant)
 
@@ -390,13 +377,12 @@ def homotopical_reduce(
             for i, r in enumerate(work_pg.rules)
         ]
         new_pg = Polygraph2(list(work_pg.generators), new_rules)
-        live = {
-            i: (
-                n,
+        bnd = {
+            key: (
                 _subst_gen_in_path(a, work_pg, new_pg, x, omega, tc.rule),
                 _subst_gen_in_path(b, work_pg, new_pg, x, omega, tc.rule),
             )
-            for i, (n, a, b) in live.items()
+            for key, (a, b) in bnd.items()
         }
         work_pg = new_pg
         dead_rules.add(tc.rule)
@@ -431,8 +417,8 @@ def homotopical_reduce(
         return Path2(final_pg, src, steps)
 
     cells = [
-        ThreeCell(name, remap(a), remap(b))
-        for _, (name, a, b) in sorted(live.items())
+        ThreeCell(p31.cells[i].name, remap(a), remap(b))
+        for (_, i), (a, b) in sorted(bnd.items())
     ]
     return Polygraph31(final_pg, cells)
 

@@ -151,13 +151,6 @@ def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:
     return out
 
 
-def matches(w: Word, p: Polygraph2, r: int, i: int, direction: int = 1) -> bool:
-    """Whether rule ``r`` applies to ``w`` at offset ``i`` in ``direction``."""
-    rule = p.rules[r]
-    pat = rule.lhs if direction > 0 else rule.rhs
-    return 0 <= i <= len(w) - len(pat) and w[i : i + len(pat)] == pat
-
-
 def apply_step(w: Word, p: Polygraph2, r: int, i: int, direction: int = 1) -> Word:
     """Replace the matched side of rule ``r`` at offset ``i`` by the other side."""
     rule = p.rules[r]
@@ -177,18 +170,9 @@ class Ordering(Enum):
     INCOMPARABLE = 2
 
 
-@dataclass(frozen=True)
-class Deglex:
-    """Degree-lexicographic order: length first, then letterwise precedence.
-
-    ``precedence[g]`` is the rank of generator ``g``; a larger rank means a
-    greater letter.
-    """
-
-    precedence: tuple[int, ...]
-
-    def key(self, w: Word) -> tuple:
-        return (len(w), tuple(self.precedence[g] for g in w))
+class _KeyOrder:
+    """An order read off ``key``: smaller keys are smaller words, and
+    distinct words with equal keys are incomparable."""
 
     def compare(self, a: Word, b: Word) -> Ordering:
         ka, kb = self.key(a), self.key(b)
@@ -200,7 +184,21 @@ class Deglex:
 
 
 @dataclass(frozen=True)
-class GarsideWreath:
+class Deglex(_KeyOrder):
+    """Degree-lexicographic order: length first, then letterwise precedence.
+
+    ``precedence[g]`` is the rank of generator ``g``; a larger rank means a
+    greater letter.
+    """
+
+    precedence: tuple[int, ...]
+
+    def key(self, w: Word) -> tuple:
+        return (len(w), tuple(self.precedence[g] for g in w))
+
+
+@dataclass(frozen=True)
+class GarsideWreath(_KeyOrder):
     """Order for Garside presentations: fewer components first, then the
     lengths of the components compared starting from the right.
 
@@ -213,14 +211,6 @@ class GarsideWreath:
 
     def key(self, w: Word) -> tuple:
         return (len(w), tuple(self.lengths[g] for g in reversed(w)))
-
-    def compare(self, a: Word, b: Word) -> Ordering:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return Ordering.LESS
-        if ka > kb:
-            return Ordering.GREATER
-        return Ordering.EQUAL if a == b else Ordering.INCOMPARABLE
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,26 @@ class TestReduce:
         assert rc == 3
         assert "violation[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_dir", [0, 7])
+    @pytest.mark.parametrize("where", ["presentation", "part path", "sphere entry"])
+    def test_step_dir_must_be_unit(self, tmp_path, b3plus_completed, where, bad_dir):
+        from test_tietze import b3plus_part
+
+        p31, _ = b3plus_completed
+        doc = ser.polygraph31_to_dict(p31)
+        part = ser.part_to_dict(b3plus_part(p31), p31)
+        if where == "presentation":
+            doc["three_cells"][0]["src"]["steps"][0]["dir"] = bad_dir
+        elif where == "part path":
+            part["spheres"][0]["source"]["steps"][0]["dir"] = bad_dir
+        else:
+            part["spheres"][0]["lhs"][0]["dir"] = bad_dir
+        completed = tmp_path / "completed.json"
+        completed.write_text(json.dumps(doc))
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps(part))
+        assert main(["reduce", str(completed), "--part", str(part_file)]) == 2
+
 
 class TestGarsideCmd:
     def test_stages(self, tmp_path, capsys):

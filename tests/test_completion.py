@@ -6,10 +6,6 @@ from polycox.paths import Step2
 import oracles
 
 
-def word_of(p, s):
-    return tuple(p.generators.index(c) for c in s)
-
-
 class TestCriticalBranchings:
     def test_pre_completion_single(self, b3plus):
         p, _ = b3plus
@@ -35,14 +31,6 @@ class TestCriticalBranchings:
         p = px.Polygraph2(["a", "b"], [px.Rule("sq", (0, 0), (1,))])
         got = px.critical_branchings(p)
         assert len(got) == 1 and got[0].source == (0, 0, 0)
-
-    def test_classify_local(self, b3plus):
-        p, _ = b3plus
-        w = word_of(p, "stta")
-        peiffer = px.classify_local(p, w, Step2(1, 1, 0), Step2(0, 1, 2))
-        assert peiffer is px.BranchKind.PEIFFER
-        asph = px.classify_local(p, w, Step2(1, 1, 0), Step2(1, 1, 0))
-        assert asph is px.BranchKind.ASPHERICAL
 
 
 class TestHomotopicalComplete:
@@ -103,7 +91,7 @@ class TestHomotopicalComplete:
             frozenset({(((0, 1)), (2,)), (((1, 2)), (0,))})
         )
         with pytest.raises(px.OrientationError):
-            px.homotopical_complete(p, order, check=False)
+            px.homotopical_complete(p, order)
 
     def test_every_branching_has_a_cell(self, b3plus_completed):
         p31, _ = b3plus_completed

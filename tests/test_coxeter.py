@@ -127,16 +127,6 @@ class TestArithmetic:
                         if all(g.divides(g.generator(s), w) for s in gens):
                             assert g.divides(w0, w)
 
-    def test_welement_surface(self, groups):
-        g = groups("A2")
-        s, t = px.WElement(g, g.generator(0)), px.WElement(g, g.generator(1))
-        assert px.is_reduced_product(s, t)
-        st = s * t
-        assert st.length == 2
-        assert px.smallest_divisor(st).id == g.generator(0)
-        w0 = px.longest_element(g, (0, 1))
-        assert px.complement(s, w0).id == g.mult(t.id, s.id)
-
 
 class TestRank3Finite:
     FIVE_TYPES = [

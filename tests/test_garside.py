@@ -4,7 +4,7 @@ import pytest
 
 import polycox as px
 from polycox.garside import Classification, _additive
-from polycox.paths import Path2, paths_equal
+from polycox.paths import Path2, Step2, paths_equal
 from conftest import MATRICES
 
 
@@ -77,6 +77,30 @@ class TestCompleteGarside:
             assert len(gc.tags) == len(gc.p31.cells)
             assert len(gc.p31.cells) == len(px.critical_branchings(gc.p31.base))
 
+    @pytest.mark.parametrize(
+        "case", ["alpha pair at offset 0", "self-overlap", "offset 2", "H swapped"]
+    )
+    def test_unmatched_branching_raises(self, groups, monkeypatch, case):
+        g = groups("A2")
+        real = px.critical_branchings
+        h = [t.letter for t in px.complete_garside(g).tags].index("H")
+
+        def one_branching(pg):
+            # rule 0 is the alpha rule s|t
+            if case == "alpha pair at offset 0":
+                return [px.Branching((0, 1), Step2(0, 1, 0), Step2(0, 1, 0))]
+            if case == "self-overlap":
+                return [px.Branching((0, 1, 1), Step2(0, 1, 0), Step2(0, 1, 1))]
+            if case == "offset 2":
+                return [px.Branching((0, 1, 0, 1), Step2(0, 1, 0), Step2(0, 1, 2))]
+            # an H branching with its two steps swapped is not re-anchored
+            br = real(pg)[h]
+            return [px.Branching(br.source, br.right, br.left)]
+
+        monkeypatch.setattr("polycox.garside.critical_branchings", one_branching)
+        with pytest.raises(px.ClassificationError):
+            px.complete_garside(g)
+
     def test_convergent_on_short_words(self, groups):
         import oracles
 
@@ -104,6 +128,18 @@ class TestGarsideReduction:
         assert got == additive_triples(g, g3.elt_of_gen)
         # only alpha rules survive
         assert all(len(r.lhs) == 2 and len(r.rhs) == 1 for r in g3.p31.base.rules)
+
+    def test_reduction_must_leave_gar2(self, groups, monkeypatch):
+        real = px.homotopical_reduce
+
+        def drop_last_rule(p31, part):
+            red = real(p31, part)
+            base = px.Polygraph2(red.base.generators, red.base.rules[:-1])
+            return px.Polygraph31(base, red.cells)
+
+        monkeypatch.setattr("polycox.garside.homotopical_reduce", drop_last_rule)
+        with pytest.raises(px.CoherenceError):
+            px.garside_coherent(groups("A2"))
 
 
 class TestGar4Spheres:

@@ -1,0 +1,50 @@
+"""Golden outputs: the SHA-256 of the JSON that ``polycox garside`` and
+``polycox artin`` print must not change under a refactor.
+
+The pinned digests cover the completed and reduced Garside presentations
+of A2xA1 and A3 (rules, 3-cells, their boundaries and family tags, in
+output order) and Artin's coherent presentation of every rank-3 type in
+conftest.py.  A change that is meant to alter these outputs updates the
+digests and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from polycox import serialize as ser
+from polycox.cli import main
+
+from conftest import MATRICES
+
+GOLDEN = {
+    ("garside", "A2xA1", "completed"): "55c208c46654586272accf6d750dc7fd8e83b09c4a57a4e8ae543e9aed7166d9",
+    ("garside", "A2xA1", "reduced"): "2d5a7be8af74fc7a0a673f9a856a787cfb7b8e3f04a75745395e344802b0efa3",
+    ("garside", "A3", "completed"): "d9fc8b3a5f243b162afa4340fcaf75189d5790290b123428ba38040fbc29e028",
+    ("garside", "A3", "reduced"): "23cf9f3f1e316cc834e8c71dda9b78ad943bb430a7bbc12159e5ae1c8704b44d",
+    ("artin", "A1^3", None): "a7914b37a379ef7a687d87fa2df8789fcc0ca4c04c42354c486377b13485eae8",
+    ("artin", "A2xA1", None): "aee684b61752d25b4b9887e635e3530c4aae53ad2e44cdd73287f00aa92c5e41",
+    ("artin", "A3", None): "cb3f7d8a2e2f5e6f48df3e6215ab687ad24f85271162a42c38adf1daf4ac2490",
+    ("artin", "B3", None): "b603e868834080745f80eb9496c7fc8331dbb29a879ed34d5d9630e68a616bbe",
+    ("artin", "H3", None): "e7743bf59b087bf8dbd1d17db13671466f9ab4e9cb03896e33066092b223d4b6",
+    ("artin", "I5xA1", None): "c64ac8d307c8c75eb7f964d93507c6db72e15bf69a165a8dcaaa36ac3d1b5d09",
+    ("artin", "Atilde2", None): "122623d4003de481bc3dfadb0ed597dfc8f291dcdfd9294742abb4a69b0da962",
+}
+
+
+def test_covers_every_rank3_type():
+    rank3 = {name for name, m in MATRICES.items() if m.rank == 3}
+    assert {name for cmd, name, _ in GOLDEN if cmd == "artin"} == rank3
+
+
+@pytest.mark.parametrize(
+    "cmd,name,stage", sorted(GOLDEN, key=str), ids=str
+)
+def test_stdout_digest(tmp_path, capsys, cmd, name, stage):
+    f = tmp_path / "matrix.json"
+    f.write_text(json.dumps(ser.matrix_to_dict(MATRICES[name])))
+    argv = [cmd, str(f)] + (["--stage", stage] if stage else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(cmd, name, stage)]

@@ -150,6 +150,12 @@ def exhaustive_paths(pg, source, depth):
     yield from (Path2(pg, source, s) for s in frontier)
 
 
+def io_lengths(path, s):
+    """(consumed, produced) letter counts of a step, read off the rules."""
+    rule = path.pg.rules[s.rule]
+    return (len(rule.lhs), len(rule.rhs)) if s.dir > 0 else (len(rule.rhs), len(rule.lhs))
+
+
 def normalize_variant(path):
     """Alternative strategy: exhaust swaps first, then cancellations, and
     repeat; must agree with the library's interleaved normalization."""
@@ -162,8 +168,8 @@ def normalize_variant(path):
             swapped = False
             for i in range(len(steps) - 1):
                 s1, s2 = steps[i], steps[i + 1]
-                a1, b1 = path.io_lengths(s1)
-                a2, b2 = path.io_lengths(s2)
+                a1, b1 = io_lengths(path, s1)
+                a2, b2 = io_lengths(path, s2)
                 if s2.pos + a2 <= s1.pos and not (
                     s2.rule == s1.rule and s2.dir == -s1.dir and s2.pos == s1.pos
                 ):
