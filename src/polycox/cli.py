@@ -8,6 +8,8 @@ precondition, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -47,12 +49,13 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=False)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Stream ``doc`` as indented JSON to ``out`` or stdout, in batches of
+    chunks: a write per chunk is slow on a write-through stdout."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _order_for(p, order_arg: str):
@@ -216,17 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, **budgets: Optional[int]) -> None:
+        """Input, --out, -v and the --budget-NAME flags the subcommand honours."""
         p.add_argument("input", help="input JSON file")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--budget-rules", type=int, default=DEFAULT_RULE_BUDGET)
-        p.add_argument("--budget-branchings", type=int, default=DEFAULT_BRANCHING_BUDGET)
-        p.add_argument("--budget-steps", type=int, default=None)
-        p.add_argument("--budget-cosets", type=int, default=DEFAULT_COSET_CAP)
+        for name, default in budgets.items():
+            p.add_argument(f"--budget-{name}", type=int, default=default)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
+    rule_budgets = dict(rules=DEFAULT_RULE_BUDGET, branchings=DEFAULT_BRANCHING_BUDGET)
+
     p = sub.add_parser("complete", help="homotopical completion of a 2-polygraph")
-    common(p)
+    common(p, **rule_budgets, steps=None)
     p.add_argument("--order", required=True, help="termination order, e.g. deglex:t,s,a")
     p.set_defaults(fn=cmd_complete)
 
@@ -236,18 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("garside", help="Garside presentation stages for a Coxeter matrix")
-    common(p)
+    common(p, **rule_budgets, cosets=DEFAULT_COSET_CAP)
     p.add_argument(
         "--stage", choices=("raw", "completed", "reduced"), default="reduced"
     )
     p.set_defaults(fn=cmd_garside)
 
     p = sub.add_parser("artin", help="Artin's coherent presentation with Z-cells")
-    common(p)
+    common(p, cosets=DEFAULT_COSET_CAP)
     p.set_defaults(fn=cmd_artin)
 
     p = sub.add_parser("coxeter", help="enumerate the Coxeter group of a matrix")
-    common(p)
+    common(p, cosets=DEFAULT_COSET_CAP)
     p.set_defaults(fn=cmd_coxeter)
     return top
 

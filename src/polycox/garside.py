@@ -302,33 +302,8 @@ def complete_garside(
 
 
 _FAMILIES = "ABCDEFGHI"
-
-
-def _resolve_side(
-    p31: Polygraph31, start: Path2, end: Path2, specs
-) -> tuple[SphereEntry, ...]:
-    """Assemble one side of a sphere from face specifications, orienting
-    each face so it rewrites the running 2-cell; verifies the side closes
-    onto ``end`` modulo exchange."""
-    cur = start
-    out = []
-    for idx, lw, rw, pre, post in specs:
-        c = p31.cells[idx]
-        cur_nf = normalize_path(cur).steps
-        for d in (1, -1):
-            a, b = (c.src, c.tgt) if d > 0 else (c.tgt, c.src)
-            cand = compose(compose(pre, whisker(lw, a, rw)), post)
-            if cand.source == cur.source and normalize_path(cand).steps == cur_nf:
-                out.append(SphereEntry(idx, d, lw, rw, pre, post))
-                cur = compose(compose(pre, whisker(lw, b, rw)), post)
-                break
-        else:
-            raise CoherenceError(f"sphere face {c.name!r} does not fit its slot")
-    if cur.target != end.target or (
-        normalize_path(cur).steps != normalize_path(end).steps
-    ):
-        raise CoherenceError("sphere side does not close")
-    return tuple(out)
+# a face is looked up by its family with B merged into A and D into C
+_FACE_LETTER = str.maketrans("BD", "AC")
 
 
 def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
@@ -338,17 +313,27 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
     of the families C through I is designated redundant in the 3-sphere of
     its family's generating triple confluence, transcribed face by face;
     cells are ordered I > H > ... > B > A by family.
-    """
-    gp, g, p31 = gc.gp, gc.gp.group, gc.p31
-    pg = p31.base
-    lookup = cells_by_branching(p31)
-    m = g.mult
 
-    def gen(e: int) -> int:
-        return gp.gen_of_elt[e]
+    Every face is stored forward (direction +1) and found by the family
+    tag of its cell; a missing face raises CoherenceError.  The part is
+    only built here, not checked: ``validate_collapsible``, which
+    ``homotopical_reduce`` runs by default, checks every sphere.
+    """
+    gp, g, pg = gc.gp, gc.gp.group, gc.p31.base
+    m = g.mult
+    cell_of = {
+        (tag.letter.translate(_FACE_LETTER), tag.indices): i
+        for i, tag in enumerate(gc.tags)
+    }
+
+    def face(letter: str, *elts: int) -> int:
+        idx = cell_of.get((letter, elts))
+        if idx is None:
+            raise CoherenceError(f"no {letter}-family 3-cell on elements {elts}")
+        return idx
 
     def W(*elts: int) -> Word:
-        return tuple(gen(e) for e in elts)
+        return tuple(gp.gen_of_elt[e] for e in elts)
 
     def aS(a: int, b: int, pos: int) -> Step2:
         return Step2(gp.alpha[(a, b)], 1, pos)
@@ -358,33 +343,6 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
 
     def P(word: Word, *steps: Step2) -> Path2:
         return Path2(pg, word, steps)
-
-    def face(word: Word, s1: Step2, s2: Step2) -> int:
-        k1, k2 = sorted(
-            ((s1.rule, s1.pos), (s2.rule, s2.pos)), key=lambda rp: (rp[1], rp[0])
-        )
-        idx = lookup.get((word, k1, k2))
-        if idx is None:
-            raise CoherenceError(f"no 3-cell for the branching at {pg.word_str(word)}")
-        return idx
-
-    def fAB(a: int, b: int, c: int) -> int:
-        # the A- or B-family face on a|b|c
-        return face(W(a, b, c), aS(a, b, 0), aS(b, c, 1))
-
-    def fCD(a: int, b: int, c: int, d: int) -> int:
-        # the C- or D-family face on a|b|cd
-        return face(W(a, b, m(c, d)), aS(a, b, 0), bS(b, c, d, 1))
-
-    def fE(a: int, b: int, c: int, d: int) -> int:
-        # the E-family face on a|bc|d
-        return face(W(a, m(b, c), d), bS(a, b, c, 0), aS(m(b, c), d, 1))
-
-    def fH(a: int, b: int, c: int, d: int) -> int:
-        # the H-family face on a|bcd
-        return face(
-            W(a, m(b, m(c, d))), bS(a, b, m(c, d), 0), bS(a, m(b, c), d, 0)
-        )
 
     three: list[ThreeCollapse] = []
     spheres: list[SphereCollapse] = []
@@ -405,11 +363,11 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             end = P(X, aS(w, x, 2), bS(v, w, x, 1), aS(u, vw, 0))
             idT = P(W(m(uv, w), x))
             lhs = [
-                (fAB(u, v, w), (), W(x), idX, idT),
-                (fAB(v, w, x), W(u), (), idX, P(W(u, vw, x), aS(u, vw, 0))),
+                (face("A", u, v, w), (), W(x), idX, idT),
+                (face("A", v, w, x), W(u), (), idX, P(W(u, vw, x), aS(u, vw, 0))),
             ]
             rhs = [
-                (fAB(uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
+                (face("A", uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
                 (i, (), (), P(X, aS(w, x, 2)), idT),
             ]
         elif letter == "D":
@@ -417,9 +375,9 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             end = P(X, aS(w, x, 2), bS(v, w, x, 1), bS(u, v, w, 0), aS(w, x, 1))
             idT = P(W(uv, wx))
             lhs = [
-                (fAB(u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
+                (face("A", u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
                 (
-                    fAB(v, w, x),
+                    face("A", v, w, x),
                     W(u),
                     (),
                     idX,
@@ -432,11 +390,11 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, v, wx, 0))
             idT = P(W(uv, wx))
             lhs = [
-                (fAB(u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
+                (face("A", u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
                 (i, (), (), P(X, aS(v, w, 1)), idT),
-                (fAB(v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, v, wx, 0))),
+                (face("A", v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, v, wx, 0))),
             ]
-            rhs = [(fAB(u, v, wx), (), (), P(X, aS(w, x, 2)), idT)]
+            rhs = [(face("A", u, v, wx), (), (), P(X, aS(w, x, 2)), idT)]
         elif letter == "F":
             u, v, w, x, y = idx
             uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
@@ -446,9 +404,9 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             end = P(X, aS(x, y, 2), bS(vw, x, y, 1), bS(u, v, wx, 0), aS(wx, y, 1))
             idT = P(W(uv, m(w, xy)))
             lhs = [
-                (fE(u, v, w, x), (), W(y), idX, P(W(uv, wx, y), aS(wx, y, 1))),
+                (face("E", u, v, w, x), (), W(y), idX, P(W(uv, wx, y), aS(wx, y, 1))),
                 (
-                    fAB(vw, x, y),
+                    face("A", vw, x, y),
                     W(u),
                     (),
                     idX,
@@ -456,7 +414,7 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
                 ),
             ]
             rhs = [
-                (fAB(w, x, y), W(uv), (), P(X, bS(u, v, w, 0)), idT),
+                (face("A", w, x, y), W(uv), (), P(X, bS(u, v, w, 0)), idT),
                 (i, (), (), P(X, aS(x, y, 2)), idT),
             ]
         elif letter == "G":
@@ -468,30 +426,30 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             end = P(X, bS(w, x, y, 2), aS(v, wx, 1), bS(u, v, wx, 0))
             idT = P(W(uv, wx, y))
             lhs = [
-                (fAB(u, v, w), (), W(xy), idX, P(W(uv, w, xy), bS(w, x, y, 1))),
+                (face("A", u, v, w), (), W(xy), idX, P(W(uv, w, xy), bS(w, x, y, 1))),
                 (i, (), (), P(X, aS(v, w, 1)), idT),
                 (
-                    fCD(v, w, x, y),
+                    face("C", v, w, x, y),
                     W(u),
                     (),
                     idX,
                     P(W(u, m(v, wx), y), bS(u, v, wx, 0)),
                 ),
             ]
-            rhs = [(fAB(u, v, wx), (), W(y), P(X, bS(w, x, y, 2)), idT)]
+            rhs = [(face("A", u, v, wx), (), W(y), P(X, bS(w, x, y, 2)), idT)]
         elif letter == "H":
             start = P(X, aS(u, v, 0), aS(uv, w, 0))
             end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, vw, x, 0))
             idT = P(W(m(uv, w), x))
             lhs = [
-                (fAB(u, v, w), (), W(x), idX, idT),
-                (fAB(u, vw, x), (), (), P(X, aS(v, w, 1)), idT),
-                (fAB(v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, vw, x, 0))),
+                (face("A", u, v, w), (), W(x), idX, idT),
+                (face("A", u, vw, x), (), (), P(X, aS(v, w, 1)), idT),
+                (face("A", v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, vw, x, 0))),
             ]
             rhs = [
-                (fAB(uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
+                (face("A", uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
                 (
-                    fAB(u, v, wx),
+                    face("A", u, v, wx),
                     (),
                     (),
                     P(X, aS(w, x, 2)),
@@ -511,18 +469,14 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             idT = P(W(m(u, join), y))
             lhs = [
                 (i, (), (), idX, idT),
-                (fH(u, v2, x2, y), (), (), idX, idT),
+                (face("H", u, v2, x2, y), (), (), idX, idT),
             ]
-            rhs = [(fH(u, v1, x1, y), (), (), idX, idT)]
+            rhs = [(face("H", u, v1, x1, y), (), (), idX, idT)]
         else:
             raise ClassificationError(f"unknown family {letter!r}")
-        sphere = Sphere3(
-            start,
-            end,
-            _resolve_side(p31, start, end, lhs),
-            _resolve_side(p31, start, end, rhs),
-        )
-        spheres.append(SphereCollapse(sphere, i))
+        lhs_entries = tuple(SphereEntry(c, 1, *rest) for c, *rest in lhs)
+        rhs_entries = tuple(SphereEntry(c, 1, *rest) for c, *rest in rhs)
+        spheres.append(SphereCollapse(Sphere3(start, end, lhs_entries, rhs_entries), i))
 
     rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
     rule_rank.update({i: (1, i) for i in gc.beta_of_rule})

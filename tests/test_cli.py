@@ -156,6 +156,28 @@ class TestReduce:
         assert main(["reduce", str(completed), "--part", str(part_file)]) == 2
 
 
+class TestBudgetFlags:
+    # a subcommand accepts only the budgets that bound its work; argparse
+    # rejects the rest with exit 2
+    @pytest.mark.parametrize(
+        "cmd,flag",
+        [
+            ("reduce", "--budget-rules"),
+            ("complete", "--budget-cosets"),
+            ("garside", "--budget-steps"),
+            ("artin", "--budget-rules"),
+            ("artin", "--budget-branchings"),
+            ("coxeter", "--budget-steps"),
+        ],
+    )
+    def test_ignored_budget_rejected(self, tmp_path, cmd, flag):
+        extra = {"complete": ["--order", "deglex:a"], "reduce": ["--part", "part.json"]}
+        argv = [cmd, str(tmp_path / "in.json"), flag, "5"] + extra.get(cmd, [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestGarsideCmd:
     def test_stages(self, tmp_path, capsys):
         f = write_matrix(tmp_path, "A2")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -140,6 +141,27 @@ class TestGarsideReduction:
         monkeypatch.setattr("polycox.garside.homotopical_reduce", drop_last_rule)
         with pytest.raises(px.CoherenceError):
             px.garside_coherent(groups("A2"))
+
+    def test_corrupted_part_rejected(self, groups, monkeypatch):
+        # the part is checked only by validate_collapsible, so a face turned
+        # backwards must be caught there and by garside_coherent
+        real = px.garside_reduction_part
+
+        def flip_first_face(gc):
+            part = real(gc)
+            sc = part.spheres[0]
+            flipped = dataclasses.replace(sc.sphere.lhs[0], dir=-1)
+            sphere = dataclasses.replace(sc.sphere, lhs=(flipped,) + sc.sphere.lhs[1:])
+            spheres = (dataclasses.replace(sc, sphere=sphere),) + part.spheres[1:]
+            return dataclasses.replace(part, spheres=spheres)
+
+        g = groups("A2xA1")
+        gc = px.complete_garside(g)
+        violations = px.validate_collapsible(gc.p31, flip_first_face(gc))
+        assert any("source mismatch" in v for v in violations)
+        monkeypatch.setattr("polycox.garside.garside_reduction_part", flip_first_face)
+        with pytest.raises(px.NielsenError, match="source mismatch"):
+            px.garside_coherent(g)
 
 
 class TestGar4Spheres:

@@ -48,3 +48,16 @@ def test_stdout_digest(tmp_path, capsys, cmd, name, stage):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(cmd, name, stage)]
+
+
+def test_out_file_matches_stdout(tmp_path, capsys):
+    # --out streams the same bytes that stdout receives
+    f = tmp_path / "matrix.json"
+    f.write_text(json.dumps(ser.matrix_to_dict(MATRICES["A2xA1"])))
+    argv = ["garside", str(f), "--stage", "completed"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    dest = tmp_path / "out.json"
+    assert main(argv + ["--out", str(dest)]) == 0
+    assert dest.read_bytes() == out
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[("garside", "A2xA1", "completed")]
