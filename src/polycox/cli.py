@@ -44,7 +44,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or bytes; RecursionError: nesting past the parser's limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

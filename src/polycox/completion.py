@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     CoherenceError,
@@ -103,35 +103,55 @@ class Polygraph31:
         return f"Polygraph31({self.base!r}, {len(self.cells)} cells)"
 
 
-def critical_branchings(p: Polygraph2) -> list[Branching]:
+def _overlaps(rules: list[Rule], a: int, b: int) -> Iterator[Branching]:
+    """The branchings of rule ``a`` at offset 0 with rule ``b`` at an offset
+    k >= 0; k = 0 only for b > a, so every unordered pair is met once."""
+    la, lb = rules[a].lhs, rules[b].lhs
+    # equal-offset branchings: one lhs a prefix of the other
+    if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
+        source = la if len(la) >= len(lb) else lb
+        yield Branching(source, Step2(a, 1, 0), Step2(b, 1, 0))
+    for k in range(1, len(la)):
+        if k + len(lb) <= len(la):
+            if la[k : k + len(lb)] != lb:
+                continue
+            source = la
+        else:
+            if la[k:] != lb[: len(la) - k]:
+                continue
+            source = la + lb[len(la) - k :]
+        yield Branching(source, Step2(a, 1, 0), Step2(b, 1, k))
+
+
+def _order(br: Branching) -> tuple:
+    # source deglex (generator-id precedence), then the two steps
+    return (len(br.source), br.source, br.left, br.right)
+
+
+def critical_branchings(
+    p: Polygraph2, *, budget: Optional[int] = None
+) -> list[Branching]:
     """All minimal overlap branchings, deduplicated by symmetry.
 
     Proper overlaps, inclusions of one lhs in another, and distinct rules
     with equal sources are all enumerated.  Steps are ordered by
     (position, rule id) within each branching; the list is sorted by
     (source length, source, positions, rules) for deterministic output.
+    Raises DivergenceError as soon as more than ``budget`` branchings are
+    found (None: unbounded).
     """
     out: list[Branching] = []
-    rules = p.rules
-    for a, ra in enumerate(rules):
-        la = ra.lhs
-        for b, rb in enumerate(rules):
-            lb = rb.lhs
-            # equal-offset branchings: one lhs a prefix of the other
-            if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
-                source = la if len(la) >= len(lb) else lb
-                out.append(Branching(source, Step2(a, 1, 0), Step2(b, 1, 0)))
-            for k in range(1, len(la)):
-                if k + len(lb) <= len(la):
-                    if la[k : k + len(lb)] != lb:
-                        continue
-                    source = la
-                else:
-                    if la[k:] != lb[: len(la) - k]:
-                        continue
-                    source = la + lb[len(la) - k :]
-                out.append(Branching(source, Step2(a, 1, 0), Step2(b, 1, k)))
-    out.sort(key=lambda br: (len(br.source), br.source, br.left, br.right))
+    for a, ra in enumerate(p.rules):
+        # rule b overlaps rule a only if b's lhs starts with a letter of a's
+        for g in set(ra.lhs):
+            for b in p.rules_by_first.get(g, ()):
+                out += _overlaps(p.rules, a, b)
+                if budget is not None and len(out) > budget:
+                    raise DivergenceError(
+                        f"branching budget {budget} exceeded: reached "
+                        f"{budget + 1} critical branchings"
+                    )
+    out.sort(key=_order)
     return out
 
 
@@ -194,11 +214,6 @@ def triple_critical_branchings(p: Polygraph2) -> list[TripleBranching]:
     return out
 
 
-def _qkey(w: Word) -> tuple:
-    # processing order: source deglex (generator-id precedence), then data
-    return (len(w), w)
-
-
 def homotopical_complete(
     p: Polygraph2,
     order: TerminationOrder,
@@ -209,9 +224,11 @@ def homotopical_complete(
 ) -> Polygraph31:
     """Complete ``p`` to a convergent, coherent (3,1)-polygraph.
 
-    Phase one runs Knuth-Bendix: branchings are processed by (source
-    deglex, position); a non-confluent branching adjoins a rule oriented
-    by ``order``.  Phase two runs Squier's completion against the final
+    Phase one runs Knuth-Bendix: a queue holds the critical branchings not
+    yet examined, processed by (source deglex, position); a non-confluent
+    branching adjoins a rule oriented by ``order``, and only the overlaps
+    involving that new rule join the queue, so each critical branching is
+    examined once.  Phase two runs Squier's completion against the final
     rule set, so every 3-cell's endpoints are genuine normal forms and the
     number of 3-cells equals the number of critical branchings.  If ``p``
     is already confluent, phase one adds nothing and the result is exactly
@@ -225,24 +242,12 @@ def homotopical_complete(
         )
     work = Polygraph2(list(p.generators), list(p.rules))
     memo: dict = {}
-    processed: set = set()
+    # sorted by _order, so already a heap
+    queue = [(_order(br), br) for br in critical_branchings(work)]
     counter = 0
-    queue: list = []
-
-    def push_all() -> None:
-        for br in critical_branchings(work):
-            key = (br.source, br.left, br.right)
-            if key not in processed:
-                heapq.heappush(queue, (_qkey(br.source), br.left, br.right, br))
-
-    push_all()
     n_initial = len(p.rules)
     while queue:
-        _, _, _, br = heapq.heappop(queue)
-        key = (br.source, br.left, br.right)
-        if key in processed:
-            continue
-        processed.add(key)
+        _, br = heapq.heappop(queue)
         counter += 1
         if counter > branching_budget:
             raise DivergenceError(f"branching budget {branching_budget} exceeded")
@@ -263,15 +268,15 @@ def homotopical_complete(
             continue
         if len(work.rules) + 1 - n_initial > rule_budget:
             raise DivergenceError(f"rule budget {rule_budget} exceeded")
-        work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
+        new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
         memo.clear()
-        push_all()
+        for a, b in [(new, a) for a in range(new)] + [(a, new) for a in range(new + 1)]:
+            for br in _overlaps(work.rules, a, b):
+                heapq.heappush(queue, (_order(br), br))
 
     # Squier pass: one 3-cell per critical branching of the final rules
     cells: list[ThreeCell] = []
-    finals = critical_branchings(work)
-    finals.sort(key=lambda br: (_qkey(br.source), br.left, br.right))
-    for i, br in enumerate(finals):
+    for i, br in enumerate(critical_branchings(work)):
         src = _branch_side(work, br.source, br.left, memo, step_budget)
         tgt = _branch_side(work, br.source, br.right, memo, step_budget)
         if src.target != tgt.target:

@@ -36,6 +36,8 @@ class CoxeterMatrix:
             raise InputError("generator names must be unique")
         if len(self.m) != n or any(len(row) != n for row in self.m):
             raise InputError("Coxeter matrix must be square")
+        if any(type(x) is not int for row in self.m for x in row):
+            raise InputError("Coxeter matrix entries must be integers")
         for i in range(n):
             if self.m[i][i] != 1:
                 raise InputError("diagonal entries must be 1")
@@ -130,37 +132,37 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
                     queue.append((find(cur), z))
 
     def scan(a: int, rel: tuple[int, ...]) -> None:
-        # forward as far as defined, then fill the remaining gap
-        f, i = a, 0
-        while i < len(rel):
-            nxt = table[f][rel[i]]
-            if nxt is None:
-                break
-            f, i = find(nxt), i + 1
-        if i == len(rel):
-            if f != a:
-                merge(f, a)
-            return
-        b, j = a, len(rel)
-        while j > i:
-            prv = table[b][rel[j - 1]]
-            if prv is None:
-                break
-            b, j = find(prv), j - 1
-        if j == i:
-            merge(f, b)
-            return
-        if j == i + 1:
-            g0 = rel[i]
-            c = table[b][g0]
-            if c is not None:
-                merge(find(c), f)
-            else:
-                table[f][g0] = b
-                table[b][g0] = f
-            return
-        define(f, rel[i])
-        scan(a, rel)
+        # forward as far as defined, then fill the gap; rescan after a define
+        while True:
+            f, i = a, 0
+            while i < len(rel):
+                nxt = table[f][rel[i]]
+                if nxt is None:
+                    break
+                f, i = find(nxt), i + 1
+            if i == len(rel):
+                if f != a:
+                    merge(f, a)
+                return
+            b, j = a, len(rel)
+            while j > i:
+                prv = table[b][rel[j - 1]]
+                if prv is None:
+                    break
+                b, j = find(prv), j - 1
+            if j == i:
+                merge(f, b)
+                return
+            if j == i + 1:
+                g0 = rel[i]
+                c = table[b][g0]
+                if c is not None:
+                    merge(find(c), f)
+                else:
+                    table[f][g0] = b
+                    table[b][g0] = f
+                return
+            define(f, rel[i])
 
     changed = True
     while changed:

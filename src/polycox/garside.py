@@ -143,8 +143,9 @@ def complete_garside(
 
     ``rule_budget`` bounds the adjoined rules, checked as they are adjoined
     and so before the overlap search, and ``branching_budget`` bounds the
-    critical branchings of the completed rule set; either raises
-    DivergenceError when exceeded.  None leaves that count unbounded.
+    critical branchings of the completed rule set, checked while the
+    overlap search finds them; either raises DivergenceError when
+    exceeded.  None leaves that count unbounded.
     """
     gp = garside_presentation(g)
     pg = Polygraph2(list(gp.pg.generators), list(gp.pg.rules))
@@ -268,12 +269,7 @@ def complete_garside(
             (b(m(v, w), x, y, 1), b(u, v, m(w, x), 0)),
         )
 
-    branchings = critical_branchings(pg)
-    if branching_budget is not None and len(branchings) > branching_budget:
-        raise DivergenceError(
-            f"branching budget {branching_budget} exceeded: reached "
-            f"{len(branchings)} critical branchings"
-        )
+    branchings = critical_branchings(pg, budget=branching_budget)
     tags: list[FamilyTag] = []
     cells: list[ThreeCell] = []
     for i, br in enumerate(branchings):

@@ -20,15 +20,15 @@ checked, the first time its target or its chain is needed.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import CompositionError, NonterminationError
 from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
     Word,
+    _redexes,
     apply_step,
-    find_redexes,
 )
 
 
@@ -222,29 +222,17 @@ def paths_equal(f: Path2, g: Path2) -> bool:
     return normalize_path(f).steps == normalize_path(g).steps
 
 
-Strategy = Union[str, Callable[[Word, list[tuple[int, int]]], tuple[int, int]]]
-
-
-def _choose(strategy: Strategy, w: Word, redexes: list[tuple[int, int]]) -> tuple[int, int]:
-    if strategy == "leftmost":
-        return min(redexes, key=lambda ri: (ri[1], ri[0]))
-    if strategy == "rightmost":
-        return max(redexes, key=lambda ri: (ri[1], -ri[0]))
-    if callable(strategy):
-        return strategy(w, redexes)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def normalize(
     w,
     p: Polygraph2,
-    strategy: Strategy = "leftmost",
+    *,
     budget: Optional[int] = None,
     memo: Optional[dict] = None,
 ) -> tuple[Word, Path2]:
     """Reduce ``w`` to a normal form, returning (normal form, path).
 
-    The default strategy picks the leftmost redex, lowest rule id on ties.
+    Every step rewrites the leftmost redex, the lowest rule id on ties,
+    which is the first redex ``find_redexes`` would list.
     The step budget turns nontermination into a diagnosable error; the
     caller remains responsible for supplying a terminating polygraph.
     ``memo`` maps already-normalized words to their paths and must be
@@ -264,14 +252,14 @@ def normalize(
             steps.extend(tail.steps)
             cur = tail.target
             break
-        redexes = find_redexes(cur, p)
-        if not redexes:
+        redex = next(_redexes(cur, p), None)
+        if redex is None:
             break
         if len(steps) >= limit:
             raise NonterminationError(
                 f"no normal form for {p.word_str(w)} within {limit} steps"
             )
-        r, i = _choose(strategy, cur, redexes)
+        r, i = redex
         steps.append(Step2(r, 1, i))
         cur = apply_step(cur, p, r, i, 1)
         seen.append(cur)

@@ -27,6 +27,8 @@ def word_to_str(p: Polygraph2, w: Word) -> str:
 
 
 def word_from_str(p: Polygraph2, s: str) -> Word:
+    if not isinstance(s, str):
+        raise InputError(f"a word must be a string, not {s!r}")
     if s == "":
         return ()
     if "." in s:
@@ -51,10 +53,17 @@ def polygraph2_to_dict(p: Polygraph2) -> dict:
     }
 
 
+def _name(value) -> str:
+    """A generator name, rule id or 3-cell id read from JSON."""
+    if not isinstance(value, str):
+        raise InputError(f"names and ids must be strings, not {value!r}")
+    return value
+
+
 def polygraph2_from_dict(d: dict) -> Polygraph2:
     try:
-        gens = list(d["generators"])
-        rules = d["rules"]
+        gens = [_name(g) for g in d["generators"]]
+        rules = list(d["rules"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad polygraph document: {exc}") from exc
     p = Polygraph2(gens)
@@ -63,7 +72,7 @@ def polygraph2_from_dict(d: dict) -> Polygraph2:
             name, lhs, rhs = r["id"], r["lhs"], r["rhs"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad rule entry {r!r}") from exc
-        p.add_rule(Rule(name, word_from_str(p, lhs), word_from_str(p, rhs)))
+        p.add_rule(Rule(_name(name), word_from_str(p, lhs), word_from_str(p, rhs)))
     return p
 
 
@@ -112,17 +121,17 @@ def polygraph31_to_dict(p31: Polygraph31, meta: dict | None = None) -> dict:
 def polygraph31_from_dict(d: dict) -> Polygraph31:
     base = polygraph2_from_dict(d)
     cells = []
-    for c in d.get("three_cells", ()):
-        try:
+    try:
+        for c in d.get("three_cells", ()):
             cells.append(
                 ThreeCell(
-                    c["id"],
+                    _name(c["id"]),
                     path_from_dict(c["src"], base),
                     path_from_dict(c["tgt"], base),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad 3-cell entry: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad 3-cell entry: {exc}") from exc
     return Polygraph31(base, cells)
 
 
@@ -132,7 +141,8 @@ def matrix_to_dict(m: CoxeterMatrix) -> dict:
 
 def matrix_from_dict(d: dict) -> CoxeterMatrix:
     try:
-        return CoxeterMatrix(tuple(d["generators"]), tuple(map(tuple, d["m"])))
+        names = tuple(_name(g) for g in d["generators"])
+        return CoxeterMatrix(names, tuple(map(tuple, d["m"])))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad Coxeter matrix document: {exc}") from exc
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InputError, StepError
 
@@ -51,18 +51,18 @@ class Polygraph2:
     Mutable only through ``add_rule`` (completion appends rules); rule
     indices are stable, so paths built against an instance stay valid
     while it grows.  Treat instances as frozen once a construction has
-    returned them.  ``add_rule`` keeps the name -> index table and
-    ``rule_lengths``, the (len(lhs), len(rhs)) of each rule, in step with
-    ``rules``.
+    returned them.  ``add_rule`` keeps the name -> index table,
+    ``rule_lengths``, the (len(lhs), len(rhs)) of each rule, and
+    ``rules_by_first``, the rule ids bucketed by the first letter of their
+    lhs in increasing order, in step with ``rules``.
     """
 
     __slots__ = (
         "generators",
         "rules",
         "rule_lengths",
+        "rules_by_first",
         "_index",
-        "_by_first",
-        "_by_first_len",
     )
 
     def __init__(self, generators: Iterable[str], rules: Iterable[Rule] = ()):
@@ -71,9 +71,8 @@ class Polygraph2:
             raise InputError("generator names must be unique")
         self.rules: list[Rule] = []
         self.rule_lengths: list[tuple[int, int]] = []
+        self.rules_by_first: dict[int, list[int]] = {}
         self._index: dict[str, int] = {}
-        self._by_first: dict[int, list[int]] = {}
-        self._by_first_len = 0
         for r in rules:
             self.add_rule(r)
 
@@ -93,26 +92,18 @@ class Polygraph2:
         self.check_word(rule.rhs)
         if rule.name in self._index:
             raise InputError(f"duplicate rule name {rule.name!r}")
-        self._index[rule.name] = len(self.rules)
+        r = len(self.rules)
+        self._index[rule.name] = r
         self.rules.append(rule)
         self.rule_lengths.append((len(rule.lhs), len(rule.rhs)))
-        return len(self.rules) - 1
+        self.rules_by_first.setdefault(rule.lhs[0], []).append(r)
+        return r
 
     def rule_index(self, name: str) -> int:
         try:
             return self._index[name]
         except (KeyError, TypeError):
             raise InputError(f"no rule named {name!r}") from None
-
-    def by_first_letter(self) -> dict[int, list[int]]:
-        """Rule indices bucketed by the first letter of their lhs."""
-        if self._by_first_len != len(self.rules):
-            buckets: dict[int, list[int]] = {}
-            for i, r in enumerate(self.rules):
-                buckets.setdefault(r.lhs[0], []).append(i)
-            self._by_first = buckets
-            self._by_first_len = len(self.rules)
-        return self._by_first
 
     def word_str(self, w: Word) -> str:
         names = [self.generators[g] for g in w]
@@ -140,15 +131,18 @@ def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:
     Sorted by (position, rule id).
     """
     p.check_word(w)
-    out = []
-    buckets = p.by_first_letter()
+    return list(_redexes(w, p))
+
+
+def _redexes(w: Word, p: Polygraph2) -> Iterator[tuple[int, int]]:
+    """The redexes of the checked word ``w`` in (position, rule id) order,
+    since each first-letter bucket lists its rule ids in increasing order."""
+    buckets, rules = p.rules_by_first, p.rules
     for i, g in enumerate(w):
         for r in buckets.get(g, ()):
-            lhs = p.rules[r].lhs
+            lhs = rules[r].lhs
             if w[i : i + len(lhs)] == lhs:
-                out.append((r, i))
-    out.sort(key=lambda ri: (ri[1], ri[0]))
-    return out
+                yield r, i
 
 
 def apply_step(w: Word, p: Polygraph2, r: int, i: int, direction: int = 1) -> Word:

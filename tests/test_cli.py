@@ -238,6 +238,53 @@ class TestArtinCmd:
         assert main(["artin", str(f)]) == 2
 
 
+class TestMalformedInput:
+    """Malformed documents exit 2 through the loaders, never a traceback."""
+
+    RULE = {"id": "r", "lhs": "aa", "rhs": "a"}
+    CASES = {
+        "nested arrays": ("complete", "[" * 100_000),
+        "undecodable bytes": ("complete", b"\xff\xfe{"),
+        "lhs not a string": ("complete", {"generators": ["a"], "rules": [dict(RULE, lhs=5)]}),
+        "rhs not a string": ("complete", {"generators": ["a"], "rules": [dict(RULE, rhs=["a"])]}),
+        "rule id a list": ("complete", {"generators": ["a"], "rules": [dict(RULE, id=["r"])]}),
+        "rules not a list": ("complete", {"generators": ["a"], "rules": 5}),
+        "generator a list": ("complete", {"generators": [["a"]], "rules": []}),
+        "3-cell id a list": (
+            "reduce",
+            {
+                "generators": ["a"],
+                "rules": [RULE],
+                "three_cells": [{"id": ["c"], "src": {"source": "aa", "steps": []},
+                                 "tgt": {"source": "aa", "steps": []}}],
+            },
+        ),
+        "three_cells not a list": ("reduce", {"generators": ["a"], "rules": [], "three_cells": 5}),
+        "coxeter float entry": ("coxeter", {"generators": ["s", "t"], "m": [[1, 2.5], [2.5, 1]]}),
+        "artin float entry": ("artin", {"generators": ["s", "t"], "m": [[1, 2.5], [2.5, 1]]}),
+        "garside float entry": (
+            "garside",
+            {"generators": ["r", "s", "t"], "m": [[1, 3.0, 2], [3.0, 1, 3], [2, 3, 1]]},
+        ),
+        "matrix name not a string": ("coxeter", {"generators": [1, 2], "m": [[1, 3], [3, 1]]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2(self, tmp_path, capsys, case):
+        cmd, doc = self.CASES[case]
+        f = tmp_path / "doc.json"
+        if isinstance(doc, bytes):
+            f.write_bytes(doc)
+        else:
+            f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = {
+            "complete": ["complete", str(f), "--order", "deglex:a"],
+            "reduce": ["reduce", str(f), "--part", str(f)],
+        }.get(cmd, [cmd, str(f)])
+        assert main(argv) == 2
+        assert "parse error" in capsys.readouterr().err
+
+
 class TestCoxeterCmd:
     def test_h3(self, tmp_path, capsys):
         f = write_matrix(tmp_path, "H3")
@@ -249,3 +296,9 @@ class TestCoxeterCmd:
     def test_infinite_budget_exit(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")
         assert main(["coxeter", str(f), "--budget-cosets", "2000"]) == 4
+
+    def test_large_dihedral(self, tmp_path, capsys):
+        f = tmp_path / "i2_600.json"
+        f.write_text(json.dumps({"generators": ["s", "t"], "m": [[1, 600], [600, 1]]}))
+        assert main(["coxeter", str(f), "--budget-cosets", "5000"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1200

@@ -57,6 +57,13 @@ class TestEnumeration:
                 for s in range(g.rank):
                     assert abs(g.length[g.right[e][s]] - g.length[e]) == 1
 
+    def test_large_dihedral_enumerates(self):
+        # one coset definition per scan step, so no recursion per coset
+        mat = px.CoxeterMatrix(("s", "t"), ((1, 600), (600, 1)))
+        g = px.enumerate_group(mat, 5000)
+        assert g.size == 1200
+        assert g.length[g.longest_element((0, 1))] == 600
+
     def test_infinite_raises(self):
         with pytest.raises(px.InfiniteOrUnknown):
             px.enumerate_group(MATRICES["Atilde2"], 3000)

@@ -78,6 +78,14 @@ class TestCompleteGarside:
             assert len(gc.tags) == len(gc.p31.cells)
             assert len(gc.p31.cells) == len(px.critical_branchings(gc.p31.base))
 
+    def test_branching_budget_bounds_the_overlap_search(self, groups):
+        # A3 has 12 334 critical branchings; the search stops at the 101st
+        with pytest.raises(px.DivergenceError, match="budget 100 exceeded: reached 101 "):
+            px.complete_garside(groups("A3"), branching_budget=100)
+        gc = px.complete_garside(groups("A2"))
+        n = len(gc.p31.cells)
+        assert len(px.critical_branchings(gc.p31.base, budget=n)) == n
+
     @pytest.mark.parametrize(
         "case", ["alpha pair at offset 0", "self-overlap", "offset 2", "H swapped"]
     )
@@ -86,7 +94,7 @@ class TestCompleteGarside:
         real = px.critical_branchings
         h = [t.letter for t in px.complete_garside(g).tags].index("H")
 
-        def one_branching(pg):
+        def one_branching(pg, budget=None):
             # rule 0 is the alpha rule s|t
             if case == "alpha pair at offset 0":
                 return [px.Branching((0, 1), Step2(0, 1, 0), Step2(0, 1, 0))]

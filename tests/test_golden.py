@@ -1,10 +1,12 @@
-"""Golden outputs: the SHA-256 of the JSON that ``polycox garside`` and
-``polycox artin`` print must not change under a refactor.
+"""Golden outputs: the SHA-256 of the JSON that ``polycox garside``,
+``polycox artin`` and ``polycox complete`` print must not change under a
+refactor.
 
 The pinned digests cover the completed and reduced Garside presentations
 of A2xA1 and A3 (rules, 3-cells, their boundaries and family tags, in
-output order) and Artin's coherent presentation of every rank-3 type in
-conftest.py.  A change that is meant to alter these outputs updates the
+output order), Artin's coherent presentation of every rank-3 type in
+conftest.py, and the Knuth-Bendix completion of the README's B3+ example
+and of the shortlex Coxeter monoid of D4, which adjoins 7 rules.  A change that is meant to alter these outputs updates the
 digests and says why.
 """
 
@@ -31,6 +33,49 @@ GOLDEN = {
     ("artin", "I5xA1", None): "c64ac8d307c8c75eb7f964d93507c6db72e15bf69a165a8dcaaa36ac3d1b5d09",
     ("artin", "Atilde2", None): "122623d4003de481bc3dfadb0ed597dfc8f291dcdfd9294742abb4a69b0da962",
 }
+
+
+B3PLUS = {
+    "generators": ["s", "t", "a"],
+    "rules": [
+        {"id": "alpha", "lhs": "ta", "rhs": "as"},
+        {"id": "beta", "lhs": "st", "rhs": "a"},
+    ],
+}
+
+
+def coxeter_monoid_d4() -> dict:
+    """W(D4) as a monoid: s_i s_i => 1 and each braid relation, oriented by
+    shortlex with s3 > s2 > s1 > s0."""
+    m = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+    rules = [{"id": f"i{i}", "lhs": f"s{i}.s{i}", "rhs": ""} for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            alt = lambda a, b: ".".join(f"s{(a, b)[t % 2]}" for t in range(m[i][j]))  # noqa: E731
+            rules.append({"id": f"b{i}{j}", "lhs": alt(j, i), "rhs": alt(i, j)})
+    return {"generators": [f"s{i}" for i in range(4)], "rules": rules}
+
+
+COMPLETE_GOLDEN = {
+    ("B3+", "deglex:t,s,a"): (
+        B3PLUS,
+        "0646f1592e6efa54961a2b32fe5979979441c38604934f40a46451aa7238434a",
+    ),
+    ("D4", "deglex:s3,s2,s1,s0"): (
+        coxeter_monoid_d4(),
+        "029cb4d890c258609b25b3fa041030d8be0e51e24aad8ac93f0d5dbcad290ce0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,order", sorted(COMPLETE_GOLDEN), ids=str)
+def test_complete_digest(tmp_path, capsys, name, order):
+    doc, digest = COMPLETE_GOLDEN[(name, order)]
+    f = tmp_path / "presentation.json"
+    f.write_text(json.dumps(doc))
+    assert main(["complete", str(f), "--order", order]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_covers_every_rank3_type():

@@ -245,6 +245,33 @@ def replayed(p):
     return Path2(p.pg, p.source, p.steps)
 
 
+class TestLeftmostNormalize:
+    """``normalize`` follows the reference loop that rewrites
+    ``min(find_redexes(w))`` by (position, rule id) at every step."""
+
+    @staticmethod
+    def reference(w, pg):
+        steps = []
+        while redexes := px.find_redexes(w, pg):
+            r, i = min(redexes, key=lambda ri: (ri[1], ri[0]))
+            steps.append(Step2(r, 1, i))
+            w = px.apply_step(w, pg, r, i, 1)
+        return w, tuple(steps)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_path_matches_reference(self, core_polygraphs, data):
+        pg = data.draw(st.sampled_from(core_polygraphs))
+        w = random_word(pg, data, min_size=0, max_size=8)
+        nf, path = px.normalize(w, pg)
+        assert (nf, path.steps) == self.reference(w, pg)
+        # memo suffixes are reductions of the same strategy
+        memo = {}
+        for u in (w[1:], w):
+            nf, path = px.normalize(u, pg, memo=memo)
+            assert (nf, path.steps) == self.reference(u, pg)
+
+
 class TestCarriedTargets:
     """Derived paths carry their target; it must equal a full replay."""
 
