@@ -11,7 +11,6 @@ from .completion import (
     TripleBranching,
     cells_by_branching,
     critical_branchings,
-    fill_parallel,
     generating_triple_confluence,
     homotopical_complete,
     triple_critical_branchings,

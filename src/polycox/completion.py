@@ -8,10 +8,12 @@ adjoined, directed from the greater normal form to the smaller one under
 the termination order; the adjoined 3-cell then carries the new rule on
 its target side.
 
-Generating triple confluences are assembled from triple critical
-branchings by a filler that decomposes any pair of parallel positive
-reduction paths into whiskered generating 3-cells, by well-founded
-recursion on the rewritten word.  Peiffer (disjoint) local branchings
+Triple critical branchings extend each critical branching by a third
+step found through the first-letter buckets.  Generating triple
+confluences are assembled from them by a filler that decomposes any pair
+of parallel positive reduction paths into whiskered generating 3-cells,
+by well-founded recursion on the rewritten word, threading the path from
+the sphere's source.  Peiffer (disjoint) local branchings
 contribute no generating cell: their two completions are equal modulo
 the exchange relations, which sphere validation checks through
 ``normalize_path``.
@@ -29,7 +31,7 @@ from .errors import (
     OrientationError,
     PreconditionError,
 )
-from .paths import Path2, Step2, compose, identity_path, normalize, normalize_path, whisker
+from .paths import Path2, Step2, compose, normalize, normalize_path, whisker
 from .words import (
     DEFAULT_BRANCHING_BUDGET,
     DEFAULT_RULE_BUDGET,
@@ -128,6 +130,15 @@ def _order(br: Branching) -> tuple:
     return (len(br.source), br.source, br.left, br.right)
 
 
+def _branchings(p: Polygraph2) -> Iterator[Branching]:
+    """Every critical branching of ``p`` once, in no particular order."""
+    for a, ra in enumerate(p.rules):
+        # rule b overlaps rule a only if b's lhs starts with a letter of a's
+        for g in set(ra.lhs):
+            for b in p.rules_by_first.get(g, ()):
+                yield from _overlaps(p.rules, a, b)
+
+
 def critical_branchings(
     p: Polygraph2, *, budget: Optional[int] = None
 ) -> list[Branching]:
@@ -141,16 +152,13 @@ def critical_branchings(
     found (None: unbounded).
     """
     out: list[Branching] = []
-    for a, ra in enumerate(p.rules):
-        # rule b overlaps rule a only if b's lhs starts with a letter of a's
-        for g in set(ra.lhs):
-            for b in p.rules_by_first.get(g, ()):
-                out += _overlaps(p.rules, a, b)
-                if budget is not None and len(out) > budget:
-                    raise DivergenceError(
-                        f"branching budget {budget} exceeded: reached "
-                        f"{budget + 1} critical branchings"
-                    )
+    for br in _branchings(p):
+        out.append(br)
+        if budget is not None and len(out) > budget:
+            raise DivergenceError(
+                f"branching budget {budget} exceeded: reached "
+                f"{budget + 1} critical branchings"
+            )
     out.sort(key=_order)
     return out
 
@@ -158,58 +166,31 @@ def critical_branchings(
 def triple_critical_branchings(p: Polygraph2) -> list[TripleBranching]:
     """All minimal overlap triples: three distinct steps whose redexes cover
     the source, none of them disjoint from both others.
+
+    With its steps ordered by (position, rule id), the first two steps of
+    such a triple overlap, so each triple extends exactly one critical
+    branching (s1, s2) by a step c of a rule from the first-letter bucket
+    of a source position p >= s2.pos, with (p, c) > (s2.pos, s2.rule) and
+    c's lhs agreeing with the source; the source grows by c's overhang.
+    Starting inside the source, c overlaps s1 or s2, so no extension is
+    Peiffer.  The list is sorted by (source length, source, steps).
     """
-    found: dict[tuple, TripleBranching] = {}
     rules = p.rules
-
-    def consistent(w: Word, lhs: Word, k: int) -> Optional[Word]:
-        head = w[k : k + len(lhs)]
-        if head != lhs[: len(head)]:
-            return None
-        return w + lhs[len(head):]
-
-    for a, ra in enumerate(rules):
-        w1 = ra.lhs
-        for b, rb in enumerate(rules):
-            for k2 in range(0, len(w1) + 1):
-                w2 = consistent(w1, rb.lhs, k2)
-                if w2 is None:
+    out: list[TripleBranching] = []
+    for br in _branchings(p):
+        w, s2 = br.source, br.right
+        for pos in range(s2.pos, len(w)):
+            head = w[pos:]
+            for c in p.rules_by_first.get(w[pos], ()):
+                if pos == s2.pos and c <= s2.rule:
                     continue
-                for c, rc in enumerate(rules):
-                    for k3 in range(k2, len(w2) + 1):
-                        w3 = consistent(w2, rc.lhs, k3)
-                        if w3 is None:
-                            continue
-                        steps = (Step2(a, 1, 0), Step2(b, 1, k2), Step2(c, 1, k3))
-                        if len(set(steps)) != 3:
-                            continue
-                        ivals = [(s.pos, s.pos + len(rules[s.rule].lhs)) for s in steps]
-                        # source must be exactly the union of the redexes
-                        if max(e for _, e in ivals) != len(w3):
-                            continue
-                        cover = sorted(ivals)
-                        ok_cover = True
-                        reach = cover[0][1]
-                        for lo, hi in cover[1:]:
-                            if lo > reach:
-                                ok_cover = False
-                                break
-                            reach = max(reach, hi)
-                        if not ok_cover:
-                            continue
-                        # Peiffer: some step disjoint from both others
-                        def disjoint(x, y):
-                            return x[1] <= y[0] or y[1] <= x[0]
-
-                        if any(
-                            all(disjoint(ivals[i], ivals[j]) for j in range(3) if j != i)
-                            for i in range(3)
-                        ):
-                            continue
-                        key = (w3, tuple(sorted(steps, key=lambda s: (s.pos, s.rule))))
-                        if key not in found:
-                            found[key] = TripleBranching(w3, key[1])
-    out = list(found.values())
+                lc = rules[c].lhs
+                if head[: len(lc)] == lc[: len(head)]:
+                    out.append(
+                        TripleBranching(
+                            w + lc[len(head) :], (br.left, s2, Step2(c, 1, pos))
+                        )
+                    )
     out.sort(key=lambda t: (len(t.source), t.source, t.steps))
     return out
 
@@ -263,9 +244,8 @@ def homotopical_complete(
             raise OrientationError(
                 f"cannot orient {work.word_str(nf_l)} vs {work.word_str(nf_r)}"
             )
+        # nf_l, nf_r are irreducible, so no rule has lhs big yet
         big, small = (nf_l, nf_r) if cmp is Ordering.GREATER else (nf_r, nf_l)
-        if any(r.lhs == big and r.rhs == small for r in work.rules):
-            continue
         if len(work.rules) + 1 - n_initial > rule_budget:
             raise DivergenceError(f"rule budget {rule_budget} exceeded")
         new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
@@ -414,61 +394,46 @@ def _local_cell(
     return (idx, direction, lw, rw), c1, c2, z
 
 
-def fill_parallel(
-    p31: Polygraph31,
-    pA: Path2,
-    pB: Path2,
-    *,
-    lookup: Optional[dict] = None,
-    memo: Optional[dict] = None,
+def _tail(path: Path2) -> Path2:
+    """``path`` without its first step, reusing the checked word chain."""
+    chain = path.words()
+    tail = Path2._make(path.pg, chain[1], path.steps[1:], chain[-1])
+    tail._chain = chain[1:]
+    return tail
+
+
+def _fill_parallel(
+    p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict
 ) -> list[SphereEntry]:
     """Decompose the parallel positive reduction paths pA, pB (with a common
     normal-form target) into whiskered generating 3-cells rewriting pA into
     pB.  Well-founded recursion on the source word under the termination
-    order; Peiffer faces contribute no entry.
+    order, carrying the path ``pre`` from pA's source to the current word;
+    Peiffer faces contribute no entry.
     """
-    if lookup is None:
-        lookup = cells_by_branching(p31)
-    if memo is None:
-        memo = {}
     pg = p31.base
 
-    def prefixed(step: Step2, w: Word, entries: list[SphereEntry]) -> list[SphereEntry]:
-        head = Path2(pg, w, (step,))
-        return [
-            SphereEntry(e.cell, e.dir, e.left, e.right, compose(head, e.pre), e.post)
-            for e in entries
-        ]
-
-    def go(a: Path2, b: Path2) -> list[SphereEntry]:
+    def go(pre: Path2, a: Path2, b: Path2) -> list[SphereEntry]:
         if a.steps == b.steps:
             return []
-        if a.steps and b.steps and a.steps[0] == b.steps[0]:
-            w = a.source
-            sub = go(
-                Path2(pg, a.words()[1], a.steps[1:]),
-                Path2(pg, b.words()[1], b.steps[1:]),
-            )
-            return prefixed(a.steps[0], w, sub)
         if not a.steps or not b.steps:
             raise CoherenceError("parallel fill: sides of unequal reach")
-        w = a.source
         s1, s2 = a.steps[0], b.steps[0]
-        entry, c1, c2, z = _local_cell(p31, lookup, w, s1, s2)
+        ta, tb = _tail(a), _tail(b)
+        pre1 = Path2._make(pg, pre.source, pre.steps + (s1,), ta.source)
+        if s1 == s2:
+            return go(pre1, ta, tb)
+        entry, c1, c2, z = _local_cell(p31, lookup, a.source, s1, s2)
         _, n = normalize(z, pg, memo=memo)
-        mid1 = compose(Path2(pg, Path2(pg, w, (s1,)).target, c1), n)
-        mid2 = compose(Path2(pg, Path2(pg, w, (s2,)).target, c2), n)
-        left = prefixed(s1, w, go(Path2(pg, a.words()[1], a.steps[1:]), mid1))
-        right = prefixed(s2, w, go(mid2, Path2(pg, b.words()[1], b.steps[1:])))
-        mids = []
-        if entry is not None:
-            idx, direction, lw, rw = entry
-            mids = [
-                SphereEntry(idx, direction, lw, rw, identity_path(pg, w), n)
-            ]
-        return left + mids + right
+        pre2 = Path2._make(pg, pre.source, pre.steps + (s2,), tb.source)
+        left = go(pre1, ta, compose(Path2(pg, ta.source, c1), n))
+        right = go(pre2, compose(Path2(pg, tb.source, c2), n), tb)
+        if entry is None:
+            return left + right
+        idx, direction, lw, rw = entry
+        return left + [SphereEntry(idx, direction, lw, rw, pre, n)] + right
 
-    return go(pA, pB)
+    return go(Path2._make(pg, pA.source, (), pA.source), pA, pB)
 
 
 def generating_triple_confluence(
@@ -496,7 +461,7 @@ def generating_triple_confluence(
     F, G, H = sides
     if not (F.target == G.target == H.target):
         raise CoherenceError("triple branching does not converge")
-    lhs = fill_parallel(p31, F, G, lookup=lookup, memo=memo)
-    lhs += fill_parallel(p31, G, H, lookup=lookup, memo=memo)
-    rhs = fill_parallel(p31, F, H, lookup=lookup, memo=memo)
+    lhs = _fill_parallel(p31, F, G, lookup, memo)
+    lhs += _fill_parallel(p31, G, H, lookup, memo)
+    rhs = _fill_parallel(p31, F, H, lookup, memo)
     return Sphere3(F, H, tuple(lhs), tuple(rhs))

@@ -72,12 +72,30 @@ def rank3_finite(m_rs: int, m_rt: int, m_st: int) -> bool:
     return b * c + a * c + a * b > a * b * c
 
 
+def check_dihedral_cap(mat: CoxeterMatrix, cap: int) -> None:
+    """Raise InfiniteOrUnknown when some finite entry has 2 m_ij > ``cap``.
+
+    W contains the dihedral subgroup of order 2 m_ij, so no enumeration
+    closes within ``cap`` cosets then; checking the entries first keeps a
+    huge entry from being expanded into a relator or a braid word.
+    """
+    for i in range(mat.rank):
+        for j in range(i + 1, mat.rank):
+            if 2 * mat.m[i][j] > cap:
+                raise InfiniteOrUnknown(
+                    f"the dihedral subgroup <{mat.names[i]},{mat.names[j]}> "
+                    f"has order {2 * mat.m[i][j]}, more than the {cap}-coset cap"
+                )
+
+
 def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
     """Coset table of the trivial subgroup; generators are involutions.
 
     HLT-style scanning with immediate coincidence handling; raises
-    InfiniteOrUnknown if more than ``cap`` cosets get defined.
+    InfiniteOrUnknown if more than ``cap`` cosets get defined, or before
+    any relator is built if a dihedral subgroup alone exceeds ``cap``.
     """
+    check_dihedral_cap(mat, cap)
     n = mat.rank
     relators: list[tuple[int, ...]] = [(i, i) for i in range(n)]
     for i in range(n):

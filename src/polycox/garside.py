@@ -31,7 +31,13 @@ from .completion import (
     critical_branchings,
     generating_triple_confluence,
 )
-from .coxeter import CoxeterGroup, CoxeterMatrix, enumerate_group, rank3_finite
+from .coxeter import (
+    CoxeterGroup,
+    CoxeterMatrix,
+    check_dihedral_cap,
+    enumerate_group,
+    rank3_finite,
+)
 from .errors import (
     ClassificationError,
     CoherenceError,
@@ -283,9 +289,7 @@ def complete_garside(
                 f"no family matches the branching at {pg.word_str(br.source)}"
             )
         tag, left_steps, right_steps = found
-        idx = ",".join(
-            "".join(g.matrix.names[s] for s in g.word[e]) for e in tag.indices
-        )
+        idx = ",".join(names[gen(e)] for e in tag.indices)
         tags.append(tag)
         cells.append(
             ThreeCell(
@@ -712,7 +716,12 @@ def artin_coherent(
     mat: CoxeterMatrix, *, coset_cap: int = DEFAULT_COSET_CAP
 ) -> Polygraph31:
     """Art_3(W): Artin's presentation plus one Z-cell per finite rank-3
-    parabolic subgroup, each computed inside that parabolic alone."""
+    parabolic subgroup, each computed inside that parabolic alone.
+
+    Raises InfiniteOrUnknown before building any braid relation when a
+    dihedral parabolic has more than ``coset_cap`` elements.
+    """
+    check_dihedral_cap(mat, coset_cap)
     art, gamma = artin_presentation(mat)
     cells: list[ThreeCell] = []
     for i in range(mat.rank):

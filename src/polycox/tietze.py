@@ -245,10 +245,8 @@ def _solve_replacement(p31: Polygraph31, cell: ThreeCell, rho: int) -> Path2:
 
 def _splice_rule(path: Path2, rho: int, rep: Path2) -> Path2:
     """Replace every rho-step of ``path`` by the whiskered replacement."""
-    pg = path.pg
     new_steps: list[Step2] = []
-    w = path.source
-    for s in path.steps:
+    for s, w in zip(path.steps, path.words()):
         if s.rule == rho:
             body = rep if s.dir > 0 else inverse(rep)
             consumed = len(body.source)
@@ -256,8 +254,7 @@ def _splice_rule(path: Path2, rho: int, rep: Path2) -> Path2:
             new_steps.extend(shifted.steps)
         else:
             new_steps.append(s)
-        w = Path2(pg, w, (s,)).target
-    return Path2(pg, path.source, new_steps)
+    return Path2(path.pg, path.source, new_steps)
 
 
 def _subst_word(w: Word, x: int, omega: Word) -> Word:
@@ -271,21 +268,18 @@ def _subst_word(w: Word, x: int, omega: Word) -> Word:
 
 
 def _subst_gen_in_path(
-    path: Path2, old_pg: Polygraph2, new_pg: Polygraph2, x: int, omega: Word, dead: int
+    path: Path2, new_pg: Polygraph2, x: int, omega: Word, dead: int
 ) -> Path2:
     """Rewrite a path under the substitution x := omega, dropping steps on
     the collapsed rule (an identity after substitution)."""
-    w_old = path.source
-    new_source = _subst_word(w_old, x, omega)
     new_steps: list[Step2] = []
-    for s in path.steps:
+    for s, w_old in zip(path.steps, path.words()):
         if s.rule != dead:
             npos = 0
             for g in w_old[: s.pos]:
                 npos += len(omega) if g == x else 1
             new_steps.append(Step2(s.rule, s.dir, npos))
-        w_old = Path2(old_pg, w_old, (s,)).target
-    return Path2(new_pg, new_source, new_steps)
+    return Path2(new_pg, _subst_word(path.source, x, omega), new_steps)
 
 
 def homotopical_reduce(
@@ -379,8 +373,8 @@ def homotopical_reduce(
         new_pg = Polygraph2(list(work_pg.generators), new_rules)
         bnd = {
             key: (
-                _subst_gen_in_path(a, work_pg, new_pg, x, omega, tc.rule),
-                _subst_gen_in_path(b, work_pg, new_pg, x, omega, tc.rule),
+                _subst_gen_in_path(a, new_pg, x, omega, tc.rule),
+                _subst_gen_in_path(b, new_pg, x, omega, tc.rule),
             )
             for key, (a, b) in bnd.items()
         }

@@ -29,6 +29,18 @@ MATRICES = {
 }
 
 
+def coxeter_monoid_d4() -> dict:
+    """W(D4) as a monoid: s_i s_i => 1 and each braid relation, oriented by
+    shortlex with s3 > s2 > s1 > s0."""
+    m = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+    rules = [{"id": f"i{i}", "lhs": f"s{i}.s{i}", "rhs": ""} for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            alt = lambda a, b: ".".join(f"s{(a, b)[t % 2]}" for t in range(m[i][j]))  # noqa: E731
+            rules.append({"id": f"b{i}{j}", "lhs": alt(j, i), "rhs": alt(i, j)})
+    return {"generators": [f"s{i}" for i in range(4)], "rules": rules}
+
+
 @pytest.fixture(scope="session")
 def groups():
     cache = {}

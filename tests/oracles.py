@@ -58,6 +58,62 @@ def brute_overlap_sources(rules):
     return out
 
 
+def cubic_triple_branchings(lhss):
+    """All minimal overlap triples of the left-hand sides ``lhss``: three
+    distinct steps whose redexes cover the source, none of them disjoint
+    from both others.  Scans every rule triple at every consistent offset
+    and deduplicates; returns (source, steps) pairs, each step a
+    (rule, 1, pos) tuple and the steps ordered by (pos, rule), sorted by
+    (source length, source, steps)."""
+
+    def consistent(w, lhs, k):
+        head = w[k : k + len(lhs)]
+        if head != lhs[: len(head)]:
+            return None
+        return w + lhs[len(head) :]
+
+    def disjoint(x, y):
+        return x[1] <= y[0] or y[1] <= x[0]
+
+    found = set()
+    for a, w1 in enumerate(lhss):
+        for b, lb in enumerate(lhss):
+            for k2 in range(len(w1) + 1):
+                w2 = consistent(w1, lb, k2)
+                if w2 is None:
+                    continue
+                for c, lc in enumerate(lhss):
+                    for k3 in range(k2, len(w2) + 1):
+                        w3 = consistent(w2, lc, k3)
+                        if w3 is None:
+                            continue
+                        steps = ((a, 1, 0), (b, 1, k2), (c, 1, k3))
+                        if len(set(steps)) != 3:
+                            continue
+                        ivals = [(s[2], s[2] + len(lhss[s[0]])) for s in steps]
+                        # the source must be exactly the union of the redexes
+                        if max(e for _, e in ivals) != len(w3):
+                            continue
+                        cover = sorted(ivals)
+                        reach = cover[0][1]
+                        gap = False
+                        for lo, hi in cover[1:]:
+                            if lo > reach:
+                                gap = True
+                                break
+                            reach = max(reach, hi)
+                        if gap:
+                            continue
+                        # Peiffer: some step disjoint from both others
+                        if any(
+                            all(disjoint(ivals[i], ivals[j]) for j in range(3) if j != i)
+                            for i in range(3)
+                        ):
+                            continue
+                        found.add((w3, tuple(sorted(steps, key=lambda s: (s[2], s[0])))))
+    return sorted(found, key=lambda t: (len(t[0]), t[0], t[1]))
+
+
 def words_up_to(n_letters, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(range(n_letters), repeat=length)

@@ -237,6 +237,15 @@ class TestArtinCmd:
         f.write_text(json.dumps({"generators": ["r", "s"], "m": [[1, 2]]}))
         assert main(["artin", str(f)]) == 2
 
+    def test_long_braid_relation_bounded(self, tmp_path, capsys):
+        # <s,t> has order 2 * 1001: over the coset cap, artin stops before
+        # it spells the braid relation
+        f = tmp_path / "i2_1001.json"
+        f.write_text(json.dumps({"generators": ["s", "t"], "m": [[1, 1001], [1001, 1]]}))
+        assert main(["artin", str(f), "--budget-cosets", "1000"]) == 4
+        assert "order 2002" in capsys.readouterr().err
+        assert main(["artin", str(f), "--budget-cosets", "2002"]) == 0
+
 
 class TestMalformedInput:
     """Malformed documents exit 2 through the loaders, never a traceback."""
@@ -296,6 +305,14 @@ class TestCoxeterCmd:
     def test_infinite_budget_exit(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")
         assert main(["coxeter", str(f), "--budget-cosets", "2000"]) == 4
+
+    def test_huge_entry_bounded(self, tmp_path, capsys):
+        # bounded before any relator is built: (s t)^(10^30) is never spelled
+        f = tmp_path / "huge.json"
+        m = 10**30
+        f.write_text(json.dumps({"generators": ["s", "t"], "m": [[1, m], [m, 1]]}))
+        assert main(["coxeter", str(f)]) == 4
+        assert f"order {2 * m}" in capsys.readouterr().err
 
     def test_large_dihedral(self, tmp_path, capsys):
         f = tmp_path / "i2_600.json"

@@ -1,9 +1,25 @@
+import hashlib
+import json
+
 import pytest
 
 import polycox as px
+from polycox import serialize as ser
 from polycox.paths import Step2
 
 import oracles
+from conftest import MATRICES, coxeter, coxeter_monoid_d4
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def d4_completed():
+    """The shortlex Coxeter monoid of D4, completed (7 rules adjoined)."""
+    p = ser.polygraph2_from_dict(coxeter_monoid_d4())
+    return px.homotopical_complete(p, px.Deglex((0, 1, 2, 3)))
 
 
 class TestCriticalBranchings:
@@ -124,6 +140,55 @@ class TestTripleBranchings:
         assert [t.source for t in got] == [(0, 0, 0, 0)]
 
 
+class TestTripleSearch:
+    """The bucketed triple search against the cubic scan in oracles.py, and
+    its output pinned on the Garside completions too large for the scan."""
+
+    @staticmethod
+    def _polygraph(case, request):
+        if case == "b3+":
+            return request.getfixturevalue("b3plus_completed")[0].base
+        if case == "self-overlap":
+            return px.Polygraph2(["a", "b"], [px.Rule("sq", (0, 0), (1,))])
+        if case == "D4":
+            return request.getfixturevalue("d4_completed").base
+        group = request.getfixturevalue("groups")(case)
+        return px.complete_garside(group).p31.base
+
+    @pytest.mark.parametrize("case", ["b3+", "self-overlap", "D4", "A2", "B2"])
+    def test_matches_cubic_oracle(self, case, request):
+        p = self._polygraph(case, request)
+        got = [(t.source, t.steps) for t in px.triple_critical_branchings(p)]
+        assert got == oracles.cubic_triple_branchings([r.lhs for r in p.rules])
+        assert got
+
+    # count and SHA-256 of [[source, steps], ...], pinned from the cubic scan
+    DIGESTS = {
+        "A2xA1": (
+            MATRICES["A2xA1"],
+            5376,
+            "9583b60ba7973881f4ea34eb1de42ee42afe2a97067e89596139c8ab0ddcfe2b",
+        ),
+        "B2xA1": (
+            coxeter("rst", [[1, 4, 2], [4, 1, 2], [2, 2, 1]]),
+            28596,
+            "70eb37a5fc46867cf5e21991d2278e8f37a91e385a9ac3df59aa879e7594b291",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_garside_digest(self, name):
+        mat, count, digest = self.DIGESTS[name]
+        base = px.complete_garside(px.enumerate_group(mat)).p31.base
+        triples = px.triple_critical_branchings(base)
+        assert len(triples) == count
+        assert _digest([[t.source, t.steps] for t in triples]) == digest
+
+    def test_a3_count(self, groups):
+        base = px.complete_garside(groups("A3")).p31.base
+        assert len(px.triple_critical_branchings(base)) == 246_301
+
+
 class TestGeneratingTripleConfluence:
     def _sphere(self, p31, source_str):
         p = p31.base
@@ -158,6 +223,20 @@ class TestGeneratingTripleConfluence:
         p31 = px.homotopical_complete(p, px.Deglex((0, 1)))
         sphere = self._sphere(p31, "aaaa")
         assert sphere.check(p31) == []
+
+    def test_d4_spheres_digest(self, d4_completed):
+        # pinned SHA-256 of the serialized spheres of all 497 triples
+        p31 = d4_completed
+        lookup, memo = px.cells_by_branching(p31), {}
+        spheres = [
+            px.generating_triple_confluence(p31, t, lookup=lookup, memo=memo)
+            for t in px.triple_critical_branchings(p31.base)
+        ]
+        assert len(spheres) == 497
+        assert all(sp.check(p31) == [] for sp in spheres)
+        assert _digest([ser.sphere_to_dict(sp, p31) for sp in spheres]) == (
+            "58b2056037850b080dcc40d9435591e02986fe51053de3352b11849a9042f8aa"
+        )
 
     def test_sphere_boundaries_paths_equal(self, b3plus_completed):
         p31, _ = b3plus_completed

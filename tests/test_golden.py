@@ -18,7 +18,7 @@ import pytest
 from polycox import serialize as ser
 from polycox.cli import main
 
-from conftest import MATRICES
+from conftest import MATRICES, coxeter_monoid_d4
 
 GOLDEN = {
     ("garside", "A2xA1", "completed"): "55c208c46654586272accf6d750dc7fd8e83b09c4a57a4e8ae543e9aed7166d9",
@@ -42,18 +42,6 @@ B3PLUS = {
         {"id": "beta", "lhs": "st", "rhs": "a"},
     ],
 }
-
-
-def coxeter_monoid_d4() -> dict:
-    """W(D4) as a monoid: s_i s_i => 1 and each braid relation, oriented by
-    shortlex with s3 > s2 > s1 > s0."""
-    m = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
-    rules = [{"id": f"i{i}", "lhs": f"s{i}.s{i}", "rhs": ""} for i in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            alt = lambda a, b: ".".join(f"s{(a, b)[t % 2]}" for t in range(m[i][j]))  # noqa: E731
-            rules.append({"id": f"b{i}{j}", "lhs": alt(j, i), "rhs": alt(i, j)})
-    return {"generators": [f"s{i}" for i in range(4)], "rules": rules}
 
 
 COMPLETE_GOLDEN = {
