@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import garside, serialize, tietze
 from .completion import homotopical_complete
-from .coxeter import enumerate_group
+from .coxeter import check_dihedral_cap, enumerate_group
 from .errors import (
     BudgetError,
     InfiniteOrUnknown,
@@ -126,6 +126,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_garside(args) -> int:
     mat = serialize.matrix_from_dict(_load_json(args.input))
+    check_dihedral_cap(mat, args.budget_cosets)  # over the cap is exit 4, not 3
     try:
         group = enumerate_group(mat, args.budget_cosets)
     except InfiniteOrUnknown as exc:

@@ -27,7 +27,6 @@ from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
     Word,
-    _redexes,
     apply_step,
 )
 
@@ -232,7 +231,9 @@ def normalize(
     """Reduce ``w`` to a normal form, returning (normal form, path).
 
     Every step rewrites the leftmost redex, the lowest rule id on ties,
-    which is the first redex ``find_redexes`` would list.
+    which is the first redex ``find_redexes`` would list.  The lhs
+    automaton's states along the word are kept across steps: no redex ends
+    before the offset i of a rewrite, so the next scan resumes at i.
     The step budget turns nontermination into a diagnosable error; the
     caller remains responsible for supplying a terminating polygraph.
     ``memo`` maps already-normalized words to their paths and must be
@@ -246,13 +247,15 @@ def normalize(
     steps: list[Step2] = []
     seen: list[Word] = [w]
     cur = w
+    leftmost = p.automaton().leftmost
+    states = [0]
     while True:
         if memo is not None and cur in memo and cur is not w:
             tail = memo[cur]
             steps.extend(tail.steps)
             cur = tail.target
             break
-        redex = next(_redexes(cur, p), None)
+        redex = leftmost(cur, states)
         if redex is None:
             break
         if len(steps) >= limit:
@@ -263,6 +266,7 @@ def normalize(
         steps.append(Step2(r, 1, i))
         cur = apply_step(cur, p, r, i, 1)
         seen.append(cur)
+        del states[i + 1 :]
     path = Path2._make(p, w, tuple(steps), cur)
     if memo is not None:
         memo[w] = path

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError, StepError
 
@@ -54,7 +54,8 @@ class Polygraph2:
     returned them.  ``add_rule`` keeps the name -> index table,
     ``rule_lengths``, the (len(lhs), len(rhs)) of each rule, and
     ``rules_by_first``, the rule ids bucketed by the first letter of their
-    lhs in increasing order, in step with ``rules``.
+    lhs in increasing order, in step with ``rules``; it also drops the
+    redex automaton, which ``automaton()`` rebuilds on first use.
     """
 
     __slots__ = (
@@ -63,6 +64,7 @@ class Polygraph2:
         "rule_lengths",
         "rules_by_first",
         "_index",
+        "_automaton",
     )
 
     def __init__(self, generators: Iterable[str], rules: Iterable[Rule] = ()):
@@ -73,6 +75,7 @@ class Polygraph2:
         self.rule_lengths: list[tuple[int, int]] = []
         self.rules_by_first: dict[int, list[int]] = {}
         self._index: dict[str, int] = {}
+        self._automaton: Optional[LhsAutomaton] = None
         for r in rules:
             self.add_rule(r)
 
@@ -97,7 +100,14 @@ class Polygraph2:
         self.rules.append(rule)
         self.rule_lengths.append((len(rule.lhs), len(rule.rhs)))
         self.rules_by_first.setdefault(rule.lhs[0], []).append(r)
+        self._automaton = None
         return r
+
+    def automaton(self) -> "LhsAutomaton":
+        """The automaton of the current left-hand sides."""
+        if self._automaton is None:
+            self._automaton = LhsAutomaton(self.rules)
+        return self._automaton
 
     def rule_index(self, name: str) -> int:
         try:
@@ -125,24 +135,78 @@ class Polygraph2:
         return f"Polygraph2({self.generators!r}, {len(self.rules)} rules)"
 
 
+class LhsAutomaton:
+    """Aho-Corasick automaton over the left-hand sides of a rule list.
+
+    State 0 is the empty prefix and ``depth[s]`` the length of the lhs
+    prefix state ``s`` has read.  ``delta[s]`` is the transition row of
+    ``s`` with the failure links folded in; a letter missing from it leads
+    to 0.  ``out[s]`` lists the lhs ending at ``s``, longest first, as
+    (lhs length, rule ids in increasing order).
+    """
+
+    __slots__ = ("delta", "depth", "out")
+
+    def __init__(self, rules: list[Rule]):
+        goto: list[dict[int, int]] = [{}]
+        self.depth = depth = [0]
+        ends: dict[int, list[int]] = {}
+        for r, rule in enumerate(rules):
+            s = 0
+            for d, g in enumerate(rule.lhs, 1):
+                s = goto[s].setdefault(g, len(goto))
+                if s == len(goto):
+                    goto.append({})
+                    depth.append(d)
+            ends.setdefault(s, []).append(r)
+        fail = [0] * len(goto)
+        self.delta = delta = [goto[0]] * len(goto)
+        self.out = out = [()] * len(goto)
+        order = list(goto[0].values())
+        for s in order:  # breadth first: fail[s] is done before s
+            f = fail[s]
+            for g, t in goto[s].items():
+                fail[t] = delta[f].get(g, 0)
+                order.append(t)
+            delta[s] = {**delta[f], **goto[s]}
+            out[s] = ((depth[s], tuple(ends[s])),) + out[f] if s in ends else out[f]
+
+    def leftmost(self, w: Word, states: list[int]) -> Optional[tuple[int, int]]:
+        """The leftmost redex of ``w``, lowest rule id on ties, as
+        (rule id, position); None when ``w`` is irreducible.
+
+        ``states[k]`` is the state after ``w[:k]``; the scan resumes after
+        the last one and appends the states it reaches.  It stops once no
+        lhs prefix read so far starts at or before the best position.
+        """
+        delta, depth, out = self.delta, self.depth, self.out
+        s = states[-1]
+        best = None  # (position, rule id)
+        for k in range(len(states), len(w) + 1):
+            s = delta[s].get(w[k - 1], 0)
+            states.append(s)
+            if best and k - depth[s] > best[0]:
+                break
+            if out[s]:
+                n, ids = out[s][0]  # the longest lhs ending here starts first
+                if best is None or (k - n, ids[0]) < best:
+                    best = (k - n, ids[0])
+        return best and (best[1], best[0])
+
+
 def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:
     """All (rule id, position) with the rule's lhs at that offset of ``w``.
 
-    Sorted by (position, rule id).
+    Sorted by (position, rule id); one pass of the lhs automaton.
     """
-    p.check_word(w)
-    return list(_redexes(w, p))
-
-
-def _redexes(w: Word, p: Polygraph2) -> Iterator[tuple[int, int]]:
-    """The redexes of the checked word ``w`` in (position, rule id) order,
-    since each first-letter bucket lists its rule ids in increasing order."""
-    buckets, rules = p.rules_by_first, p.rules
-    for i, g in enumerate(w):
-        for r in buckets.get(g, ()):
-            lhs = rules[r].lhs
-            if w[i : i + len(lhs)] == lhs:
-                yield r, i
+    ac = p.automaton()
+    delta, out = ac.delta, ac.out
+    found, s = [], 0
+    for k, g in enumerate(p.check_word(w), 1):
+        s = delta[s].get(g, 0)
+        for n, ids in out[s]:
+            found.extend((r, k - n) for r in ids)
+    return sorted(found, key=lambda ri: (ri[1], ri[0]))
 
 
 def apply_step(w: Word, p: Polygraph2, r: int, i: int, direction: int = 1) -> Word:

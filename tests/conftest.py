@@ -29,16 +29,41 @@ MATRICES = {
 }
 
 
-def coxeter_monoid_d4() -> dict:
-    """W(D4) as a monoid: s_i s_i => 1 and each braid relation, oriented by
-    shortlex with s3 > s2 > s1 > s0."""
-    m = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
-    rules = [{"id": f"i{i}", "lhs": f"s{i}.s{i}", "rhs": ""} for i in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
+def _chain(*ms):
+    n = len(ms) + 1
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, v in enumerate(ms):
+        m[i][i + 1] = m[i + 1][i] = v
+    return m
+
+
+# Coxeter matrices of the shortlex completions pinned in the tests; E6 in
+# the Bourbaki labelling (0-2-3-4-5 in a line, 1 attached to 3)
+MONOID_MATRICES = {
+    "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+    "H4": _chain(5, 3, 3),
+    "E6": [
+        [1, 2, 3, 2, 2, 2],
+        [2, 1, 2, 3, 2, 2],
+        [3, 2, 1, 3, 2, 2],
+        [2, 3, 3, 1, 3, 2],
+        [2, 2, 2, 3, 1, 3],
+        [2, 2, 2, 2, 3, 1],
+    ],
+}
+
+
+def coxeter_monoid(name: str) -> dict:
+    """W as a monoid: s_i s_i => 1 and each braid relation, oriented by
+    shortlex with s_{n-1} > ... > s1 > s0."""
+    m = MONOID_MATRICES[name]
+    n = len(m)
+    rules = [{"id": f"i{i}", "lhs": f"s{i}.s{i}", "rhs": ""} for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             alt = lambda a, b: ".".join(f"s{(a, b)[t % 2]}" for t in range(m[i][j]))  # noqa: E731
             rules.append({"id": f"b{i}{j}", "lhs": alt(j, i), "rhs": alt(i, j)})
-    return {"generators": [f"s{i}" for i in range(4)], "rules": rules}
+    return {"generators": [f"s{i}" for i in range(n)], "rules": rules}
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,31 @@ def one_step_reducts(word, rules):
     return out
 
 
+def naive_redexes(word, lhss):
+    """Every (rule id, position) where ``lhss[rule id]`` occurs in ``word``,
+    found by slicing at every offset, sorted by (position, rule id)."""
+    found = [
+        (i, r)
+        for r, lhs in enumerate(lhss)
+        for i in range(len(word) - len(lhs) + 1)
+        if word[i : i + len(lhs)] == lhs
+    ]
+    return [(r, i) for i, r in sorted(found)]
+
+
+def naive_leftmost_reduction(word, rules):
+    """(normal form, [(rule id, position), ...]) rewriting the first redex
+    of ``naive_redexes`` until none is left."""
+    lhss = [lhs for lhs, _ in rules]
+    steps = []
+    while redexes := naive_redexes(word, lhss):
+        r, i = redexes[0]
+        lhs, rhs = rules[r]
+        steps.append((r, i))
+        word = word[:i] + rhs + word[i + len(lhs) :]
+    return word, steps
+
+
 def all_normal_forms(word, rules, fuel=10**5):
     """Every redex-free word reachable from ``word`` by any strategy."""
     seen = {word}

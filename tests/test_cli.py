@@ -196,6 +196,14 @@ class TestGarsideCmd:
         f = write_matrix(tmp_path, "Atilde2")
         assert main(["garside", str(f), "--budget-cosets", "2000"]) == 3
 
+    def test_huge_entry_budget_exit(self, tmp_path, capsys):
+        # an entry over the coset cap is a budget stop, as under coxeter and artin
+        f = tmp_path / "huge.json"
+        m = 10**30
+        f.write_text(json.dumps({"generators": ["s", "t"], "m": [[1, m], [m, 1]]}))
+        assert main(["garside", str(f)]) == 4
+        assert f"order {2 * m}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage", ["completed", "reduced"])
     def test_rule_budget_exit(self, tmp_path, capsys, stage):
         # A3 adjoins more than 100 beta rules; the budget stops the run
@@ -211,6 +219,18 @@ class TestGarsideCmd:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "branching budget 3 exceeded: reached" in err
+
+    def test_branching_budget_bounds_the_part(self, tmp_path, capsys, monkeypatch):
+        # every cell of S(Gar_2(W)) is a critical branching and every sphere
+        # a cell, so the branching budget stops the run before any sphere
+        def no_part(*args, **kwargs):
+            raise AssertionError("garside_reduction_part was called")
+
+        monkeypatch.setattr(px.garside, "garside_reduction_part", no_part)
+        f = write_matrix(tmp_path, "A2")
+        argv = ["garside", str(f), "--stage", "reduced", "--budget-branchings", "3"]
+        assert main(argv) == 4
+        assert "branching budget 3 exceeded: reached" in capsys.readouterr().err
 
 
 class TestArtinCmd:

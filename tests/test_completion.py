@@ -8,7 +8,7 @@ from polycox import serialize as ser
 from polycox.paths import Step2
 
 import oracles
-from conftest import MATRICES, coxeter, coxeter_monoid_d4
+from conftest import MATRICES, coxeter, coxeter_monoid
 
 
 def _digest(doc) -> str:
@@ -18,8 +18,25 @@ def _digest(doc) -> str:
 @pytest.fixture(scope="module")
 def d4_completed():
     """The shortlex Coxeter monoid of D4, completed (7 rules adjoined)."""
-    p = ser.polygraph2_from_dict(coxeter_monoid_d4())
+    p = ser.polygraph2_from_dict(coxeter_monoid("D4"))
     return px.homotopical_complete(p, px.Deglex((0, 1, 2, 3)))
+
+
+class TestShortlexCompletionDigests:
+    # SHA-256 of the serialized homotopical completion of W as a monoid
+    # (rules and 3-cells), with lhs of up to 46 letters for H4 and 15 for E6
+    DIGESTS = {
+        "H4": (32, 537, "cd45ed0bcf3ef8d77f99c971d814bed9d032faa935418e323a0bb5ce3331e00c"),
+        "E6": (50, 623, "3735a4192cee7e2a0009df3052f891323be450297cb817ff04ba127138c38416"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        n_rules, n_cells, digest = self.DIGESTS[name]
+        p = ser.polygraph2_from_dict(coxeter_monoid(name))
+        p31 = px.homotopical_complete(p, px.Deglex(tuple(range(p.n_generators))))
+        assert (len(p31.base.rules), len(p31.cells)) == (n_rules, n_cells)
+        assert _digest(ser.polygraph31_to_dict(p31)) == digest
 
 
 class TestCriticalBranchings:

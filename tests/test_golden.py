@@ -18,7 +18,7 @@ import pytest
 from polycox import serialize as ser
 from polycox.cli import main
 
-from conftest import MATRICES, coxeter_monoid_d4
+from conftest import MATRICES, coxeter_monoid
 
 GOLDEN = {
     ("garside", "A2xA1", "completed"): "55c208c46654586272accf6d750dc7fd8e83b09c4a57a4e8ae543e9aed7166d9",
@@ -50,7 +50,7 @@ COMPLETE_GOLDEN = {
         "0646f1592e6efa54961a2b32fe5979979441c38604934f40a46451aa7238434a",
     ),
     ("D4", "deglex:s3,s2,s1,s0"): (
-        coxeter_monoid_d4(),
+        coxeter_monoid("D4"),
         "029cb4d890c258609b25b3fa041030d8be0e51e24aad8ac93f0d5dbcad290ce0",
     ),
 }

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import polycox as px
 from polycox.paths import Path2, Step2
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def pg():
@@ -246,17 +248,13 @@ def replayed(p):
 
 
 class TestLeftmostNormalize:
-    """``normalize`` follows the reference loop that rewrites
-    ``min(find_redexes(w))`` by (position, rule id) at every step."""
+    """``normalize`` follows the slicing oracle that rewrites the
+    (position, rule id)-least redex at every step."""
 
     @staticmethod
     def reference(w, pg):
-        steps = []
-        while redexes := px.find_redexes(w, pg):
-            r, i = min(redexes, key=lambda ri: (ri[1], ri[0]))
-            steps.append(Step2(r, 1, i))
-            w = px.apply_step(w, pg, r, i, 1)
-        return w, tuple(steps)
+        nf, steps = oracles.naive_leftmost_reduction(w, [(r.lhs, r.rhs) for r in pg.rules])
+        return nf, tuple(Step2(r, 1, i) for r, i in steps)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -40,6 +40,50 @@ class TestFindRedexes:
             px.find_redexes((7,), p)
 
 
+@st.composite
+def growing_rules(draw):
+    """Rules over 1-3 letters whose lhs are often duplicates, prefixes,
+    suffixes or inner factors of earlier ones; each rhs is shorter than its
+    lhs, so every rule set terminates."""
+    n = draw(st.integers(1, 3))
+    word = lambda lo, hi: st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)  # noqa: E731
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        lhs = tuple(draw(word(1, 4)))
+        if rules and draw(st.booleans()):
+            base = draw(st.sampled_from(rules))[0]
+            i = draw(st.integers(0, len(base) - 1))
+            lhs = base[i : draw(st.integers(i + 1, len(base)))]
+        rules.append((lhs, tuple(draw(word(0, len(lhs) - 1)))))
+    return n, rules
+
+
+class TestRedexOracle:
+    """``find_redexes`` and ``normalize`` against the slicing oracle, on a
+    polygraph grown rule by rule so that a stale automaton shows."""
+
+    @given(growing_rules(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_scan(self, gen_rules, data):
+        n, rules = gen_rules
+        p = px.Polygraph2("abc"[:n])
+        words = st.lists(st.integers(0, n - 1), max_size=10).map(tuple)
+        for k, (lhs, rhs) in enumerate(rules):
+            p.add_rule(px.Rule(f"r{k}", lhs, rhs))
+            seen = rules[: k + 1]
+            memo = {}
+            for w in data.draw(st.lists(words, min_size=1, max_size=3)):
+                assert px.find_redexes(w, p) == oracles.naive_redexes(w, [l for l, _ in seen])
+                nf, steps = oracles.naive_leftmost_reduction(w, seen)
+                for kwargs in ({}, {"memo": memo}, {"budget": len(steps)}):
+                    got, path = px.normalize(w, p, **kwargs)
+                    assert (got, [(s.rule, s.pos) for s in path.steps]) == (nf, steps)
+                    assert all(s.dir == 1 for s in path.steps)
+                if steps:
+                    with pytest.raises(px.NonterminationError):
+                        px.normalize(w, p, budget=len(steps) - 1)
+
+
 class TestApplyStep:
     def test_beta_on_sta(self, b3plus):
         p, _ = b3plus
