@@ -12,17 +12,19 @@ Triple critical branchings extend each critical branching by a third
 step found through the first-letter buckets.  Generating triple
 confluences are assembled from them by a filler that decomposes any pair
 of parallel positive reduction paths into whiskered generating 3-cells,
-by well-founded recursion on the rewritten word, threading the path from
+by well-founded recursion on the rewritten word, threading the steps from
 the sphere's source.  Peiffer (disjoint) local branchings
 contribute no generating cell: their two completions are equal modulo
-the exchange relations, which sphere validation checks through
-``normalize_path``.
+the exchange relations.  Sphere validation builds each face once as a
+flat step tuple and compares consecutive faces through
+``_exchange_normal_form``; a malformed face is a violation, not an error.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -30,8 +32,9 @@ from .errors import (
     DivergenceError,
     OrientationError,
     PreconditionError,
+    StepError,
 )
-from .paths import Path2, Step2, compose, normalize, normalize_path, whisker
+from .paths import Path2, Step2, _exchange_normal_form, compose, normalize, whisker
 from .words import (
     DEFAULT_BRANCHING_BUDGET,
     DEFAULT_RULE_BUDGET,
@@ -40,6 +43,7 @@ from .words import (
     Rule,
     TerminationOrder,
     Word,
+    apply_step,
     check_termination,
 )
 
@@ -222,7 +226,6 @@ def homotopical_complete(
             "rules not oriented by the order: " + ", ".join(r.name for r in bad)
         )
     work = Polygraph2(list(p.generators), list(p.rules))
-    memo: dict = {}
     # sorted by _order, so already a heap
     queue = [(_order(br), br) for br in critical_branchings(work)]
     counter = 0
@@ -235,8 +238,8 @@ def homotopical_complete(
         w = br.source
         left_word = Path2(work, w, (br.left,)).target
         right_word = Path2(work, w, (br.right,)).target
-        nf_l, _ = normalize(left_word, work, budget=step_budget, memo=memo)
-        nf_r, _ = normalize(right_word, work, budget=step_budget, memo=memo)
+        nf_l, _ = normalize(left_word, work, budget=step_budget)
+        nf_r, _ = normalize(right_word, work, budget=step_budget)
         if nf_l == nf_r:
             continue
         cmp = order.compare(nf_l, nf_r)
@@ -249,7 +252,6 @@ def homotopical_complete(
         if len(work.rules) + 1 - n_initial > rule_budget:
             raise DivergenceError(f"rule budget {rule_budget} exceeded")
         new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
-        memo.clear()
         for a, b in [(new, a) for a in range(new)] + [(a, new) for a in range(new + 1)]:
             for br in _overlaps(work.rules, a, b):
                 heapq.heappush(queue, (_order(br), br))
@@ -257,8 +259,8 @@ def homotopical_complete(
     # Squier pass: one 3-cell per critical branching of the final rules
     cells: list[ThreeCell] = []
     for i, br in enumerate(critical_branchings(work)):
-        src = _branch_side(work, br.source, br.left, memo, step_budget)
-        tgt = _branch_side(work, br.source, br.right, memo, step_budget)
+        src = _branch_side(work, br.source, br.left, budget=step_budget)
+        tgt = _branch_side(work, br.source, br.right, budget=step_budget)
         if src.target != tgt.target:
             raise CoherenceError(
                 f"completion not confluent at {work.word_str(br.source)}"
@@ -267,7 +269,7 @@ def homotopical_complete(
     return Polygraph31(work, cells)
 
 
-def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo, budget=None) -> Path2:
+def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo=None, budget=None) -> Path2:
     first = Path2(pg, w, (step,))
     _, rest = normalize(first.target, pg, budget=budget, memo=memo)
     return compose(first, rest)
@@ -292,14 +294,6 @@ class SphereEntry:
     pre: Path2
     post: Path2
 
-    def sides(self, p31: Polygraph31) -> tuple[Path2, Path2]:
-        c = p31.cells[self.cell]
-        a, b = (c.src, c.tgt) if self.dir > 0 else (c.tgt, c.src)
-        return (
-            compose(compose(self.pre, whisker(self.left, a, self.right)), self.post),
-            compose(compose(self.pre, whisker(self.left, b, self.right)), self.post),
-        )
-
 
 @dataclass(frozen=True)
 class Sphere3:
@@ -311,24 +305,45 @@ class Sphere3:
     rhs: tuple[SphereEntry, ...]
 
     def check(self, p31: Polygraph31) -> list[str]:
-        """Well-formedness violations: sides must chain and close the
-        boundary, modulo exchange/inverse normalization."""
+        """Well-formedness violations; a malformed sphere is reported, never
+        raised.  Each entry's faces are step tuples, pre.steps +
+        whisker(left, side, right).steps + post.steps, built once.  Word
+        equality checks that ``pre``, replayed, runs from the source word to
+        the whiskered cell and ``post`` from there to the target word; along
+        each side, consecutive faces have equal exchange normal forms.
+        """
+        nf = partial(_exchange_normal_form, p31.base.rule_lengths)
+        top, bottom = self.source.source, _end(self.target)
+        if bottom is None or self.target.source != top or _end(self.source) != bottom:
+            return ["boundary: source and target are not parallel"]
+        first, last = nf(self.source.steps), nf(self.target.steps)
         out = []
         for label, side in (("lhs", self.lhs), ("rhs", self.rhs)):
-            cur = self.source
+            cur = first
             for k, e in enumerate(side):
-                a, b = e.sides(p31)
-                if a.source != cur.source or (
-                    normalize_path(a).steps != normalize_path(cur).steps
-                ):
+                c = p31.cells[e.cell]
+                a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
+                wa = whisker(e.left, a, e.right)
+                ends = (e.pre.source, _end(e.pre), e.post.source, _end(e.post))
+                if ends != (top, wa.source, wa.target, bottom):
+                    out.append(f"{label}[{k}]: pre or post does not meet the whiskered cell")
+                    cur = None
+                    continue
+                pre, post = e.pre.steps, e.post.steps
+                if cur is not None and nf(pre + wa.steps + post) != cur:
                     out.append(f"{label}[{k}]: source mismatch")
-                cur = b
-            if (
-                normalize_path(cur).steps != normalize_path(self.target).steps
-                or cur.target != self.target.target
-            ):
+                cur = nf(pre + whisker(e.left, b, e.right).steps + post)
+            if cur is not None and cur != last:
                 out.append(f"{label}: does not end at the sphere target")
         return out
+
+
+def _end(path: Path2) -> Optional[Word]:
+    """The target word of ``path``, or None when its steps do not replay."""
+    try:
+        return path.target
+    except StepError:
+        return None
 
 
 def cells_by_branching(p31: Polygraph31) -> dict[tuple, int]:
@@ -344,11 +359,8 @@ def cells_by_branching(p31: Polygraph31) -> dict[tuple, int]:
 
 def _shifted(pg: Polygraph2, after: Step2, s: Step2) -> Step2:
     """Re-derive the offset of ``s`` once the disjoint step ``after`` ran."""
-    a, b = (
-        (len(pg.rules[after.rule].lhs), len(pg.rules[after.rule].rhs))
-        if after.dir > 0
-        else (len(pg.rules[after.rule].rhs), len(pg.rules[after.rule].lhs))
-    )
+    n_lhs, n_rhs = pg.rule_lengths[after.rule]
+    a, b = (n_lhs, n_rhs) if after.dir > 0 else (n_rhs, n_lhs)
     if s.pos >= after.pos + a:
         return Step2(s.rule, s.dir, s.pos + (b - a))
     return s
@@ -394,46 +406,39 @@ def _local_cell(
     return (idx, direction, lw, rw), c1, c2, z
 
 
-def _tail(path: Path2) -> Path2:
-    """``path`` without its first step, reusing the checked word chain."""
-    chain = path.words()
-    tail = Path2._make(path.pg, chain[1], path.steps[1:], chain[-1])
-    tail._chain = chain[1:]
-    return tail
-
-
 def _fill_parallel(
     p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict
 ) -> list[SphereEntry]:
     """Decompose the parallel positive reduction paths pA, pB (with a common
     normal-form target) into whiskered generating 3-cells rewriting pA into
-    pB.  Well-founded recursion on the source word under the termination
-    order, carrying the path ``pre`` from pA's source to the current word;
-    Peiffer faces contribute no entry.
+    pB.  Well-founded recursion on the current word w under the termination
+    order, on step tuples: each level applies only the head steps to w, and
+    carries the steps ``pre`` from pA's source to w, made a path only for
+    an entry.  Peiffer faces contribute no entry.
     """
     pg = p31.base
 
-    def go(pre: Path2, a: Path2, b: Path2) -> list[SphereEntry]:
-        if a.steps == b.steps:
+    def go(pre: tuple, w: Word, a: tuple, b: tuple) -> list[SphereEntry]:
+        if a == b:
             return []
-        if not a.steps or not b.steps:
+        if not a or not b:
             raise CoherenceError("parallel fill: sides of unequal reach")
-        s1, s2 = a.steps[0], b.steps[0]
-        ta, tb = _tail(a), _tail(b)
-        pre1 = Path2._make(pg, pre.source, pre.steps + (s1,), ta.source)
+        s1, s2 = a[0], b[0]
+        w1 = apply_step(w, pg, s1.rule, s1.pos, s1.dir)
         if s1 == s2:
-            return go(pre1, ta, tb)
-        entry, c1, c2, z = _local_cell(p31, lookup, a.source, s1, s2)
+            return go(pre + (s1,), w1, a[1:], b[1:])
+        entry, c1, c2, z = _local_cell(p31, lookup, w, s1, s2)
         _, n = normalize(z, pg, memo=memo)
-        pre2 = Path2._make(pg, pre.source, pre.steps + (s2,), tb.source)
-        left = go(pre1, ta, compose(Path2(pg, ta.source, c1), n))
-        right = go(pre2, compose(Path2(pg, tb.source, c2), n), tb)
+        w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
+        left = go(pre + (s1,), w1, a[1:], c1 + n.steps)
+        right = go(pre + (s2,), w2, c2 + n.steps, b[1:])
         if entry is None:
             return left + right
         idx, direction, lw, rw = entry
-        return left + [SphereEntry(idx, direction, lw, rw, pre, n)] + right
+        pre_path = Path2._make(pg, pA.source, pre, w)
+        return left + [SphereEntry(idx, direction, lw, rw, pre_path, n)] + right
 
-    return go(Path2._make(pg, pA.source, (), pA.source), pA, pB)
+    return go((), pA.source, pA.steps, pB.steps)
 
 
 def generating_triple_confluence(
@@ -455,10 +460,7 @@ def generating_triple_confluence(
         memo = {}
     pg = p31.base
     w = triple.source
-    sides = []
-    for s in triple.steps:
-        sides.append(_branch_side(pg, w, s, memo))
-    F, G, H = sides
+    F, G, H = (_branch_side(pg, w, s, memo=memo) for s in triple.steps)
     if not (F.target == G.target == H.target):
         raise CoherenceError("triple branching does not converge")
     lhs = _fill_parallel(p31, F, G, lookup, memo)

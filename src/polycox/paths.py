@@ -12,10 +12,10 @@ ambient word are disjoint.
 Every path the module derives (composites, whiskerings, inverses, exchange
 normal forms, normalizing reductions) carries its target word, obtained by
 an exact identity from its operands, so asking for an endpoint never
-replays the chain.  The chain of intermediate words is computed only when
-``words()`` is asked for, and that replay checks every step.  A path built
-through the public constructor carries no target: it is replayed, and
-checked, the first time its target or its chain is needed.
+replays the chain.  A path built through the public constructor carries no
+target: the first ``target`` replays and checks its steps and caches only
+the last word.  The chain of intermediate words is cached only by
+``words()``, whose replay checks every step.
 """
 
 from __future__ import annotations
@@ -96,9 +96,14 @@ class Path2:
 
     @property
     def target(self) -> Word:
-        if self._target is None:
-            self.words()
-        return self._target
+        """The last word; a replay, which checks every step, keeps only it."""
+        t = self._target
+        if t is None:
+            t = self.source
+            for s in self.steps:
+                t = apply_step(t, self.pg, s.rule, s.pos, s.dir)
+            self._target = t
+        return t
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -19,7 +19,7 @@ Recipes are supplied by callers; only the bare shapes are inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, NielsenError
 from .completion import Polygraph31, Sphere3, ThreeCell
@@ -89,18 +89,34 @@ def _rule_occurrences(path: Path2, rule: int) -> list[int]:
 def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     """Check the three collapsibility conditions mechanically.
 
-    Returns a list of violations; empty means the part is collapsible.
+    Returns a list of violations; empty means the part is collapsible.  A
+    malformed sphere entry, such as a ``pre`` or ``post`` whose steps do not
+    replay or do not meet its whiskered cell, is a violation too, through
+    ``Sphere3.check``; nothing is raised for it.
     """
     out: list[str] = []
     pg = p31.base
     ow = part.order
 
-    def rank(table: dict, key, what: str):
-        if key not in table:
-            out.append(f"{what}: no rank for {key!r}")
-            return None
-        return table[key]
+    def rank_above(
+        table: dict, kind: str, names: Sequence[str], top: int, others: Iterable[int]
+    ) -> None:
+        """Report unless ``top`` is ranked above every key of ``others``."""
 
+        def ranked(key: int):
+            if key not in table:
+                out.append(f"{kind} {names[key]!r}: no rank for {key!r}")
+                return None
+            return table[key]
+
+        rt = ranked(top)
+        for o in others:
+            ro = ranked(o)
+            if rt is not None and ro is not None and not rt > ro:
+                out.append(f"order: {kind} {names[top]!r} not above {names[o]!r}")
+
+    rule_names = [r.name for r in pg.rules]
+    cell_names = [c.name for c in p31.cells]
     sphere_dead = {sc.redundant for sc in part.spheres}
     cell_dead = {tc.cell for tc in part.three_cells}
     rule_dead = {tc.redundant for tc in part.three_cells}
@@ -130,14 +146,7 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
         gen_dead.add(x)
         if tc.rule in rule_dead:
             out.append(f"rule {rule.name!r} is both collapsible and redundant")
-        rx = rank(ow.gen_rank, x, f"generator {pg.generators[x]!r}")
-        for g in set(word):
-            rg = rank(ow.gen_rank, g, f"generator {pg.generators[g]!r}")
-            if rx is not None and rg is not None and not rx > rg:
-                out.append(
-                    f"order: generator {pg.generators[x]!r} not above "
-                    f"{pg.generators[g]!r}"
-                )
+        rank_above(ow.gen_rank, "generator", pg.generators, x, set(word))
 
     for tc in part.three_cells:
         cell = p31.cells[tc.cell]
@@ -154,17 +163,8 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
                 _solve_replacement(p31, cell, tc.redundant)
             except NielsenError as exc:
                 out.append(str(exc))
-        rr = rank(ow.rule_rank, tc.redundant, f"rule {pg.rules[tc.redundant].name!r}")
-        others = {
-            s.rule for s in src.steps + tgt.steps if s.rule != tc.redundant
-        }
-        for r in others:
-            ro = rank(ow.rule_rank, r, f"rule {pg.rules[r].name!r}")
-            if rr is not None and ro is not None and not rr > ro:
-                out.append(
-                    f"order: rule {pg.rules[tc.redundant].name!r} not above "
-                    f"{pg.rules[r].name!r}"
-                )
+        others = {s.rule for s in src.steps + tgt.steps if s.rule != tc.redundant}
+        rank_above(ow.rule_rank, "rule", rule_names, tc.redundant, others)
 
     for sc in part.spheres:
         bad = sc.sphere.check(p31)
@@ -176,16 +176,8 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
                 f"sphere: 3-cell {p31.cells[sc.redundant].name!r} occurs "
                 f"{len(occ)} times, need exactly 1"
             )
-        rr = rank(ow.cell_rank, sc.redundant, f"3-cell {p31.cells[sc.redundant].name!r}")
-        for e in entries:
-            if e.cell == sc.redundant:
-                continue
-            ro = rank(ow.cell_rank, e.cell, f"3-cell {p31.cells[e.cell].name!r}")
-            if rr is not None and ro is not None and not rr > ro:
-                out.append(
-                    f"order: 3-cell {p31.cells[sc.redundant].name!r} not above "
-                    f"{p31.cells[e.cell].name!r}"
-                )
+        others = [e.cell for e in entries if e.cell != sc.redundant]
+        rank_above(ow.cell_rank, "3-cell", cell_names, sc.redundant, others)
     return out
 
 

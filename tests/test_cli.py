@@ -135,6 +135,21 @@ class TestReduce:
         assert rc == 3
         assert "violation[0]" in capsys.readouterr().err
 
+    def test_malformed_sphere_entry_lists_violations(self, tmp_path, groups, capsys):
+        # a pre path that does not end at its whiskered cell is a violation,
+        # not an error escaping the validation
+        gc = px.complete_garside(groups("A2"))
+        part = ser.part_to_dict(px.garside_reduction_part(gc), gc.p31)
+        sphere = part["spheres"][0]
+        sphere["lhs"][0]["pre"] = sphere["source"]
+        completed = tmp_path / "completed.json"
+        completed.write_text(json.dumps(ser.polygraph31_to_dict(gc.p31)))
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps(part))
+        assert main(["reduce", str(completed), "--part", str(part_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("violation[0]: sphere for 'H(s,t,s,t)#0': ")
+
     @pytest.mark.parametrize("bad_dir", [0, 7])
     @pytest.mark.parametrize("where", ["presentation", "part path", "sphere entry"])
     def test_step_dir_must_be_unit(self, tmp_path, b3plus_completed, where, bad_dir):

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
-from polycox.paths import Step2
+from polycox.paths import Path2, Step2
 
 import oracles
 from conftest import MATRICES, coxeter, coxeter_monoid
@@ -20,6 +23,17 @@ def d4_completed():
     """The shortlex Coxeter monoid of D4, completed (7 rules adjoined)."""
     p = ser.polygraph2_from_dict(coxeter_monoid("D4"))
     return px.homotopical_complete(p, px.Deglex((0, 1, 2, 3)))
+
+
+@pytest.fixture(scope="module")
+def d4_spheres(d4_completed):
+    """The generating triple confluences of all 497 D4 triples."""
+    p31 = d4_completed
+    lookup, memo = px.cells_by_branching(p31), {}
+    return [
+        px.generating_triple_confluence(p31, t, lookup=lookup, memo=memo)
+        for t in px.triple_critical_branchings(p31.base)
+    ]
 
 
 class TestShortlexCompletionDigests:
@@ -241,14 +255,9 @@ class TestGeneratingTripleConfluence:
         sphere = self._sphere(p31, "aaaa")
         assert sphere.check(p31) == []
 
-    def test_d4_spheres_digest(self, d4_completed):
+    def test_d4_spheres_digest(self, d4_completed, d4_spheres):
         # pinned SHA-256 of the serialized spheres of all 497 triples
-        p31 = d4_completed
-        lookup, memo = px.cells_by_branching(p31), {}
-        spheres = [
-            px.generating_triple_confluence(p31, t, lookup=lookup, memo=memo)
-            for t in px.triple_critical_branchings(p31.base)
-        ]
+        p31, spheres = d4_completed, d4_spheres
         assert len(spheres) == 497
         assert all(sp.check(p31) == [] for sp in spheres)
         assert _digest([ser.sphere_to_dict(sp, p31) for sp in spheres]) == (
@@ -261,6 +270,83 @@ class TestGeneratingTripleConfluence:
             sphere = self._sphere(p31, src)
             assert px.paths_equal(sphere.source, sphere.source)
             assert sphere.check(p31) == []
+
+
+@pytest.fixture(scope="module")
+def one_sphere_parts(d4_completed, d4_spheres):
+    """(p31, part) pairs whose part holds one real sphere and validates to
+    []: every sphere of the A2xA1 Garside part, and each D4 filler sphere
+    with a cell that occurs once in it, ranked above all other cells."""
+    gc = px.complete_garside(px.enumerate_group(MATRICES["A2xA1"]))
+    garside = px.garside_reduction_part(gc)
+    out = [
+        (gc.p31, px.CollapsiblePart(spheres=(sc,), order=garside.order))
+        for sc in garside.spheres
+    ]
+    for sp in d4_spheres:
+        cells = [e.cell for e in sp.lhs + sp.rhs]
+        once = [c for c in cells if cells.count(c) == 1]
+        if once:
+            rank = dict.fromkeys(range(len(d4_completed.cells)), 0)
+            rank[once[0]] = 1
+            order = px.OrderWitness({}, {}, rank)
+            out.append(
+                (
+                    d4_completed,
+                    px.CollapsiblePart(
+                        spheres=(px.SphereCollapse(sp, once[0]),), order=order
+                    ),
+                )
+            )
+    # the corruptions below are meaningful only on parts that validate
+    assert len(out) > 100
+    assert all(px.validate_collapsible(p31, part) == [] for p31, part in out)
+    return out
+
+
+def _corrupt(p31, entry, kind, data):
+    replace = dataclasses.replace
+    if kind == "swap":
+        return replace(entry, pre=entry.post, post=entry.pre)
+    if kind == "grow":
+        side = data.draw(st.sampled_from(["left", "right"]))
+        g = data.draw(st.integers(0, p31.base.n_generators - 1))
+        return replace(entry, **{side: getattr(entry, side) + (g,)})
+    if kind == "post":
+        post = entry.post
+        k = data.draw(st.integers(0, len(post.steps) - 1))
+        s = post.steps[k]
+        at = data.draw(st.integers(0, len(post.words()[k])).filter(lambda i: i != s.pos))
+        steps = post.steps[:k] + (s._replace(pos=at),) + post.steps[k + 1 :]
+        return replace(entry, post=Path2(p31.base, post.source, steps))
+    if kind == "cell":
+        cell = data.draw(st.integers(0, len(p31.cells) - 1).filter(lambda c: c != entry.cell))
+        return replace(entry, cell=cell)
+    return replace(entry, dir=-entry.dir)
+
+
+class TestMalformedSpheres:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_entry_is_reported(self, one_sphere_parts, data):
+        # a malformed entry is a violation, never an exception
+        kind = data.draw(st.sampled_from(["swap", "grow", "post", "cell", "dir"]))
+        p31, part = data.draw(st.sampled_from(one_sphere_parts))
+        sphere = part.spheres[0].sphere
+        slots = [
+            (label, k)
+            for label in ("lhs", "rhs")
+            for k, e in enumerate(getattr(sphere, label))
+            if kind != "post" or e.post.steps
+        ]
+        assume(slots)
+        label, k = data.draw(st.sampled_from(slots))
+        entries = list(getattr(sphere, label))
+        entries[k] = _corrupt(p31, entries[k], kind, data)
+        bad = dataclasses.replace(sphere, **{label: tuple(entries)})
+        assert bad.check(p31) != []
+        sc = dataclasses.replace(part.spheres[0], sphere=bad)
+        assert px.validate_collapsible(p31, dataclasses.replace(part, spheres=(sc,))) != []
 
 
 class TestConvergenceProperty:

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
 import polycox as px
+from polycox import serialize
 from polycox.garside import Classification, _additive
 from polycox.paths import Path2, Step2, paths_equal
 from conftest import MATRICES
@@ -338,6 +341,12 @@ class TestArtinCoherent:
 
 
 class TestArtinViaReduction:
+    # SHA-256 of the serialized Artin reduction part, spheres included
+    PART_DIGESTS = {
+        "A1^3": "a9f2dd5c86c0ae62bf22b7e4fcf82313aee95a6c225c0ff4cb552cc07844d215",
+        "A3": "51083000998e8c10c61e21c5abb08a3ced3125dd6030271b91cd091f8fc440d8",
+    }
+
     @pytest.mark.parametrize("name", ["A1^3", "A3"])
     def test_direct_vs_reduction_cross_check(self, groups, name):
         # the generic homotopical reduction of Gar_3 must produce the same
@@ -345,6 +354,8 @@ class TestArtinViaReduction:
         g = groups(name)
         g3 = px.garside_coherent(g)
         part = px.artin_reduction_part(g3)
+        doc = json.dumps(serialize.part_to_dict(part, g3.p31))
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.PART_DIGESTS[name]
         assert px.validate_collapsible(g3.p31, part) == []
         red = px.homotopical_reduce(g3.p31, part, validate=False)
         assert px.cell_census(red) == (1, 3, 3, 1)
