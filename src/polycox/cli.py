@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -67,18 +66,6 @@ def _order_for(p, order_arg: str):
     return deglex_from_names(p, names)
 
 
-def _step_budget(args) -> int:
-    env = os.environ.get("POLYCOX_BUDGET_STEPS")
-    if args.budget_steps is not None:
-        return args.budget_steps
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad POLYCOX_BUDGET_STEPS {env!r}") from exc
-    return DEFAULT_STEP_BUDGET
-
-
 def cmd_complete(args) -> int:
     p = serialize.polygraph2_from_dict(_load_json(args.input))
     order = _order_for(p, args.order)
@@ -88,7 +75,7 @@ def cmd_complete(args) -> int:
         order,
         rule_budget=args.budget_rules,
         branching_budget=args.budget_branchings,
-        step_budget=_step_budget(args),
+        step_budget=args.budget_steps,
     )
     doc = serialize.polygraph31_to_dict(p31)
     _emit(doc, args.out)
@@ -232,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     rule_budgets = dict(rules=DEFAULT_RULE_BUDGET, branchings=DEFAULT_BRANCHING_BUDGET)
 
     p = sub.add_parser("complete", help="homotopical completion of a 2-polygraph")
-    common(p, **rule_budgets, steps=None)
+    common(p, **rule_budgets, steps=DEFAULT_STEP_BUDGET)
     p.add_argument("--order", required=True, help="termination order, e.g. deglex:t,s,a")
     p.set_defaults(fn=cmd_complete)
 

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (
     CoherenceError,
     DivergenceError,
+    InputError,
     OrientationError,
     PreconditionError,
     StepError,
@@ -90,13 +91,13 @@ class Polygraph31:
         self.cells: list[ThreeCell] = list(cells)
         self._index = {c.name: i for i, c in enumerate(self.cells)}
         if len(self._index) != len(self.cells):
-            raise PreconditionError("3-cell names must be unique")
+            raise InputError("3-cell names must be unique")
 
     def cell_index(self, name: str) -> int:
         try:
             return self._index[name]
         except (KeyError, TypeError):
-            raise PreconditionError(f"no 3-cell named {name!r}") from None
+            raise InputError(f"no 3-cell named {name!r}") from None
 
     def __eq__(self, other: object) -> bool:
         return (

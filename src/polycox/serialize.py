@@ -232,6 +232,8 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
 
 def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
     base = p31.base
+    if not isinstance(d, dict) or not isinstance(d.get("order", {}), dict):
+        raise InputError("a collapsible part and its order must be JSON objects")
     try:
         two = tuple(
             TwoCollapse(

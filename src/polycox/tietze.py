@@ -5,9 +5,10 @@ Homotopical reduction eliminates a collapsible part: designated redundant
 surviving boundary by the path solved from their collapsible 3-cell, and
 redundant generators are expanded to the defining side of their collapsible
 rule.  Replacement grounds because the order witness makes each redundant
-cell strictly greater than everything in its defining source; eliminations
-run in decreasing order of the redundant cell, so each substitution is
-final when made.
+cell strictly greater than everything in its defining source; the
+expansions and replacements are therefore computed once each in increasing
+order, every one final when made, and each surviving boundary is rewritten
+once through them.
 
 A collapsible cell is recognized up to the Nielsen moves actually needed
 here: the designated redundant cell must occur exactly once across the
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, NielsenError
 from .completion import Polygraph31, Sphere3, ThreeCell
-from .paths import Path2, Step2, compose, inverse, normalize_path, whisker
+from .paths import Path2, Step2, compose, inverse, normalize_path
 from .words import Polygraph2, Rule, Word
 
 
@@ -80,10 +81,6 @@ def _collapse_sides(rule: Rule) -> Optional[tuple[int, Word]]:
     if len(rule.lhs) == 1 and rule.lhs[0] not in rule.rhs:
         return rule.lhs[0], rule.rhs
     return None
-
-
-def _rule_occurrences(path: Path2, rule: int) -> list[int]:
-    return [k for k, s in enumerate(path.steps) if s.rule == rule]
 
 
 def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
@@ -150,20 +147,12 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
 
     for tc in part.three_cells:
         cell = p31.cells[tc.cell]
-        src = normalize_path(cell.src)
-        tgt = normalize_path(cell.tgt)
-        occ = _rule_occurrences(src, tc.redundant) + _rule_occurrences(tgt, tc.redundant)
-        if len(occ) != 1:
-            out.append(
-                f"3-cell {cell.name!r}: rule {pg.rules[tc.redundant].name!r} "
-                f"occurs {len(occ)} times, need exactly 1"
-            )
-        else:
-            try:
-                _solve_replacement(p31, cell, tc.redundant)
-            except NielsenError as exc:
-                out.append(str(exc))
-        others = {s.rule for s in src.steps + tgt.steps if s.rule != tc.redundant}
+        try:
+            _solve_replacement(pg, cell, tc.redundant)
+        except NielsenError as exc:
+            out.append(str(exc))
+        steps = normalize_path(cell.src).steps + normalize_path(cell.tgt).steps
+        others = {s.rule for s in steps if s.rule != tc.redundant}
         rank_above(ow.rule_rank, "rule", rule_names, tc.redundant, others)
 
     for sc in part.spheres:
@@ -181,47 +170,37 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     return out
 
 
-def _split_at(path: Path2, k: int) -> tuple[Path2, Step2, Path2]:
-    pg = path.pg
-    words = path.words()
-    before = Path2(pg, path.source, path.steps[:k])
-    after = Path2(pg, words[k + 1], path.steps[k + 1 :])
-    return before, path.steps[k], after
-
-
-def _solve_replacement(p31: Polygraph31, cell: ThreeCell, rho: int) -> Path2:
+def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
     """Solve, from a collapsible 3-cell, the path replacing rule ``rho``.
 
     The unique occurrence of rho is transposed to one side; the rest of the
     boundary, unwhiskered, is the replacement from lhs(rho) to rhs(rho).
     """
-    pg = p31.base
+    rule = pg.rules[rho]
     src = normalize_path(cell.src)
     tgt = normalize_path(cell.tgt)
-    in_src = _rule_occurrences(src, rho)
-    in_tgt = _rule_occurrences(tgt, rho)
-    if len(in_src) + len(in_tgt) != 1:
+    occ = [(p, k) for p in (tgt, src) for k, s in enumerate(p.steps) if s.rule == rho]
+    if len(occ) != 1:
         raise NielsenError(
-            f"3-cell {cell.name!r} does not define rule {pg.rules[rho].name!r}"
+            f"3-cell {cell.name!r}: rule {rule.name!r} "
+            f"occurs {len(occ)} times, need exactly 1"
         )
-    if in_tgt:
-        hold, k, other = tgt, in_tgt[0], src
-    else:
-        hold, k, other = src, in_src[0], tgt
-    before, step, after = _split_at(hold, k)
+    ((hold, k),) = occ
+    other = src if hold is tgt else tgt
+    step = hold.steps[k]
+    before = Path2(pg, hold.source, hold.steps[:k])
+    after = Path2(pg, hold.words()[k + 1], hold.steps[k + 1 :])
     # u.rho^d.v  =  before^- * other * after^-
     q = compose(compose(inverse(before), other), inverse(after))
     if step.dir < 0:
         q = inverse(q)
     q = normalize_path(q)
-    rule = pg.rules[rho]
     u_len = step.pos
     v_len = len(q.source) - u_len - len(rule.lhs)
     if q.source[u_len : u_len + len(rule.lhs)] != rule.lhs:
         raise NielsenError(f"cannot read {rule.name!r} off 3-cell {cell.name!r}")
     # unwhisker: every step must stay inside the window
-    words = q.words()
-    for s, w in zip(q.steps, words):
+    for s, w in zip(q.steps, q.words()):
         a = len(pg.rules[s.rule].lhs if s.dir > 0 else pg.rules[s.rule].rhs)
         if s.pos < u_len or s.pos + a > len(w) - v_len:
             raise NielsenError(
@@ -235,178 +214,95 @@ def _solve_replacement(p31: Polygraph31, cell: ThreeCell, rho: int) -> Path2:
     return rep
 
 
-def _splice_rule(path: Path2, rho: int, rep: Path2) -> Path2:
-    """Replace every rho-step of ``path`` by the whiskered replacement."""
-    new_steps: list[Step2] = []
-    for s, w in zip(path.steps, path.words()):
-        if s.rule == rho:
-            body = rep if s.dir > 0 else inverse(rep)
-            consumed = len(body.source)
-            shifted = whisker(w[: s.pos], body, w[s.pos + consumed :])
-            new_steps.extend(shifted.steps)
-        else:
-            new_steps.append(s)
-    return Path2(path.pg, path.source, new_steps)
-
-
-def _subst_word(w: Word, x: int, omega: Word) -> Word:
-    out: list[int] = []
-    for g in w:
-        if g == x:
-            out.extend(omega)
-        else:
-            out.append(g)
-    return tuple(out)
-
-
-def _subst_gen_in_path(
-    path: Path2, new_pg: Polygraph2, x: int, omega: Word, dead: int
-) -> Path2:
-    """Rewrite a path under the substitution x := omega, dropping steps on
-    the collapsed rule (an identity after substitution)."""
-    new_steps: list[Step2] = []
-    for s, w_old in zip(path.steps, path.words()):
-        if s.rule != dead:
-            npos = 0
-            for g in w_old[: s.pos]:
-                npos += len(omega) if g == x else 1
-            new_steps.append(Step2(s.rule, s.dir, npos))
-    return Path2(new_pg, _subst_word(path.source, x, omega), new_steps)
-
-
 def homotopical_reduce(
     p31: Polygraph31, part: CollapsiblePart, *, validate: bool = True
 ) -> Polygraph31:
     """Coherently eliminate a collapsible part; presents the same monoid.
 
-    Redundant 3-cells vanish with their spheres; then collapsible 3-cells
-    are processed in decreasing order of their redundant rule, substituting
-    the solved replacement into every surviving boundary; then collapsible
-    rules are processed in decreasing order of their redundant generator.
-    An empty part is the identity.
+    One pass, lowest cells first.  A redundant generator's image is its
+    defining word with the lower images substituted, in increasing order
+    of the generator.  A redundant rule's image is its replacement, solved
+    from its collapsible 3-cell, with the lower images spliced in, in
+    increasing order of the rule; a surviving rule's image is its own step
+    and a collapsible rule's is empty.  Redundant 3-cells vanish with their
+    spheres, and each surviving boundary is rewritten once through the
+    images into the final polygraph, which replays it.  An empty part is
+    the identity.
     """
     if validate:
         bad = validate_collapsible(p31, part)
         if bad:
             raise NielsenError("; ".join(bad))
     base = p31.base
+    ow = part.order
+
+    defs: list[tuple[int, int, Word]] = []  # (rule, generator, defining word)
+    for tc in part.two_cells:
+        sides = _collapse_sides(base.rules[tc.rule])
+        if sides is None:
+            raise NielsenError(f"rule {base.rules[tc.rule].name!r} is not collapsible")
+        defs.append((tc.rule, *sides))
+    dead_gens = {x for _, x, _ in defs}
+    # generator -> its image, a word over the surviving generators
+    image: list[Optional[Word]] = [None] * base.n_generators
+    gen_names: list[str] = []
+    for g, name in enumerate(base.generators):
+        if g not in dead_gens:
+            image[g] = (len(gen_names),)
+            gen_names.append(name)
+    for _, x, word in sorted(defs, key=lambda d: ow.gen_rank.get(d[1], 0)):
+        if any(image[g] is None for g in word):
+            raise NielsenError(
+                f"generator {base.generators[x]!r} is defined through "
+                f"an eliminated generator not ranked below it"
+            )
+        image[x] = tuple(h for g in word for h in image[g])
+
+    def expand(w: Word) -> Word:
+        return tuple(h for g in w for h in image[g])
+
+    # rule -> its image, forward steps over the final rules at the offset
+    # of its expanded lhs
+    rule_image: dict[int, tuple[Step2, ...]] = {r: () for r, _, _ in defs}
+    redundant = {tc.redundant for tc in part.three_cells}
+    rules: list[Rule] = []
+    for i, r in enumerate(base.rules):
+        if i not in rule_image and i not in redundant:
+            rule_image[i] = (Step2(len(rules), 1, 0),)
+            rules.append(Rule(r.name, expand(r.lhs), expand(r.rhs)))
+    final = Polygraph2(gen_names, rules)
+
+    def rewrite(path: Path2) -> list[Step2]:
+        out: list[Step2] = []
+        for (r, d, pos), w in zip(path.steps, path.words()):
+            body = rule_image.get(r)
+            if body is None:
+                raise NielsenError(
+                    f"rule {base.rules[r].name!r} is needed before its "
+                    f"replacement is solved"
+                )
+            if d < 0:
+                body = [Step2(t.rule, -t.dir, t.pos) for t in reversed(body)]
+            shift = sum([len(image[g]) for g in w[:pos]])
+            out.extend(Step2(t.rule, t.dir, t.pos + shift) for t in body)
+        return out
+
+    by_rank = sorted(part.three_cells, key=lambda tc: ow.rule_rank.get(tc.redundant, 0))
+    for tc in by_rank:
+        rep = _solve_replacement(base, p31.cells[tc.cell], tc.redundant)
+        rule_image[tc.redundant] = tuple(rewrite(rep))
+
+    def move(path: Path2) -> Path2:
+        return Path2(final, expand(path.source), rewrite(path))
 
     dead_cells = {sc.redundant for sc in part.spheres}
     dead_cells |= {tc.cell for tc in part.three_cells}
-    work_pg = Polygraph2(list(base.generators), list(base.rules))
-
-    def rebind(path: Path2) -> Path2:
-        return Path2(work_pg, path.source, path.steps)
-
-    # boundaries of the surviving ("live") and collapsing 3-cells, keyed
-    # (kind, cell index)
-    bnd: dict[tuple[str, int], tuple[Path2, Path2]] = {
-        ("live", i): (rebind(c.src), rebind(c.tgt))
+    cells = [
+        ThreeCell(c.name, move(c.src), move(c.tgt))
         for i, c in enumerate(p31.cells)
         if i not in dead_cells
-    }
-    for tc in part.three_cells:
-        c = p31.cells[tc.cell]
-        bnd[("collapse", tc.cell)] = (rebind(c.src), rebind(c.tgt))
-
-    # boundaries referencing each rule, for cheap splicing
-    refs: dict[int, set[tuple[str, int]]] = {}
-
-    def index_refs(key, *paths: Path2) -> None:
-        for p in paths:
-            for s in p.steps:
-                refs.setdefault(s.rule, set()).add(key)
-
-    for key, (s, t) in bnd.items():
-        index_refs(key, s, t)
-
-    dead_rules: set[int] = set()
-    order3 = sorted(
-        part.three_cells,
-        key=lambda tc: part.order.rule_rank.get(tc.redundant, 0),
-        reverse=True,
-    )
-    for tc in order3:
-        s, t = bnd.pop(("collapse", tc.cell))
-        cell = ThreeCell(p31.cells[tc.cell].name, s, t)
-        rep = _solve_replacement(Polygraph31(work_pg, []), cell, tc.redundant)
-        for key in sorted(refs.get(tc.redundant, ()), key=str):
-            if key in bnd:
-                a, b = bnd[key]
-                a2 = _splice_rule(a, tc.redundant, rep)
-                b2 = _splice_rule(b, tc.redundant, rep)
-                bnd[key] = (a2, b2)
-                index_refs(key, a2, b2)
-        dead_rules.add(tc.redundant)
-
-    dead_gens: set[int] = set()
-    order2 = sorted(
-        part.two_cells,
-        key=lambda tc: part.order.gen_rank.get(
-            tc.redundant
-            if tc.redundant is not None
-            else _collapse_sides(work_pg.rules[tc.rule])[0],
-            0,
-        ),
-        reverse=True,
-    )
-    for tc in order2:
-        rule = work_pg.rules[tc.rule]
-        sides = _collapse_sides(rule)
-        if sides is None:
-            raise NielsenError(f"rule {rule.name!r} no longer collapsible")
-        x, omega = sides
-        new_rules = [
-            Rule(r.name, _subst_word(r.lhs, x, omega), _subst_word(r.rhs, x, omega))
-            if i not in dead_rules and i != tc.rule
-            else r
-            for i, r in enumerate(work_pg.rules)
-        ]
-        new_pg = Polygraph2(list(work_pg.generators), new_rules)
-        bnd = {
-            key: (
-                _subst_gen_in_path(a, new_pg, x, omega, tc.rule),
-                _subst_gen_in_path(b, new_pg, x, omega, tc.rule),
-            )
-            for key, (a, b) in bnd.items()
-        }
-        work_pg = new_pg
-        dead_rules.add(tc.rule)
-        dead_gens.add(x)
-
-    # compaction: drop dead generators and rules, remap indices
-    gen_map: dict[int, int] = {}
-    gen_names: list[str] = []
-    for g, name in enumerate(work_pg.generators):
-        if g not in dead_gens:
-            gen_map[g] = len(gen_names)
-            gen_names.append(name)
-    rule_map: dict[int, int] = {}
-    final_rules: list[Rule] = []
-    for i, r in enumerate(work_pg.rules):
-        if i in dead_rules:
-            continue
-        for g in r.lhs + r.rhs:
-            if g in dead_gens:
-                raise NielsenError(
-                    f"surviving rule {r.name!r} mentions an eliminated generator"
-                )
-        rule_map[i] = len(final_rules)
-        final_rules.append(
-            Rule(r.name, tuple(gen_map[g] for g in r.lhs), tuple(gen_map[g] for g in r.rhs))
-        )
-    final_pg = Polygraph2(gen_names, final_rules)
-
-    def remap(path: Path2) -> Path2:
-        src = tuple(gen_map[g] for g in path.source)
-        steps = tuple(Step2(rule_map[s.rule], s.dir, s.pos) for s in path.steps)
-        return Path2(final_pg, src, steps)
-
-    cells = [
-        ThreeCell(p31.cells[i].name, remap(a), remap(b))
-        for (_, i), (a, b) in sorted(bnd.items())
     ]
-    return Polygraph31(final_pg, cells)
+    return Polygraph31(final, cells)
 
 
 def nielsen_invert_rule(p31: Polygraph31, r: int) -> Polygraph31:

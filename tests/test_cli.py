@@ -79,11 +79,11 @@ class TestComplete:
             == 4
         )
 
-    def test_step_budget_env(self, tmp_path, b3_file, monkeypatch):
-        monkeypatch.setenv("POLYCOX_BUDGET_STEPS", "not-a-number")
-        assert main(["complete", str(b3_file), "--order", "deglex:t,s,a"]) == 2
-        monkeypatch.setenv("POLYCOX_BUDGET_STEPS", "1000000")
-        assert main(["complete", str(b3_file), "--order", "deglex:t,s,a"]) == 0
+    def test_step_budget_flag(self, b3_file, capsys):
+        argv = ["complete", str(b3_file), "--order", "deglex:t,s,a"]
+        assert main(argv + ["--budget-steps", "1000000"]) == 0
+        assert main(argv + ["--budget-steps", "1"]) == 4
+        assert "no normal form for saaa within 1 steps" in capsys.readouterr().err
 
 
 class TestReduce:
@@ -169,6 +169,25 @@ class TestReduce:
         part_file = tmp_path / "part.json"
         part_file.write_text(json.dumps(part))
         assert main(["reduce", str(completed), "--part", str(part_file)]) == 2
+
+    MALFORMED_PARTS = {
+        "array": [],
+        "number": 5,
+        "string": "x",
+        "null": None,
+        "order an array": {"order": []},
+        "unknown 3-cell": {"three_cells": [{"cell": "nope", "redundant": "alpha"}]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PARTS))
+    def test_malformed_part_exit_2(self, tmp_path, b3plus_completed, capsys, case):
+        p31, _ = b3plus_completed
+        completed = tmp_path / "completed.json"
+        completed.write_text(json.dumps(ser.polygraph31_to_dict(p31)))
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps(self.MALFORMED_PARTS[case]))
+        assert main(["reduce", str(completed), "--part", str(part_file)]) == 2
+        assert "parse error" in capsys.readouterr().err
 
 
 class TestBudgetFlags:
@@ -304,6 +323,15 @@ class TestMalformedInput:
             },
         ),
         "three_cells not a list": ("reduce", {"generators": ["a"], "rules": [], "three_cells": 5}),
+        "duplicate 3-cell id": (
+            "reduce",
+            {
+                "generators": ["a"],
+                "rules": [RULE],
+                "three_cells": [{"id": "c", "src": {"source": "aa", "steps": []},
+                                 "tgt": {"source": "aa", "steps": []}}] * 2,
+            },
+        ),
         "coxeter float entry": ("coxeter", {"generators": ["s", "t"], "m": [[1, 2.5], [2.5, 1]]}),
         "artin float entry": ("artin", {"generators": ["s", "t"], "m": [[1, 2.5], [2.5, 1]]}),
         "garside float entry": (

@@ -6,7 +6,10 @@ The pinned digests cover the completed and reduced Garside presentations
 of A2xA1 and A3 (rules, 3-cells, their boundaries and family tags, in
 output order), Artin's coherent presentation of every rank-3 type in
 conftest.py, and the Knuth-Bendix completion of the README's B3+ example
-and of the shortlex Coxeter monoid of D4, which adjoins 7 rules.  A change that is meant to alter these outputs updates the
+and of the shortlex Coxeter monoid of D4, which adjoins 7 rules.  The
+reduction digests pin ``homotopical_reduce`` along the Garside part of
+S(Gar_2(W)) and the Artin part of Gar_3(W) for the types the CLI digests
+leave out.  A change that is meant to alter these outputs updates the
 digests and says why.
 """
 
@@ -15,6 +18,7 @@ import json
 
 import pytest
 
+import polycox as px
 from polycox import serialize as ser
 from polycox.cli import main
 
@@ -94,3 +98,31 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert main(argv + ["--out", str(dest)]) == 0
     assert dest.read_bytes() == out
     assert hashlib.sha256(out).hexdigest() == GOLDEN[("garside", "A2xA1", "completed")]
+
+
+# SHA-256 of serialize.polygraph31_to_dict(homotopical_reduce(...)), dumped
+# by json.dumps, for the Garside part of S(Gar_2(W)) and the Artin part of
+# Gar_3(W); the Artin parts remove generators, so these cover expansion
+REDUCE_GOLDEN = {
+    ("garside", "A2"): "7ad3feaf386d292637fbe13d3588b2cfa28d8a66dfbf40d92dbf8f485f197b97",
+    ("garside", "B2"): "61b9b1010e95cc6000534bd5fd4fa4289b47044033f3f6d67223fd302dd6ec09",
+    ("garside", "I5"): "0baeef5d599f5cbda8c1ae28512fff2d7039aa230cd032d2f2242487f05f0bf0",
+    ("garside", "A1^3"): "3e71c94df764d0d7d73910240d7bc3d77e956eadae9660562d6c1eb63b77d9a2",
+    ("garside", "I5xA1"): "3df3682d321c3de613805b14b878eaceaf20bc078295aa6acf50a4736848c32f",
+    ("artin", "A1^3"): "d747d7ee91b12af1ba811b7dceda8ac54b86291e194f9e6b28b2e2664be20dca",
+    ("artin", "A2xA1"): "a4c8735f49b4882e4cfaa31dd5ce1703d0fbd7af331d080becce59578e12b7d6",
+    ("artin", "I5xA1"): "df1042eae4ca6062b6ae61c70bcd32b7bdf8cb55acc152247ed9061989ed25f4",
+    ("artin", "A3"): "97d859f04966faf7457a365fdf45a7a7ff2e92367812e77ea90be6806acd1ae4",
+}
+
+
+@pytest.mark.parametrize("part,name", sorted(REDUCE_GOLDEN), ids=str)
+def test_reduction_digest(groups, part, name):
+    if part == "garside":
+        gc = px.complete_garside(groups(name))
+        red = px.homotopical_reduce(gc.p31, px.garside_reduction_part(gc))
+    else:
+        g3 = px.garside_coherent(groups(name))
+        red = px.homotopical_reduce(g3.p31, px.artin_reduction_part(g3))
+    doc = json.dumps(ser.polygraph31_to_dict(red))
+    assert hashlib.sha256(doc.encode()).hexdigest() == REDUCE_GOLDEN[(part, name)]

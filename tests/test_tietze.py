@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import polycox as px
@@ -102,6 +104,23 @@ class TestHomotopicalReduce:
             img = classes_out[phi(w)]
             assert mapping.setdefault(cls, img) == img  # well-defined
         assert len(set(mapping)) == len(set(mapping.values()))  # injective
+
+    def test_ungrounded_part_raises(self, b3plus_completed):
+        # unvalidated, a part the one pass cannot ground is still refused
+        p31, _ = b3plus_completed
+        part = b3plus_part(p31)
+        alpha_collapses = dataclasses.replace(part, two_cells=(px.TwoCollapse(0),))
+        rule_rank = {**part.order.rule_rank, 2: 3, 3: 2}  # kb2 above kb3
+        swapped = dataclasses.replace(
+            part, order=dataclasses.replace(part.order, rule_rank=rule_rank)
+        )
+        for bad, message in (
+            (alpha_collapses, "rule 'alpha' is not collapsible"),
+            (swapped, "rule 'kb2' is needed before its replacement is solved"),
+        ):
+            assert px.validate_collapsible(p31, bad)
+            with pytest.raises(px.NielsenError, match=message):
+                px.homotopical_reduce(p31, bad, validate=False)
 
 
 class TestNielsenInvertRule:
@@ -267,3 +286,24 @@ class TestAdjoinDefinition:
         back = px.homotopical_reduce(bigger, part)
         assert back.base == p31.base
         assert [c.name for c in back.cells] == [c.name for c in p31.cells]
+
+    def nested(self, p31, y_rank):
+        # y := z.a with z := st, so y's defining word holds a redundant generator
+        with_z, z = px.adjoin_definition(p31, "z", (0, 1), "def_z")
+        with_y, y = px.adjoin_definition(with_z, "y", (3, 2), "def_y")
+        ranks = {0: 0, 1: 1, 2: 2, 3: 9, 4: y_rank}
+        return with_y, px.CollapsiblePart((y, z), (), (), px.OrderWitness(ranks, {}, {}))
+
+    def test_nested_round_trip(self, b3plus_completed):
+        p31, _ = b3plus_completed
+        back = px.homotopical_reduce(*self.nested(p31, 10))
+        assert back.base == p31.base
+        assert [c.name for c in back.cells] == [c.name for c in p31.cells]
+        assert back.cells == p31.cells
+
+    def test_nested_misordered_raises(self, b3plus_completed):
+        p31, _ = b3plus_completed
+        with_y, part = self.nested(p31, 8)
+        assert px.validate_collapsible(with_y, part) == ["order: generator 'y' not above 'z'"]
+        with pytest.raises(px.NielsenError, match="generator 'y' is defined through"):
+            px.homotopical_reduce(with_y, part, validate=False)
