@@ -16,8 +16,10 @@ by well-founded recursion on the rewritten word, threading the steps from
 the sphere's source.  Peiffer (disjoint) local branchings
 contribute no generating cell: their two completions are equal modulo
 the exchange relations.  Sphere validation builds each face once as a
-flat step tuple and compares consecutive faces through
-``_exchange_normal_form``; a malformed face is a violation, not an error.
+flat step tuple, with the cell's steps shifted by the left whisker
+rather than whiskered into a path, and compares consecutive faces
+through ``_exchange_normal_form``; a malformed face is a violation, not
+an error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from .errors import (
     PreconditionError,
     StepError,
 )
-from .paths import Path2, Step2, _exchange_normal_form, compose, normalize, whisker
+from .paths import (
+    Path2,
+    Step2,
+    _exchange_normal_form,
+    compose,
+    normalize,
+    shift_steps,
+    whisker,
+)
 from .words import (
     DEFAULT_BRANCHING_BUDGET,
     DEFAULT_RULE_BUDGET,
@@ -49,7 +59,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branching:
     """A pair of rewriting steps out of a common source word."""
 
@@ -58,13 +68,13 @@ class Branching:
     right: Step2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleBranching:
     source: Word
     steps: tuple[Step2, Step2, Step2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreeCell:
     """A generating 3-cell: a parallel pair of reduction paths."""
 
@@ -280,7 +290,7 @@ def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo=None, budget=None) -
 # 3-spheres and the generating triple confluences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereEntry:
     """One whiskered, signed 3-cell application inside a 3-path.
 
@@ -296,7 +306,7 @@ class SphereEntry:
     post: Path2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sphere3:
     """A parallel pair of 3-paths between the 2-cells source and target."""
 
@@ -307,11 +317,13 @@ class Sphere3:
 
     def check(self, p31: Polygraph31) -> list[str]:
         """Well-formedness violations; a malformed sphere is reported, never
-        raised.  Each entry's faces are step tuples, pre.steps +
-        whisker(left, side, right).steps + post.steps, built once.  Word
-        equality checks that ``pre``, replayed, runs from the source word to
-        the whiskered cell and ``post`` from there to the target word; along
-        each side, consecutive faces have equal exchange normal forms.
+        raised.  Each entry's faces are step tuples, pre.steps + the cell
+        side's steps shifted by len(left) + post.steps, built once; no
+        whiskered path is made.  Word equality checks that ``pre``, replayed,
+        runs from the source word to left + side source + right and ``post``
+        from left + side target + right to the target word; along each
+        side, consecutive faces have equal exchange normal forms.  A path
+        shared by several entries is replayed once.
         """
         nf = partial(_exchange_normal_form, p31.base.rule_lengths)
         top, bottom = self.source.source, _end(self.target)
@@ -324,16 +336,16 @@ class Sphere3:
             for k, e in enumerate(side):
                 c = p31.cells[e.cell]
                 a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
-                wa = whisker(e.left, a, e.right)
+                u, v = tuple(e.left), tuple(e.right)
                 ends = (e.pre.source, _end(e.pre), e.post.source, _end(e.post))
-                if ends != (top, wa.source, wa.target, bottom):
+                if ends != (top, u + a.source + v, u + a.target + v, bottom):
                     out.append(f"{label}[{k}]: pre or post does not meet the whiskered cell")
                     cur = None
                     continue
-                pre, post = e.pre.steps, e.post.steps
-                if cur is not None and nf(pre + wa.steps + post) != cur:
+                pre, post, shift = e.pre.steps, e.post.steps, len(u)
+                if cur is not None and nf(pre + shift_steps(a.steps, shift) + post) != cur:
                     out.append(f"{label}[{k}]: source mismatch")
-                cur = nf(pre + whisker(e.left, b, e.right).steps + post)
+                cur = nf(pre + shift_steps(b.steps, shift) + post)
             if cur is not None and cur != last:
                 out.append(f"{label}: does not end at the sphere target")
         return out

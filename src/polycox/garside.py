@@ -105,7 +105,7 @@ def garside_order(gp: GarsidePresentation) -> GarsideWreath:
     return GarsideWreath(tuple(gp.group.length[e] for e in gp.elt_of_gen))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyTag:
     """Which of the nine 3-cell families a completed cell belongs to."""
 
@@ -129,6 +129,26 @@ def _additive(g: CoxeterGroup, *elts: int) -> bool:
     for e in elts:
         total = g.mult(total, e)
     return g.length[total] == sum(g.length[e] for e in elts)
+
+
+def _step_makers(alpha: dict, beta: dict):
+    """The makers of alpha(u, v) and beta(u, v, w) steps at an offset; they
+    share one Step2 per (rule, offset) for as long as they live."""
+    shared: dict[tuple[int, int], Step2] = {}
+
+    def step(rule: int, pos: int) -> Step2:
+        s = shared.get((rule, pos))
+        if s is None:
+            s = shared[(rule, pos)] = Step2(rule, 1, pos)
+        return s
+
+    def a(u: int, v: int, pos: int) -> Step2:
+        return step(alpha[(u, v)], pos)
+
+    def b(u: int, v: int, w: int, pos: int) -> Step2:
+        return step(beta[(u, v, w)], pos)
+
+    return a, b
 
 
 def complete_garside(
@@ -194,12 +214,7 @@ def complete_garside(
 
     m = g.mult
     elt = gp.elt_of_gen
-
-    def a(u: int, v: int, pos: int) -> Step2:
-        return Step2(gp.alpha[(u, v)], 1, pos)
-
-    def b(u: int, v: int, w: int, pos: int) -> Step2:
-        return Step2(beta[(u, v, w)], 1, pos)
+    a, b = _step_makers(gp.alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
         """The family of a critical branching with the two reduction paths
@@ -278,6 +293,7 @@ def complete_garside(
     branchings = critical_branchings(pg, budget=branching_budget)
     tags: list[FamilyTag] = []
     cells: list[ThreeCell] = []
+    words: dict[Word, Word] = {}  # one source word per value
     for i, br in enumerate(branchings):
         try:
             found = family(br)
@@ -290,12 +306,13 @@ def complete_garside(
             )
         tag, left_steps, right_steps = found
         idx = ",".join(names[gen(e)] for e in tag.indices)
+        source = words.setdefault(br.source, br.source)
         tags.append(tag)
         cells.append(
             ThreeCell(
                 f"{tag.letter}({idx})#{i}",
-                Path2(pg, br.source, left_steps),
-                Path2(pg, br.source, right_steps),
+                Path2._make(pg, source, left_steps, None),
+                Path2._make(pg, source, right_steps, None),
             )
         )
     return GarsideCompletion(gp, Polygraph31(pg, cells), tags, beta, beta_of_rule)
@@ -315,7 +332,11 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
     cells are ordered I > H > ... > B > A by family.
 
     Every face is stored forward (direction +1) and found by the family
-    tag of its cell; a missing face raises CoherenceError.  The part is
+    tag of its cell; a missing face raises CoherenceError.  The part
+    shares one Step2 per (rule, offset), one word per element tuple and
+    one Path2 per (source, steps) across all its spheres; the tables live
+    only during the call.  The paths carry no target, so every distinct
+    path is replayed, once, when its sphere is checked.  The part is
     only built here, not checked: ``validate_collapsible``, which
     ``homotopical_reduce`` runs by default, checks every sphere.
     """
@@ -332,17 +353,22 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             raise CoherenceError(f"no {letter}-family 3-cell on elements {elts}")
         return idx
 
+    words: dict[tuple[int, ...], Word] = {}
+    paths: dict[tuple[Word, tuple[Step2, ...]], Path2] = {}
+    aS, bS = _step_makers(gp.alpha, gc.beta)
+
     def W(*elts: int) -> Word:
-        return tuple(gp.gen_of_elt[e] for e in elts)
-
-    def aS(a: int, b: int, pos: int) -> Step2:
-        return Step2(gp.alpha[(a, b)], 1, pos)
-
-    def bS(a: int, b: int, c: int, pos: int) -> Step2:
-        return Step2(gc.beta[(a, b, c)], 1, pos)
+        w = words.get(elts)
+        if w is None:
+            w = words[elts] = tuple([gp.gen_of_elt[e] for e in elts])
+        return w
 
     def P(word: Word, *steps: Step2) -> Path2:
-        return Path2(pg, word, steps)
+        key = (word, steps)
+        path = paths.get(key)
+        if path is None:
+            path = paths[key] = Path2._make(pg, word, steps, None)
+        return path
 
     three: list[ThreeCollapse] = []
     spheres: list[SphereCollapse] = []

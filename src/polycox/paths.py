@@ -147,19 +147,19 @@ def inverse(f: Path2) -> Path2:
     return Path2._make(f.pg, f.target, steps, f.source)
 
 
+def shift_steps(steps: tuple[Step2, ...], shift: int) -> tuple[Step2, ...]:
+    """``steps`` moved right by ``shift`` letters; ``steps`` itself for 0."""
+    if not shift:
+        return steps
+    return tuple([_new_tuple(Step2, (r, d, i + shift)) for r, d, i in steps])
+
+
 def whisker(u, f: Path2, v) -> Path2:
     """The 0-composite u.f.v: every step shifts right by len(u)."""
     u, v = tuple(u), tuple(v)
-    shift = len(u)
-    steps = (
-        tuple([_new_tuple(Step2, (r, d, i + shift)) for r, d, i in f.steps])
-        if shift
-        else f.steps
-    )
     t = f._target
-    return Path2._make(
-        f.pg, u + f.source + v, steps, None if t is None else u + t + v
-    )
+    steps = shift_steps(f.steps, len(u))
+    return Path2._make(f.pg, u + f.source + v, steps, None if t is None else u + t + v)
 
 
 def normalize_path(f: Path2) -> Path2:

@@ -33,13 +33,14 @@ def word_from_str(p: Polygraph2, s: str) -> Word:
         return ()
     if "." in s:
         names = s.split(".")
-    elif any(len(n) != 1 for n in p.generators):
+    elif p.separator:
         names = [s]  # dots separate letters, so a dotless word is one name
     else:
-        names = list(s)
+        names = s
+    ids = p.generator_ids
     try:
-        return tuple(p.generators.index(n) for n in names)
-    except ValueError as exc:
+        return tuple([ids[n] for n in names])
+    except KeyError as exc:
         raise InputError(f"unknown generator in word {s!r}") from exc
 
 

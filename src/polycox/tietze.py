@@ -28,7 +28,7 @@ from .paths import Path2, Step2, compose, inverse, normalize_path
 from .words import Polygraph2, Rule, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoCollapse:
     """A collapsible rule; its single-generator side is the redundant cell."""
 
@@ -36,7 +36,7 @@ class TwoCollapse:
     redundant: Optional[int] = None  # generator id; inferred when None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreeCollapse:
     """A collapsible 3-cell together with the rule it makes redundant."""
 
@@ -44,7 +44,7 @@ class ThreeCollapse:
     redundant: int  # rule index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereCollapse:
     """A 3-sphere together with the 3-cell it makes redundant."""
 
@@ -52,7 +52,7 @@ class SphereCollapse:
     redundant: int  # 3-cell index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderWitness:
     """Well-founded rankings; larger keys are greater cells."""
 
@@ -61,7 +61,7 @@ class OrderWitness:
     cell_rank: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollapsiblePart:
     two_cells: tuple[TwoCollapse, ...] = ()
     three_cells: tuple[ThreeCollapse, ...] = ()
@@ -91,7 +91,17 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     replay or do not meet its whiskered cell, is a violation too, through
     ``Sphere3.check``; nothing is raised for it.
     """
+    return _validate(p31, part)[0]
+
+
+def _validate(
+    p31: Polygraph31, part: CollapsiblePart
+) -> tuple[list[str], dict[ThreeCollapse, Path2]]:
+    """The violations of ``validate_collapsible`` with the replacements it
+    solved, by collapsible 3-cell, so a reduction need not solve them again.
+    """
     out: list[str] = []
+    solved: dict[ThreeCollapse, Path2] = {}
     pg = p31.base
     ow = part.order
 
@@ -148,7 +158,7 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     for tc in part.three_cells:
         cell = p31.cells[tc.cell]
         try:
-            _solve_replacement(pg, cell, tc.redundant)
+            solved[tc] = _solve_replacement(pg, cell, tc.redundant)
         except NielsenError as exc:
             out.append(str(exc))
         steps = normalize_path(cell.src).steps + normalize_path(cell.tgt).steps
@@ -167,7 +177,7 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
             )
         others = [e.cell for e in entries if e.cell != sc.redundant]
         rank_above(ow.cell_rank, "3-cell", cell_names, sc.redundant, others)
-    return out
+    return out, solved
 
 
 def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
@@ -223,14 +233,16 @@ def homotopical_reduce(
     defining word with the lower images substituted, in increasing order
     of the generator.  A redundant rule's image is its replacement, solved
     from its collapsible 3-cell, with the lower images spliced in, in
-    increasing order of the rule; a surviving rule's image is its own step
-    and a collapsible rule's is empty.  Redundant 3-cells vanish with their
-    spheres, and each surviving boundary is rewritten once through the
-    images into the final polygraph, which replays it.  An empty part is
-    the identity.
+    increasing order of the rule; validation hands over the replacements
+    it solved, so each is solved once.  A surviving rule's image is its
+    own step and a collapsible rule's is empty.  Redundant 3-cells vanish
+    with their spheres, and each surviving boundary is rewritten once
+    through the images into the final polygraph, which replays it.  An
+    empty part is the identity.
     """
+    solved: dict[ThreeCollapse, Path2] = {}
     if validate:
-        bad = validate_collapsible(p31, part)
+        bad, solved = _validate(p31, part)
         if bad:
             raise NielsenError("; ".join(bad))
     base = p31.base
@@ -289,7 +301,9 @@ def homotopical_reduce(
 
     by_rank = sorted(part.three_cells, key=lambda tc: ow.rule_rank.get(tc.redundant, 0))
     for tc in by_rank:
-        rep = _solve_replacement(base, p31.cells[tc.cell], tc.redundant)
+        rep = solved.get(tc)
+        if rep is None:
+            rep = _solve_replacement(base, p31.cells[tc.cell], tc.redundant)
         rule_image[tc.redundant] = tuple(rewrite(rep))
 
     def move(path: Path2) -> Path2:

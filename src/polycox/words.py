@@ -51,15 +51,19 @@ class Polygraph2:
     Mutable only through ``add_rule`` (completion appends rules); rule
     indices are stable, so paths built against an instance stay valid
     while it grows.  Treat instances as frozen once a construction has
-    returned them.  ``add_rule`` keeps the name -> index table,
-    ``rule_lengths``, the (len(lhs), len(rhs)) of each rule, and
-    ``rules_by_first``, the rule ids bucketed by the first letter of their
-    lhs in increasing order, in step with ``rules``; it also drops the
-    redex automaton, which ``automaton()`` rebuilds on first use.
+    returned them.  ``generator_ids`` maps each generator name to its id,
+    and ``separator`` joins the names in a word: "." when some name is
+    not one character long, else "".  ``add_rule`` keeps the name ->
+    index table, ``rule_lengths``, the (len(lhs), len(rhs)) of each rule,
+    and ``rules_by_first``, the rule ids bucketed by the first letter of
+    their lhs in increasing order, in step with ``rules``; it also drops
+    the redex automaton, which ``automaton()`` rebuilds on first use.
     """
 
     __slots__ = (
         "generators",
+        "generator_ids",
+        "separator",
         "rules",
         "rule_lengths",
         "rules_by_first",
@@ -69,8 +73,10 @@ class Polygraph2:
 
     def __init__(self, generators: Iterable[str], rules: Iterable[Rule] = ()):
         self.generators = list(generators)
-        if len(set(self.generators)) != len(self.generators):
+        self.generator_ids = {n: i for i, n in enumerate(self.generators)}
+        if len(self.generator_ids) != len(self.generators):
             raise InputError("generator names must be unique")
+        self.separator = "." if any(len(n) != 1 for n in self.generators) else ""
         self.rules: list[Rule] = []
         self.rule_lengths: list[tuple[int, int]] = []
         self.rules_by_first: dict[int, list[int]] = {}
@@ -116,10 +122,7 @@ class Polygraph2:
             raise InputError(f"no rule named {name!r}") from None
 
     def word_str(self, w: Word) -> str:
-        names = [self.generators[g] for g in w]
-        if any(len(n) != 1 for n in self.generators):
-            return ".".join(names)
-        return "".join(names)
+        return self.separator.join([self.generators[g] for g in w])
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -79,6 +79,12 @@ def groups():
 
 
 @pytest.fixture(scope="session")
+def a3_completion(groups):
+    """S(Gar_2(A3)), built once for the whole run; tests only read it."""
+    return px.complete_garside(groups("A3"))
+
+
+@pytest.fixture(scope="session")
 def b3plus():
     """The positive braid presentation (s,t,a; ta=>as, st=>a)."""
     p = px.Polygraph2(

@@ -215,8 +215,8 @@ class TestTripleSearch:
         assert len(triples) == count
         assert _digest([[t.source, t.steps] for t in triples]) == digest
 
-    def test_a3_count(self, groups):
-        base = px.complete_garside(groups("A3")).p31.base
+    def test_a3_count(self, a3_completion):
+        base = a3_completion.p31.base
         assert len(px.triple_critical_branchings(base)) == 246_301
 
 
@@ -347,6 +347,25 @@ class TestMalformedSpheres:
         assert bad.check(p31) != []
         sc = dataclasses.replace(part.spheres[0], sphere=bad)
         assert px.validate_collapsible(p31, dataclasses.replace(part, spheres=(sc,))) != []
+
+
+def test_value_types_are_slotted():
+    # the many small cells, spheres and parts carry no per-instance dict
+    for cls in (
+        px.Branching,
+        px.TripleBranching,
+        px.ThreeCell,
+        px.SphereEntry,
+        px.Sphere3,
+        px.TwoCollapse,
+        px.ThreeCollapse,
+        px.SphereCollapse,
+        px.OrderWitness,
+        px.CollapsiblePart,
+        px.FamilyTag,
+    ):
+        assert "__slots__" in vars(cls), cls
+        assert "__dict__" not in dir(cls), cls
 
 
 class TestConvergenceProperty:

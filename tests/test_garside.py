@@ -6,7 +6,7 @@ import json
 import pytest
 
 import polycox as px
-from polycox import serialize
+from polycox import serialize, tietze
 from polycox.garside import Classification, _additive
 from polycox.paths import Path2, Step2, paths_equal
 from conftest import MATRICES
@@ -66,8 +66,8 @@ class TestCompleteGarside:
         ]
         assert sorted(t.letter for t in gc.tags) == ["B", "B", "D", "D"]
 
-    def test_h_i_only_from_equal_sources(self, groups):
-        gc = px.complete_garside(groups("A3"))
+    def test_h_i_only_from_equal_sources(self, a3_completion):
+        gc = a3_completion
         branchings = px.critical_branchings(gc.p31.base)
         for tag, br in zip(gc.tags, branchings):
             if tag.letter in ("H", "I"):
@@ -173,6 +173,78 @@ class TestGarsideReduction:
         monkeypatch.setattr("polycox.garside.garside_reduction_part", flip_first_face)
         with pytest.raises(px.NielsenError, match="source mismatch"):
             px.garside_coherent(g)
+
+
+class TestGarsidePart:
+    # SHA-256 of json.dumps(serialize.part_to_dict(part, gc.p31)) for the
+    # Garside part of S(Gar_2(W)), spheres and order witness included
+    PART_DIGESTS = {
+        "A2": "6aeb8226317d4f96382fadaa15592fb5371bbf51bae4fa7334b1b2f4b0d422dc",
+        "B2": "1958254bb7876939cd49c3f720fe14f7249fce0f1635646543a0baf837767823",
+        "I5": "f52c29c267da2e41e7145924a4ba72ad4908d719e37abdd022edc342df41ae40",
+        "A1^3": "6f559100b7d496dbfd00f11bc720716eeae69ca1e4c935759ca6cd3de1576c0d",
+        "A2xA1": "6cefa75427ddaea44a458bd4920dfaaf0ce8b1364a442a35be6906a2aba7638b",
+        "I5xA1": "3e3f05a9538e999d56d3b1b34f88240b8c090be27e114c8495ed27be7941ac62",
+        "A3": "f0f13592e52d85cbf0c33c25901f2b219a6e9441dd2a1ce6d1e25cb6418ea28e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PART_DIGESTS))
+    def test_part_digest(self, groups, a3_completion, name):
+        gc = a3_completion if name == "A3" else px.complete_garside(groups(name))
+        part = px.garside_reduction_part(gc)
+        doc = json.dumps(serialize.part_to_dict(part, gc.p31))
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.PART_DIGESTS[name]
+
+    def test_one_object_per_value(self, groups):
+        # equal steps are one Step2, and equal part paths one Path2
+        gc = px.complete_garside(groups("A2xA1"))
+        part = px.garside_reduction_part(gc)
+
+        def shared(objs):
+            return len({id(o) for o in objs}) == len(set(objs))
+
+        cell_paths = [p for c in gc.p31.cells for p in (c.src, c.tgt)]
+        assert shared([s for p in cell_paths for s in p.steps])
+        part_paths = []
+        for sc in part.spheres:
+            sp = sc.sphere
+            part_paths += [sp.source, sp.target]
+            part_paths += [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+        assert shared([s for p in part_paths for s in p.steps])
+        assert len({id(p) for p in part_paths}) == len(
+            {(p.source, p.steps) for p in part_paths}
+        )
+        # A2xA1 repeats paths, so the check above is not vacuous
+        assert len({id(p) for p in part_paths}) < len(part_paths)
+
+    def test_sphere_check_builds_no_whiskered_path(self, groups, monkeypatch):
+        gc = px.complete_garside(groups("A2xA1"))
+        part = px.garside_reduction_part(gc)
+
+        def refuse(*args):
+            raise AssertionError("Sphere3.check whiskered a path")
+
+        monkeypatch.setattr("polycox.completion.whisker", refuse)
+        assert px.validate_collapsible(gc.p31, part) == []
+
+    def test_each_replacement_solved_once(self, groups, monkeypatch):
+        calls = []
+        real = tietze._solve_replacement
+
+        def counted(pg, cell, rho):
+            calls.append((cell.name, rho))
+            return real(pg, cell, rho)
+
+        monkeypatch.setattr(tietze, "_solve_replacement", counted)
+        g = groups("A2xA1")
+        gc = px.complete_garside(g)
+        n_b = sum(tag.letter == "B" for tag in gc.tags)
+        px.garside_coherent(g)
+        assert len(calls) == len(set(calls)) == n_b
+        calls.clear()
+        part = px.garside_reduction_part(gc)
+        px.homotopical_reduce(gc.p31, part, validate=False)
+        assert len(calls) == n_b
 
 
 class TestGar4Spheres:

@@ -33,8 +33,17 @@ class TestWordEncoding:
 
     def test_unknown_generator(self, b3plus):
         p, _ = b3plus
-        with pytest.raises(px.InputError):
+        with pytest.raises(px.InputError, match="unknown generator in word 'sxta'"):
             ser.word_from_str(p, "sxta")
+        with pytest.raises(px.InputError, match="unknown generator in word 's..t'"):
+            ser.word_from_str(p, "s..t")
+
+    def test_dotless_word_over_long_names_is_one_name(self, groups):
+        pg = px.garside_presentation(groups("A2")).pg
+        assert pg.separator == "."
+        assert ser.word_from_str(pg, "st") == (pg.generator_ids["st"],)
+        with pytest.raises(px.InputError, match="unknown generator in word 'sst'"):
+            ser.word_from_str(pg, "sst")
 
 
 class TestRoundTrips:
