@@ -91,7 +91,6 @@ from .words import (
     Word,
     apply_step,
     check_termination,
-    compare,
     deglex_from_names,
     find_redexes,
 )

@@ -230,8 +230,6 @@ class CoxeterGroup:
         "word",
         "left",
         "inv",
-        "_div",
-        "_parabolic",
     )
 
     def __init__(self, matrix: CoxeterMatrix, right: list[list[int]]):
@@ -254,8 +252,6 @@ class CoxeterGroup:
             raise PreconditionError("Cayley graph is not connected")
         self.left = [[self.mult_word(right[0][s], self.word[e]) for s in range(n)] for e in range(size)]
         self.inv = [self.mult_word(0, tuple(reversed(self.word[e]))) for e in range(size)]
-        self._div: Optional[list[int]] = None
-        self._parabolic: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -309,74 +305,46 @@ class CoxeterGroup:
                 return s
         raise PreconditionError("unreachable: non-identity with no descent")
 
-    def divisor_mask(self, v: int) -> int:
-        if self._div is None:
-            self._div = [0] * self.size
-            for w in range(self.size):
-                mask = 0
-                for u in range(self.size):
-                    if self.divides(u, w):
-                        mask |= 1 << u
-                self._div[w] = mask
-        return self._div[v]
-
     def gcd(self, a: int, b: int) -> int:
-        """Greatest common left divisor (the weak-order meet)."""
-        common = self.divisor_mask(a) & self.divisor_mask(b)
-        best, best_len = 0, 0
-        count_at_best = 1
-        u = 0
-        mask = common
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            if self.length[u] > best_len:
-                best, best_len, count_at_best = u, self.length[u], 1
-            elif self.length[u] == best_len and u != best:
-                count_at_best += 1
-            mask ^= low
-        if best_len and count_at_best != 1:
-            raise PreconditionError("gcd is not unique; weak order not a lattice?")
-        return best
+        """Greatest common left divisor (the weak-order meet).
+
+        The common left divisors of a and b form the interval [1, gcd], so
+        growing g from 1 by any generator s with gs still dividing both
+        stops exactly at the gcd; gs divides a iff s is a left descent of
+        the complement g^-1 a, which is kept alongside g.
+        """
+        g, ca, cb = self.identity, a, b
+        grown = True
+        while grown:
+            grown = False
+            for s in range(self.rank):
+                a2, b2 = self.left[ca][s], self.left[cb][s]
+                if self.length[a2] < self.length[ca] and self.length[b2] < self.length[cb]:
+                    g, ca, cb, grown = self.right[g][s], a2, b2, True
+        return g
 
     def lcm(self, a: int, b: int) -> int:
-        """Least common right multiple, when a common multiple exists."""
-        best = None
-        for w in range(self.size):
-            if self.divides(a, w) and self.divides(b, w):
-                if best is None or self.length[w] < self.length[best]:
-                    best = w
-        if best is None:
-            raise PreconditionError("no common multiple")
+        """Least common right multiple (the weak-order join): x -> w0 x
+        reverses the weak order, so the join is w0 gcd(w0 a, w0 b)."""
+        w0 = self.longest_element(range(self.rank))
+        best = self.mult(w0, self.gcd(self.mult(w0, a), self.mult(w0, b)))
         if not (self.divides(a, best) and self.divides(b, best)):
             raise PreconditionError("lcm failure")
         return best
 
-    # -- parabolic structure --------------------------------------------------
-
-    def parabolic(self, gens: Iterable[int]) -> tuple[int, ...]:
-        """Element ids of the standard parabolic subgroup W_I."""
-        key = tuple(sorted(set(gens)))
-        if key not in self._parabolic:
-            seen = {0}
-            queue = [0]
-            for e in queue:
-                for s in key:
-                    f = self.right[e][s]
-                    if f not in seen:
-                        seen.add(f)
-                        queue.append(f)
-            self._parabolic[key] = tuple(sorted(seen))
-        return self._parabolic[key]
-
     def longest_element(self, gens: Iterable[int]) -> int:
-        """The longest element of the parabolic W_I (its lcm)."""
-        members = self.parabolic(gens)
-        best = max(members, key=lambda e: self.length[e])
-        ties = [e for e in members if self.length[e] == self.length[best]]
-        if len(ties) != 1:
-            raise PreconditionError("longest element is not unique")
-        return best
+        """The longest element of the parabolic W_I, reached by walking up
+        along ascents in I until none is left."""
+        gens = tuple(gens)
+        e = self.identity
+        climbed = True
+        while climbed:
+            climbed = False
+            for s in gens:
+                f = self.right[e][s]
+                if self.length[f] > self.length[e]:
+                    e, climbed = f, True
+        return e
 
     # -- Garside normal form ---------------------------------------------------
 

@@ -124,13 +124,6 @@ class GarsideCompletion:
     beta_of_rule: dict[int, tuple[int, int, int]]
 
 
-def _additive(g: CoxeterGroup, *elts: int) -> bool:
-    total = g.identity
-    for e in elts:
-        total = g.mult(total, e)
-    return g.length[total] == sum(g.length[e] for e in elts)
-
-
 def _step_makers(alpha: dict, beta: dict):
     """The makers of alpha(u, v) and beta(u, v, w) steps at an offset; they
     share one Step2 per (rule, offset) for as long as they live."""
@@ -181,31 +174,29 @@ def complete_garside(
     def gen(e: int) -> int:
         return gp.gen_of_elt[e]
 
+    alpha = gp.alpha
     beta: dict[tuple[int, int, int], int] = {}
     beta_of_rule: dict[int, tuple[int, int, int]] = {}
-    for u in gp.elt_of_gen:
-        for v in gp.elt_of_gen:
-            if not g.is_reduced_product(u, v):
+    for u, v in alpha:
+        uv = g.mult(u, v)
+        for w in gp.elt_of_gen:
+            if (v, w) not in alpha or (uv, w) in alpha:
                 continue
-            uv = g.mult(u, v)
-            for w in gp.elt_of_gen:
-                if not g.is_reduced_product(v, w) or _additive(g, u, v, w):
-                    continue
-                if rule_budget is not None and len(beta) >= rule_budget:
-                    raise DivergenceError(
-                        f"rule budget {rule_budget} exceeded: reached "
-                        f"{len(beta) + 1} adjoined rules"
-                    )
-                vw = g.mult(v, w)
-                idx = pg.add_rule(
-                    Rule(
-                        f"b({names[gen(u)]}|{names[gen(v)]}|{names[gen(w)]})",
-                        (gen(u), gen(vw)),
-                        (gen(uv), gen(w)),
-                    )
+            if rule_budget is not None and len(beta) >= rule_budget:
+                raise DivergenceError(
+                    f"rule budget {rule_budget} exceeded: reached "
+                    f"{len(beta) + 1} adjoined rules"
                 )
-                beta[(u, v, w)] = idx
-                beta_of_rule[idx] = (u, v, w)
+            vw = g.mult(v, w)
+            idx = pg.add_rule(
+                Rule(
+                    f"b({names[gen(u)]}|{names[gen(v)]}|{names[gen(w)]})",
+                    (gen(u), gen(vw)),
+                    (gen(uv), gen(w)),
+                )
+            )
+            beta[(u, v, w)] = idx
+            beta_of_rule[idx] = (u, v, w)
     bad = check_termination(pg, garside_order(gp))
     if bad:
         raise ClassificationError(
@@ -214,7 +205,7 @@ def complete_garside(
 
     m = g.mult
     elt = gp.elt_of_gen
-    a, b = _step_makers(gp.alpha, beta)
+    a, b = _step_makers(alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
         """The family of a critical branching with the two reduction paths
@@ -246,7 +237,7 @@ def complete_garside(
             u, v = (elt[x] for x in pg.rules[left].lhs)
             if right < n_alpha:  # alpha/alpha on u|v|w
                 w = elt[pg.rules[right].lhs[1]]
-                if _additive(g, u, v, w):
+                if (m(u, v), w) in alpha:
                     return (
                         FamilyTag("A", (u, v, w)),
                         (a(u, v, 0), a(m(u, v), w, 0)),
@@ -258,7 +249,7 @@ def complete_garside(
                     (a(v, w, 1), b(u, v, w, 0)),
                 )
             _, x, y = beta_of_rule[right]  # alpha/beta on u|v|xy
-            if _additive(g, u, v, x):
+            if (m(u, v), x) in alpha:
                 return (
                     FamilyTag("C", (u, v, x, y)),
                     (a(u, v, 0), b(m(u, v), x, y, 0)),
@@ -278,7 +269,7 @@ def complete_garside(
                 (a(m(v, w), x, 1), b(u, v, m(w, x), 0)),
             )
         _, x, y = beta_of_rule[right]  # beta/beta on u|vw|xy
-        if _additive(g, w, x, y):
+        if (m(w, x), y) in alpha:
             return (
                 FamilyTag("F", (u, v, w, x, y)),
                 (b(u, v, w, 0), a(w, m(x, y), 1)),
@@ -548,18 +539,21 @@ def garside_coherent(
 def _additive_quadruples(g3: Gar3):
     """Each fully length-additive quadruple (u, v, w, x) of Gar_3(W),
     with the all-alpha triple branching on u|v|w|x."""
-    for (u, v), r_uv in sorted(g3.alpha.items()):
+    m, alpha = g3.group.mult, g3.alpha
+    for (u, v), r_uv in sorted(alpha.items()):
+        uv = m(u, v)
         for w in g3.elt_of_gen:
-            if (v, w) not in g3.alpha:
+            if (uv, w) not in alpha:
                 continue
+            uvw = m(uv, w)
             for x in g3.elt_of_gen:
-                if (w, x) not in g3.alpha or not _additive(g3.group, u, v, w, x):
+                if (uvw, x) not in alpha:
                     continue
                 source = tuple(g3.gen_of_elt[e] for e in (u, v, w, x))
                 steps = (
                     Step2(r_uv, 1, 0),
-                    Step2(g3.alpha[(v, w)], 1, 1),
-                    Step2(g3.alpha[(w, x)], 1, 2),
+                    Step2(alpha[(v, w)], 1, 1),
+                    Step2(alpha[(w, x)], 1, 2),
                 )
                 yield (u, v, w, x), TripleBranching(source, steps)
 
@@ -647,63 +641,79 @@ class ArtinProjection:
         self.letters = letters
         self.gamma = gamma
         self._alpha_memo: dict[tuple[int, int], Path2] = {}
-        self._depth = 0
 
     def word(self, u: int) -> Word:
-        return tuple(self.letters[s] for s in self.group.word[u])
+        return tuple([self.letters[s] for s in self.group.word[u]])
 
     def alpha_path(self, u: int, v: int) -> Path2:
-        """pi of the Garside rule u|v => uv, as a path over Art_2(W)."""
-        key = (u, v)
-        hit = self._alpha_memo.get(key)
-        if hit is not None:
-            return hit
+        """pi of the Garside rule u|v => uv, as a path over Art_2(W).
+
+        The pairs it is built from are built first, from an explicit work
+        stack into the same memo, so a long dihedral chain needs no deep
+        recursion; a pair needed while it is still being built raises
+        CycleError.
+        """
+        memo = self._alpha_memo
+        building: dict[tuple[int, int], tuple] = {}  # expanded, not yet built
+        stack = [(u, v)]
+        while stack:
+            key = stack[-1]
+            plan = building.get(key)
+            if plan is None:
+                if key in memo:
+                    stack.pop()
+                    continue
+                plan = building[key] = self._expansion(*key)
+                missing = [k for k in plan[0] if k not in memo]
+                if missing:
+                    if any(k in building for k in missing):
+                        raise CycleError("projection recursion failed to ground")
+                    stack += reversed(missing)
+                    continue
+            stack.pop()
+            del building[key]
+            needs, build = plan
+            path = build(*[memo[k] for k in needs])
+            a, b = key
+            if path.source != self.word(a) + self.word(b) or path.target != self.word(
+                self.group.mult(a, b)
+            ):
+                raise CoherenceError("projection produced a misbounded path")
+            memo[key] = path
+        return memo[(u, v)]
+
+    def _expansion(self, u: int, v: int):
+        """The pairs pi(u|v) is built from, in order, and the function that
+        builds it from their paths."""
         g = self.group
         if not g.is_reduced_product(u, v):
             raise PreconditionError("pair is not length-additive")
-        self._depth += 1
-        if self._depth > g.size * g.size:
-            raise CycleError("projection recursion failed to ground")
-        try:
-            if g.length[u] > 1:
-                # u = s u' with s the smallest divisor: case (a)
-                s = g.smallest_divisor(u)
-                s_elt = g.generator(s)
-                u2 = g.left[u][s]
-                p1 = whisker((self.letters[s],), self.alpha_path(u2, v), ())
-                p2 = self.alpha_path(s_elt, g.mult(u2, v))
-                path = compose(p1, p2)
-            else:
-                s = g.word[u][0]
-                uv = g.mult(u, v)
-                r = g.smallest_divisor(uv)
-                if r == s:
-                    # collapsible: identity on the target word
-                    path = identity_path(self.art, self.word(u) + self.word(v))
-                elif uv == g.longest_element((r, s)):
-                    rule = self.gamma[(self.letters[r], self.letters[s])]
-                    path = Path2(
-                        self.art, self.word(u) + self.word(v), ((rule, 1, 0),)
-                    )
-                else:
-                    # case (b): split v across the braid relation on (r, s)
-                    w0 = g.longest_element((r, s))
-                    u2 = g.complement(u, w0)
-                    v2 = g.complement(u2, v)
-                    down = inverse(
-                        whisker((self.letters[s],), self.alpha_path(u2, v2), ())
-                    )
-                    across = whisker((), self.alpha_path(u, u2), self.word(v2))
-                    up = self.alpha_path(w0, v2)
-                    path = compose(compose(down, across), up)
-        finally:
-            self._depth -= 1
-        if path.source != self.word(u) + self.word(v) or path.target != self.word(
-            g.mult(u, v)
-        ):
-            raise CoherenceError("projection produced a misbounded path")
-        self._alpha_memo[key] = path
-        return path
+        if g.length[u] > 1:
+            # u = s u' with s the smallest divisor: case (a)
+            s = g.smallest_divisor(u)
+            u2 = g.left[u][s]
+            return ((u2, v), (g.generator(s), g.mult(u2, v))), lambda p1, p2: compose(
+                whisker((self.letters[s],), p1, ()), p2
+            )
+        s = g.word[u][0]
+        uv = g.mult(u, v)
+        r = g.smallest_divisor(uv)
+        if r == s:
+            # collapsible: identity on the target word
+            return (), lambda: identity_path(self.art, self.word(u) + self.word(v))
+        w0 = g.longest_element((r, s))
+        if uv == w0:
+            rule = self.gamma[(self.letters[r], self.letters[s])]
+            return (), lambda: Path2(self.art, self.word(u) + self.word(v), ((rule, 1, 0),))
+        # case (b): split v across the braid relation on (r, s)
+        u2 = g.complement(u, w0)
+        v2 = g.complement(u2, v)
+
+        def build(down: Path2, across: Path2, up: Path2) -> Path2:
+            down = inverse(whisker((self.letters[s],), down, ()))
+            return compose(compose(down, whisker((), across, self.word(v2))), up)
+
+        return ((u2, v2), (u, u2), (w0, v2)), build
 
     def acell(self, t: int, u: int, v: int) -> tuple[Path2, Path2]:
         """pi of the 3-cell A_{t,u,v}: the parallel pair of projected sides,

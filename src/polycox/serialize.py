@@ -148,20 +148,20 @@ def matrix_from_dict(d: dict) -> CoxeterMatrix:
         raise InputError(f"bad Coxeter matrix document: {exc}") from exc
 
 
-def sphere_to_dict(sp: Sphere3, p31: Polygraph31) -> dict:
+def sphere_to_dict(sp: Sphere3, p31: Polygraph31, path_dict=path_to_dict) -> dict:
     def entry(e: SphereEntry) -> dict:
         return {
             "cell": p31.cells[e.cell].name,
             "dir": e.dir,
             "left": word_to_str(p31.base, e.left),
             "right": word_to_str(p31.base, e.right),
-            "pre": path_to_dict(e.pre),
-            "post": path_to_dict(e.post),
+            "pre": path_dict(e.pre),
+            "post": path_dict(e.post),
         }
 
     return {
-        "source": path_to_dict(sp.source),
-        "target": path_to_dict(sp.target),
+        "source": path_dict(sp.source),
+        "target": path_dict(sp.target),
         "lhs": [entry(e) for e in sp.lhs],
         "rhs": [entry(e) for e in sp.rhs],
     }
@@ -196,7 +196,17 @@ def _ranked_names(rank: dict, names: list[str]) -> list[str]:
 
 
 def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
+    """The part as JSON; each distinct path is rendered once, and its dict
+    shared by every use."""
     base = p31.base
+    rendered: dict[Path2, dict] = {}
+
+    def path_dict(path: Path2) -> dict:
+        d = rendered.get(path)
+        if d is None:
+            d = rendered[path] = path_to_dict(path)
+        return d
+
     return {
         "two_cells": [
             {
@@ -218,7 +228,7 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
         ],
         "spheres": [
             {
-                **sphere_to_dict(sc.sphere, p31),
+                **sphere_to_dict(sc.sphere, p31, path_dict),
                 "redundant": p31.cells[sc.redundant].name,
             }
             for sc in part.spheres

@@ -305,10 +305,6 @@ def deglex_from_names(p: Polygraph2, names_desc: list[str]) -> Deglex:
     return Deglex(tuple(rank))
 
 
-def compare(order: TerminationOrder, a: Word, b: Word) -> Ordering:
-    return order.compare(tuple(a), tuple(b))
-
-
 def check_termination(p: Polygraph2, order: TerminationOrder) -> list[Rule]:
     """Rules whose lhs is not strictly greater than their rhs (empty = ok)."""
     return [r for r in p.rules if order.compare(r.lhs, r.rhs) is not Ordering.GREATER]

@@ -264,3 +264,56 @@ def direct_product_a1n(n):
     elements = list(itertools.product((0, 1), repeat=n))
     length = {e: sum(e) for e in elements}
     return elements, length
+
+
+def left_divisor_sets(g):
+    """For each element w of the finite Coxeter group ``g``, the set of its
+    left divisors, found by testing every element of W."""
+    return [
+        frozenset(u for u in range(g.size) if g.divides(u, w)) for w in range(g.size)
+    ]
+
+
+def _unique_extreme(g, elements, pick):
+    best = pick(elements, key=lambda e: g.length[e])
+    ties = [e for e in elements if g.length[e] == g.length[best]]
+    if len(ties) != 1:
+        raise AssertionError(f"no unique extreme among {len(ties)} ties")
+    return best
+
+
+def divisor_gcd(g, divisors, a, b):
+    """The greatest common left divisor: the unique longest element of the
+    intersection of the two divisor sets."""
+    return _unique_extreme(g, divisors[a] & divisors[b], max)
+
+
+def scan_lcm(g, divisors, a, b):
+    """The least common right multiple: the unique shortest element of W
+    that both divide."""
+    common = [w for w in range(g.size) if a in divisors[w] and b in divisors[w]]
+    return _unique_extreme(g, common, min)
+
+
+def parabolic_longest(g, gens):
+    """The longest element of W_I: the unique longest member of the
+    parabolic subgroup, enumerated breadth-first over the generators."""
+    gens = tuple(gens)
+    seen = {0}
+    queue = [0]
+    for e in queue:
+        for s in gens:
+            f = g.right[e][s]
+            if f not in seen:
+                seen.add(f)
+                queue.append(f)
+    return _unique_extreme(g, seen, max)
+
+
+def additive(g, *elts):
+    """Whether the product of ``elts`` has the sum of their lengths,
+    multiplying the whole chain out."""
+    total = 0
+    for e in elts:
+        total = g.mult(total, e)
+    return g.length[total] == sum(g.length[e] for e in elts)

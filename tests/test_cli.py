@@ -300,6 +300,14 @@ class TestArtinCmd:
         assert "order 2002" in capsys.readouterr().err
         assert main(["artin", str(f), "--budget-cosets", "2002"]) == 0
 
+    def test_long_dihedral_chain_needs_no_deep_recursion(self, tmp_path, capsys):
+        # the projection of I2(500) x A1 walks chains of about 500 pairs
+        f = tmp_path / "i2_500_a1.json"
+        m = [[1, 500, 2], [500, 1, 2], [2, 2, 1]]
+        f.write_text(json.dumps({"generators": ["s", "t", "u"], "m": m}))
+        assert main(["artin", str(f)]) == 0
+        assert "census: 1,3,3,1" in capsys.readouterr().err
+
 
 class TestMalformedInput:
     """Malformed documents exit 2 through the loaders, never a traceback."""

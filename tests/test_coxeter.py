@@ -135,6 +135,26 @@ class TestArithmetic:
                             assert g.divides(w0, w)
 
 
+class TestWeakOrderWalks:
+    """gcd, lcm and longest_element walk the Cayley graph; the oracles scan
+    divisor sets, all of W and the parabolic's members instead."""
+
+    @pytest.mark.parametrize("name", ["A2xA1", "A3", "B3", "I5xA1"])
+    def test_gcd_and_lcm_match_scans_on_every_pair(self, groups, name):
+        g = groups(name)
+        divisors = oracles.left_divisor_sets(g)
+        for a, b in itertools.product(range(g.size), repeat=2):
+            assert g.gcd(a, b) == oracles.divisor_gcd(g, divisors, a, b)
+            assert g.lcm(a, b) == oracles.scan_lcm(g, divisors, a, b)
+
+    @pytest.mark.parametrize("name", ["A2xA1", "A3", "B3", "I5xA1"])
+    def test_longest_element_matches_member_scan(self, groups, name):
+        g = groups(name)
+        for k in range(g.rank + 1):
+            for gens in itertools.permutations(range(g.rank), k):
+                assert g.longest_element(gens) == oracles.parabolic_longest(g, gens)
+
+
 class TestRank3Finite:
     FIVE_TYPES = [
         (3, 2, 3),  # A3

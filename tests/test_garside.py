@@ -7,9 +7,11 @@ import pytest
 
 import polycox as px
 from polycox import serialize, tietze
-from polycox.garside import Classification, _additive
+from polycox.garside import Classification
 from polycox.paths import Path2, Step2, paths_equal
 from conftest import MATRICES
+
+import oracles
 
 
 def additive_triples(g, elements):
@@ -50,6 +52,20 @@ class TestGarsidePresentation:
 
 
 class TestCompleteGarside:
+    def test_a3_betas_are_the_non_additive_triples(self, a3_completion):
+        # read off alpha, in the order of the brute-force scan over W^3
+        gc = a3_completion
+        g = gc.gp.group
+        expected = [
+            (u, v, w)
+            for u, v, w in itertools.product(gc.gp.elt_of_gen, repeat=3)
+            if g.is_reduced_product(u, v)
+            and g.is_reduced_product(v, w)
+            and not oracles.additive(g, u, v, w)
+        ]
+        assert list(gc.beta) == expected
+        assert len(expected) == len(gc.p31.base.rules) - len(gc.gp.alpha)
+
     def test_a2_a_cells_are_additive_triples(self, groups):
         g = groups("A2")
         gc = px.complete_garside(g)
@@ -114,8 +130,6 @@ class TestCompleteGarside:
             px.complete_garside(g)
 
     def test_convergent_on_short_words(self, groups):
-        import oracles
-
         gc = px.complete_garside(groups("A1xA1"))
         rules = [(r.lhs, r.rhs) for r in gc.p31.base.rules]
         for n in range(7):
@@ -217,6 +231,32 @@ class TestGarsidePart:
         # A2xA1 repeats paths, so the check above is not vacuous
         assert len({id(p) for p in part_paths}) < len(part_paths)
 
+    def test_each_part_path_rendered_once(self, groups, monkeypatch):
+        gc = px.complete_garside(groups("A2xA1"))
+        part = px.garside_reduction_part(gc)
+        uses = []
+        for sc in part.spheres:
+            sp = sc.sphere
+            uses += [sp.source, sp.target]
+            uses += [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+        # rendering every use on its own gives the same document
+        per_use = dict(serialize.part_to_dict(part, gc.p31))
+        per_use["spheres"] = [
+            {**serialize.sphere_to_dict(sc.sphere, gc.p31), "redundant": d["redundant"]}
+            for sc, d in zip(part.spheres, per_use["spheres"])
+        ]
+        rendered = []
+        real = serialize.path_to_dict
+
+        def counted(path):
+            rendered.append(path)
+            return real(path)
+
+        monkeypatch.setattr(serialize, "path_to_dict", counted)
+        doc = serialize.part_to_dict(part, gc.p31)
+        assert json.dumps(doc) == json.dumps(per_use)
+        assert len(rendered) == len(set(uses)) < len(uses)
+
     def test_sphere_check_builds_no_whiskered_path(self, groups, monkeypatch):
         gc = px.complete_garside(groups("A2xA1"))
         part = px.garside_reduction_part(gc)
@@ -264,7 +304,7 @@ class TestGar4Spheres:
                 if all(
                     g.is_reduced_product(q[i], q[i + 1]) for i in range(3)
                 )
-                and _additive(g, *q)
+                and oracles.additive(g, *q)
             ]
             spheres = px.gar4_spheres(g3)
             assert len(spheres) == len(quads)
@@ -354,6 +394,23 @@ class TestProjection:
         path = proj.alpha_path(st, r)
         names = [proj.art.rules[s.rule].name for s in path.steps]
         assert names == ["g(r,t)", "g(r,s)"]  # s.g(r,t) then g(r,s).t
+
+    def test_pair_needed_while_being_built_raises(self, groups):
+        g, proj = self._projection(groups, "A2")
+        s, t = g.generator(0), g.generator(1)
+        real = proj._expansion
+
+        def looping(u, v):
+            # (s, t) needs (t, s), which needs (s, t) again
+            if (u, v) == (t, s):
+                return ((s, t),), lambda p: p
+            if (u, v) == (s, t):
+                return ((t, s),), lambda p: p
+            return real(u, v)
+
+        proj._expansion = looping
+        with pytest.raises(px.CycleError):
+            proj.alpha_path(s, t)
 
     def test_words_are_reduced_expressions(self, groups):
         for name in ("A3", "B3", "H3"):

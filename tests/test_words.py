@@ -117,12 +117,12 @@ class TestApplyStep:
 class TestOrders:
     def test_deglex_orientation(self, b3plus):
         p, order = b3plus
-        assert px.compare(order, word_of(p, "ta"), word_of(p, "as")) is Ordering.GREATER
+        assert order.compare(word_of(p, "ta"), word_of(p, "as")) is Ordering.GREATER
 
     def test_equal(self, b3plus):
         p, order = b3plus
         w = word_of(p, "sta")
-        assert px.compare(order, w, w) is Ordering.EQUAL
+        assert order.compare(w, w) is Ordering.EQUAL
 
     def test_garside_wreath_rule_orientation(self, groups):
         g = groups("A2")
