@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InfiniteOrUnknown, InputError, PreconditionError
+from .errors import CoherenceError, InfiniteOrUnknown, InputError, PreconditionError
 from .words import DEFAULT_COSET_CAP
 
 
@@ -91,9 +91,12 @@ def check_dihedral_cap(mat: CoxeterMatrix, cap: int) -> None:
 def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
     """Coset table of the trivial subgroup; generators are involutions.
 
-    HLT-style scanning with immediate coincidence handling; raises
-    InfiniteOrUnknown if more than ``cap`` cosets get defined, or before
-    any relator is built if a dihedral subgroup alone exceeds ``cap``.
+    One HLT pass: each live coset in turn scans every relator, defining
+    cosets to fill the gaps and handling coincidences at once.  The pass
+    closes every relator at every live coset, which is checked rather than
+    rescanned (CoherenceError otherwise).  Raises InfiniteOrUnknown if more
+    than ``cap`` cosets get defined, or before any relator is built if a
+    dihedral subgroup alone exceeds ``cap``.
     """
     check_dihedral_cap(mat, cap)
     n = mat.rank
@@ -182,40 +185,24 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
                 return
             define(f, rel[i])
 
-    changed = True
-    while changed:
-        changed = False
-        snapshot = len(table)
-        a = 0
-        while a < len(table):
-            if find(a) == a:
-                for rel in relators:
-                    scan(a, rel)
-                    if find(a) != a:
-                        break
-            a += 1
-        live = [c for c in range(len(table)) if find(c) == c]
-        complete = all(table[c][g] is not None for c in live for g in range(n))
-        if len(table) != snapshot or not complete:
-            changed = True
-        if complete:
-            # verify every relator closes everywhere; rescan otherwise
-            ok = True
-            for c in live:
-                for rel in relators:
-                    f = c
-                    for g in rel:
-                        f = find(table[f][g])
-                    if f != c:
-                        ok = False
-                        break
-                if not ok:
+    a = 0
+    while a < len(table):
+        if find(a) == a:
+            for rel in relators:
+                scan(a, rel)
+                if find(a) != a:
                     break
-            if ok:
-                break
-            changed = True
-
+        a += 1
     live = [c for c in range(len(table)) if find(c) == c]
+    for c in live:  # the pass has closed every relator at every live coset
+        for rel in relators:
+            f = c
+            for g in rel:
+                if table[f][g] is None:
+                    raise CoherenceError("coset table incomplete after the HLT pass")
+                f = find(table[f][g])
+            if f != c:
+                raise CoherenceError("a relator does not close after the HLT pass")
     renum = {c: i for i, c in enumerate(live)}
     return [[renum[find(table[c][g])] for g in range(n)] for c in live]
 

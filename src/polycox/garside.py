@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .completion import (
     Branching,
@@ -536,87 +536,104 @@ def garside_coherent(
     return Gar3(g, reduced, gp.elt_of_gen, gp.gen_of_elt, gp.alpha)
 
 
-def _additive_quadruples(g3: Gar3):
-    """Each fully length-additive quadruple (u, v, w, x) of Gar_3(W),
-    with the all-alpha triple branching on u|v|w|x."""
-    m, alpha = g3.group.mult, g3.alpha
-    for (u, v), r_uv in sorted(alpha.items()):
-        uv = m(u, v)
-        for w in g3.elt_of_gen:
-            if (uv, w) not in alpha:
-                continue
-            uvw = m(uv, w)
-            for x in g3.elt_of_gen:
-                if (uvw, x) not in alpha:
-                    continue
-                source = tuple(g3.gen_of_elt[e] for e in (u, v, w, x))
-                steps = (
-                    Step2(r_uv, 1, 0),
-                    Step2(alpha[(v, w)], 1, 1),
-                    Step2(alpha[(w, x)], 1, 2),
-                )
-                yield (u, v, w, x), TripleBranching(source, steps)
-
-
-def gar4_spheres(g3: Gar3) -> list[Sphere3]:
-    """The spheres of Gar_4(W): one per fully length-additive quadruple,
-    assembled from the all-alpha triple branchings of Gar_3(W)."""
-    lookup = cells_by_branching(g3.p31)
-    memo: dict = {}
-    return [
-        generating_triple_confluence(g3.p31, triple, lookup=lookup, memo=memo)
-        for _, triple in _additive_quadruples(g3)
-    ]
-
-
 class Classification(Enum):
     ESSENTIAL = "essential"
     COLLAPSIBLE = "collapsible"
     REDUNDANT = "redundant"
 
 
-def _prefix_products(g: CoxeterGroup, tup: tuple[int, ...]) -> list[int]:
-    """u1, u1u2, ..., u1..un."""
-    prods = []
-    acc = g.identity
-    for u in tup:
-        acc = g.mult(acc, u)
-        prods.append(acc)
-    return prods
+class _Chain(NamedTuple):
+    """A length-additive chain u1|...|un with its prefix products, their
+    smallest divisors, and its class with the least k (1-based) such that
+    u1..uk != w0(s1,..,sk); k is None while the chain is essential."""
+
+    elts: tuple[int, ...]
+    prods: tuple[int, ...]
+    smalls: tuple[int, ...]
+    kind: Classification
+    k: Optional[int]
+
+    def extend(self, g: CoxeterGroup, x: int) -> "_Chain":
+        """u1|...|un|x, for x lengthening u1..un; the class is decided
+        again only while u1|...|un is essential."""
+        p = g.mult(self.prods[-1], x) if self.prods else x
+        s = g.smallest_divisor(p)
+        kind, k = self.kind, self.k
+        if k is None and p != g.longest_element(self.smalls + (s,)):
+            k = len(self.elts) + 1
+            collapsible = k > 1 and self.smalls[-1] == s
+            kind = Classification.COLLAPSIBLE if collapsible else Classification.REDUNDANT
+        return _Chain(self.elts + (x,), self.prods + (p,), self.smalls + (s,), kind, k)
+
+    def phi_key(self, g: CoxeterGroup) -> tuple:
+        key = [g.length[self.prods[-1]]]
+        for s, p in zip(self.smalls[:-1], self.prods[:-1]):
+            key += (s, g.length[p])
+        return tuple(key)
 
 
-def _classify(
-    g: CoxeterGroup, tup: tuple[int, ...]
-) -> tuple[Classification, Optional[int]]:
-    """The class of a length-additive tuple with the least k (1-based) such
-    that u1..uk != w0(s1,..,sk), or None when the tuple is essential."""
-    prods = _prefix_products(g, tup)
-    if g.length[prods[-1]] != sum(g.length[u] for u in tup):
-        raise PreconditionError("tuple is not length-additive")
-    smalls = [g.smallest_divisor(p) for p in prods]
-    for k in range(1, len(tup) + 1):
-        if prods[k - 1] != g.longest_element(smalls[:k]):
-            if k > 1 and smalls[k - 2] == smalls[k - 1]:
-                return Classification.COLLAPSIBLE, k
-            return Classification.REDUNDANT, k
-    return Classification.ESSENTIAL, None
+_EMPTY = _Chain((), (), (), Classification.ESSENTIAL, None)
+
+
+def _chain_of(g: CoxeterGroup, tup: Iterable[int]) -> _Chain:
+    chain = _EMPTY
+    for x in tup:
+        if chain.prods and not g.is_reduced_product(chain.prods[-1], x):
+            raise PreconditionError("tuple is not length-additive")
+        chain = chain.extend(g, x)
+    if chain is _EMPTY:
+        raise PreconditionError("the empty tuple has no class")
+    return chain
+
+
+def _walk(g3: Gar3) -> Iterable[_Chain]:
+    """Every length-additive chain of 2 to 4 entries, depth first: the
+    pairs in sorted order, each followed by its extensions, whose later
+    entries run in generator order.  u1|...|un extends by x exactly when
+    (u1..un, x) is in alpha."""
+    g, alpha = g3.group, g3.alpha
+    after = {p: [x for x in g3.elt_of_gen if (p, x) in alpha] for p in g3.elt_of_gen}
+
+    def grow(chain: _Chain) -> Iterable[_Chain]:
+        yield chain
+        if len(chain.elts) < 4:
+            for x in after[chain.prods[-1]]:
+                yield from grow(chain.extend(g, x))
+
+    for u, v in sorted(alpha):
+        yield from grow(_EMPTY.extend(g, u).extend(g, v))
+
+
+def _sphere_maker(g3: Gar3):
+    """The A-cell index by branching, and the maker of the Gar_4(W) sphere
+    of a length-additive u|v|w|x from its all-alpha triple branching."""
+    lookup, memo = cells_by_branching(g3.p31), {}
+
+    def sphere(quad: tuple[int, ...]) -> Sphere3:
+        steps = tuple(Step2(g3.alpha[quad[i : i + 2]], 1, i) for i in range(3))
+        triple = TripleBranching(tuple([g3.gen_of_elt[e] for e in quad]), steps)
+        return generating_triple_confluence(g3.p31, triple, lookup=lookup, memo=memo)
+
+    return lookup, sphere
+
+
+def gar4_spheres(g3: Gar3) -> list[Sphere3]:
+    """The spheres of Gar_4(W): one per fully length-additive quadruple,
+    assembled from the all-alpha triple branchings of Gar_3(W)."""
+    _, sphere = _sphere_maker(g3)
+    return [sphere(c.elts) for c in _walk(g3) if len(c.elts) == 4]
 
 
 def classify_tuple(g: CoxeterGroup, tup: Iterable[int]) -> Classification:
     """The essential/collapsible/redundant trichotomy of a length-additive
     tuple, via the chain of longest elements over its smallest divisors."""
-    return _classify(g, tuple(tup))[0]
+    return _chain_of(g, tup).kind
 
 
 def phi_key(g: CoxeterGroup, tup: Iterable[int]) -> tuple:
     """The well-founded lexicographic key (total length, then alternating
     smallest divisor and length of each proper prefix product)."""
-    prods = _prefix_products(g, tuple(tup))
-    key: list[int] = [g.length[prods[-1]]]
-    for p in prods[:-1]:
-        key.append(g.smallest_divisor(p))
-        key.append(g.length[p])
-    return tuple(key)
+    return _chain_of(g, tup).phi_key(g)
 
 
 class ArtinProjection:
@@ -796,65 +813,38 @@ def artin_reduction_part(g3: Gar3) -> CollapsiblePart:
     """The collapsible part contracting Gar_3(W) onto Art_3(W), classified
     by the smallest-divisor chains and ordered by the Phi keys.
 
-    Exposed for cross-checking the direct Z-cell computation against the
-    generic reduction on small groups.
+    One rule covers pairs, triples and quadruples: a collapsible chain
+    breaking at k makes redundant the generator, alpha rule or A-cell of
+    the chain with entries k-1 and k merged.  Exposed for cross-checking
+    the direct Z-cell computation against the generic reduction.
     """
-    g = g3.group
-    p31 = g3.p31
+    g, alpha, gen = g3.group, g3.alpha, g3.gen_of_elt
+    lookup, sphere = _sphere_maker(g3)
+
+    def cell(u: int, v: int, w: int) -> int:
+        return lookup[((gen[u], gen[v], gen[w]), (alpha[(u, v)], 0), (alpha[(v, w)], 1))]
 
     two: list[TwoCollapse] = []
-    for (u, v), idx in sorted(g3.alpha.items()):
-        if classify_tuple(g, (u, v)) is Classification.COLLAPSIBLE:
-            two.append(TwoCollapse(idx, g3.gen_of_elt[g.mult(u, v)]))
-
-    def cell_triple(c: ThreeCell) -> tuple[int, int, int]:
-        first = c.src.steps[0]
-        rule = p31.base.rules[first.rule]
-        u, v = (g3.elt_of_gen[x] for x in rule.lhs)
-        w = g3.elt_of_gen[c.src.source[2]]
-        return (u, v, w)
-
-    triple_of_cell = {i: cell_triple(c) for i, c in enumerate(p31.cells)}
-    cell_of_triple = {t: i for i, t in triple_of_cell.items()}
-
     three: list[ThreeCollapse] = []
-    for i, (u, v, w) in sorted(triple_of_cell.items()):
-        kind, k = _classify(g, (u, v, w))
-        if kind is not Classification.COLLAPSIBLE:
-            continue
-        if k == 2:
-            redundant = g3.alpha[(g.mult(u, v), w)]
-        else:
-            redundant = g3.alpha[(u, g.mult(v, w))]
-        three.append(ThreeCollapse(i, redundant))
-
     spheres: list[SphereCollapse] = []
-    lookup = cells_by_branching(p31)
-    memo: dict = {}
-    for (u, v, w, x), triple in _additive_quadruples(g3):
-        kind, k = _classify(g, (u, v, w, x))
-        if kind is not Classification.COLLAPSIBLE:
+    rank: dict[int, dict[int, tuple]] = {2: {}, 3: {}}  # rule and cell ranks
+    for chain in _walk(g3):
+        e, k = chain.elts, chain.k
+        if len(e) < 4:
+            idx = alpha[e] if len(e) == 2 else cell(*e)
+            rank[len(e)][idx] = chain.phi_key(g) + (idx,)
+        if chain.kind is not Classification.COLLAPSIBLE:
             continue
-        if k == 2:
-            dead = cell_of_triple[(g.mult(u, v), w, x)]
-        elif k == 3:
-            dead = cell_of_triple[(u, g.mult(v, w), x)]
+        dead = e[: k - 2] + (g.mult(e[k - 2], e[k - 1]),) + e[k:]
+        if len(e) == 2:
+            two.append(TwoCollapse(idx, gen[dead[0]]))
+        elif len(e) == 3:
+            three.append(ThreeCollapse(idx, alpha[dead]))
         else:
-            dead = cell_of_triple[(u, v, g.mult(w, x))]
-        sphere = generating_triple_confluence(
-            p31, triple, lookup=lookup, memo=memo
-        )
-        spheres.append(SphereCollapse(sphere, dead))
+            spheres.append(SphereCollapse(sphere(e), cell(*dead)))
+    three.sort(key=lambda tc: tc.cell)
 
-    gen_rank = {
-        i: (g.length[e], e) for i, e in enumerate(g3.elt_of_gen)
-    }
-    rule_rank = {
-        idx: phi_key(g, pair) + (idx,) for pair, idx in g3.alpha.items()
-    }
-    cell_rank = {
-        i: phi_key(g, t) + (i,) for i, t in triple_of_cell.items()
-    }
+    gen_rank = {i: (g.length[x], x) for i, x in enumerate(g3.elt_of_gen)}
     return CollapsiblePart(
-        tuple(two), tuple(three), tuple(spheres), OrderWitness(gen_rank, rule_rank, cell_rank)
+        tuple(two), tuple(three), tuple(spheres), OrderWitness(gen_rank, rank[2], rank[3])
     )

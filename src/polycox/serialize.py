@@ -88,19 +88,25 @@ def path_to_dict(path: Path2) -> dict:
     }
 
 
+def _step_int(value, field: str) -> int:
+    """A step field read from JSON: an integer, never a bool, float or string."""
+    if type(value) is not int:
+        raise InputError(f"step {field} must be an integer, not {value!r}")
+    return value
+
+
 def _step_dir(value) -> int:
     """A step direction read from JSON: 1 (forward) or -1 (reverse)."""
-    d = int(value)
-    if d not in (1, -1):
+    if _step_int(value, "direction") not in (1, -1):
         raise InputError(f"step direction must be 1 or -1, not {value!r}")
-    return d
+    return value
 
 
 def path_from_dict(d: dict, p: Polygraph2) -> Path2:
     try:
         source = word_from_str(p, d["source"])
         steps = tuple(
-            Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), int(s["at"]))
+            Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), _step_int(s["at"], "offset"))
             for s in d["steps"]
         )
     except (KeyError, TypeError, ValueError) as exc:

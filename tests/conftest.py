@@ -26,6 +26,9 @@ MATRICES = {
     "I5xA1": coxeter("rst", [[1, 5, 2], [5, 1, 2], [2, 2, 1]]),
     "Atilde2": coxeter("rst", [[1, 3, 3], [3, 1, 3], [3, 3, 1]]),
     "A4": coxeter("abcd", [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]),
+    # in this order Todd-Coxeter meets coincidences (25 and 23 merges)
+    "B4": coxeter("abcd", [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]),
+    "F4": coxeter("abcd", [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]),
 }
 
 

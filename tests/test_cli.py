@@ -309,6 +309,17 @@ class TestArtinCmd:
         assert "census: 1,3,3,1" in capsys.readouterr().err
 
 
+def _cell_with_step(**fields) -> dict:
+    """A one-cell presentation whose src path has one step with ``fields``."""
+    step = {"rule": "r", "dir": 1, "at": 0}
+    path = {"source": "aa", "steps": [dict(step, **fields)]}
+    return {
+        "generators": ["a"],
+        "rules": [{"id": "r", "lhs": "aa", "rhs": "a"}],
+        "three_cells": [{"id": "c", "src": path, "tgt": {"source": "aa", "steps": [step]}}],
+    }
+
+
 class TestMalformedInput:
     """Malformed documents exit 2 through the loaders, never a traceback."""
 
@@ -347,6 +358,10 @@ class TestMalformedInput:
             {"generators": ["r", "s", "t"], "m": [[1, 3.0, 2], [3.0, 1, 3], [2, 3, 1]]},
         ),
         "matrix name not a string": ("coxeter", {"generators": [1, 2], "m": [[1, 3], [3, 1]]}),
+        "step dir a float": ("reduce", _cell_with_step(dir=1.9)),
+        "step dir a bool": ("reduce", _cell_with_step(dir=True)),
+        "step dir a string": ("reduce", _cell_with_step(dir="1")),
+        "step offset a float": ("reduce", _cell_with_step(at=0.7)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -357,9 +372,11 @@ class TestMalformedInput:
             f.write_bytes(doc)
         else:
             f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        part = tmp_path / "part.json"  # empty, so only the presentation can fail
+        part.write_text("{}")
         argv = {
             "complete": ["complete", str(f), "--order", "deglex:a"],
-            "reduce": ["reduce", str(f), "--part", str(f)],
+            "reduce": ["reduce", str(f), "--part", str(part)],
         }.get(cmd, [cmd, str(f)])
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from conftest import MATRICES
 import oracles
 
 
-EXPECTED_ORDERS = {"A2": 6, "A1^3": 8, "A3": 24, "B3": 48, "H3": 120}
+EXPECTED_ORDERS = {"A2": 6, "A1^3": 8, "A3": 24, "B3": 48, "H3": 120, "B4": 384, "F4": 1152}
 
 
 class TestEnumeration:
@@ -37,7 +37,7 @@ class TestEnumeration:
         assert w0 == g.mult_word(0, (0, 1, 2))  # w0 = rst
 
     def test_cayley_relations_hold_as_permutations(self, groups):
-        for name in ("A2", "A1^3", "A3", "B3", "H3"):
+        for name in ("A2", "A1^3", "A3", "B3", "H3", "B4", "F4"):
             g = groups(name)
             size, n = g.size, g.rank
             for s in range(n):
@@ -51,7 +51,7 @@ class TestEnumeration:
                     assert all(g.mult_word(e, word) == e for e in range(size))
 
     def test_length_parity(self, groups):
-        for name in ("A3", "B3", "H3"):
+        for name in ("A3", "B3", "H3", "B4", "F4"):
             g = groups(name)
             for e in range(g.size):
                 for s in range(g.rank):

@@ -331,6 +331,10 @@ class TestClassifyTuple:
         st = g.mult(g.generator(0), g.generator(1))
         assert px.classify_tuple(g, (st,)) is Classification.REDUNDANT
 
+    def test_empty_tuple_raises(self, groups):
+        with pytest.raises(px.PreconditionError):
+            px.classify_tuple(groups("A2"), ())
+
     def test_partition(self, groups):
         for name in ("A2", "A1^3", "B2"):
             g = groups(name)
@@ -358,6 +362,10 @@ class TestPhiKey:
         st = g.mult(s, t)
         assert px.phi_key(g, (s, t))[0] == px.phi_key(g, (st,))[0]
         assert px.phi_key(g, (st,)) < px.phi_key(g, (s, t))
+
+    def test_empty_tuple_raises(self, groups):
+        with pytest.raises(px.PreconditionError):
+            px.phi_key(groups("A2"), ())
 
     def test_keys_decrease_for_artin_part(self, groups):
         # targets of the collapsible cells rank strictly above the cells
