@@ -27,7 +27,6 @@ from .errors import (
     ClassificationError,
     CoherenceError,
     CompositionError,
-    CycleError,
     DivergenceError,
     InfiniteOrUnknown,
     InputError,

@@ -38,10 +38,6 @@ class NielsenError(PolycoxError):
     """A cell is not collapsible the way a collapsible part claims."""
 
 
-class CycleError(PolycoxError):
-    """A well-founded replacement recursion failed to ground."""
-
-
 class PreconditionError(PolycoxError):
     """An operation's precondition does not hold."""
 

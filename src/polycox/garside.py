@@ -41,11 +41,19 @@ from .coxeter import (
 from .errors import (
     ClassificationError,
     CoherenceError,
-    CycleError,
     DivergenceError,
     PreconditionError,
 )
-from .paths import Path2, Step2, compose, identity_path, inverse, normalize_path, whisker
+from .paths import (
+    Path2,
+    Step2,
+    compose,
+    identity_path,
+    inverse,
+    normalize_path,
+    shift_steps,
+    whisker,
+)
 from .tietze import (
     CollapsiblePart,
     OrderWitness,
@@ -641,9 +649,11 @@ class ArtinProjection:
 
     ``letters[i]`` is the ambient Artin generator for the i-th generator of
     the (parabolic) group; ``gamma[(i, j)]`` with i < j is the ambient rule
-    index of the braid relation on that pair.  Collapsible rules map to
-    identities, the essential rule of a pair maps to its braid relation,
-    and redundant rules expand through the two inductive shapes.
+    index of the braid relation on that pair.  pi(s|x), for s a generator,
+    is tabulated in increasing order of (l(x), s): the identity when s is
+    the smallest divisor r of sx, the braid relation when sx = w0(r, s),
+    and otherwise x split across that braid relation (case (b)), which
+    reads only entries of a shorter x, or of the same x with r < s.
     """
 
     def __init__(
@@ -653,84 +663,57 @@ class ArtinProjection:
         letters: list[int],
         gamma: dict[tuple[int, int], int],
     ):
-        self.group = group
+        self.group = g = group
         self.art = art
-        self.letters = letters
-        self.gamma = gamma
-        self._alpha_memo: dict[tuple[int, int], Path2] = {}
+        self._words = [tuple([letters[s] for s in w]) for w in g.word]
+        w0s = {(r, s): g.longest_element((r, s)) for s in range(g.rank) for r in range(s)}
+        self._table: dict[tuple[int, int], Path2] = {}
+        for _, s, x in sorted(
+            (g.length[x], s, x)
+            for x in range(g.size)
+            for s in range(g.rank)
+            if g.length[g.left[x][s]] > g.length[x]
+        ):
+            sx, source = g.left[x][s], (letters[s],) + self._words[x]
+            r = g.smallest_divisor(sx)
+            w0 = w0s.get((r, s))  # None when r = s
+            if r == s:
+                path = identity_path(art, source)
+            elif sx == w0:
+                path = Path2(art, source, ((gamma[(letters[r], letters[s])], 1, 0),))
+            else:
+                u2 = g.complement(g.generator(s), w0)
+                v2 = g.complement(u2, x)
+                down = inverse(whisker(source[:1], self.alpha_path(u2, v2), ()))
+                across = whisker((), self._entry(s, u2), self._words[v2])
+                path = compose(compose(down, across), self.alpha_path(w0, v2))
+            if path.source != source or path.target != self._words[sx]:
+                raise CoherenceError("projection produced a misbounded path")
+            self._table[(s, x)] = path
 
     def word(self, u: int) -> Word:
-        return tuple([self.letters[s] for s in self.group.word[u]])
+        return self._words[u]
+
+    def _entry(self, s: int, x: int) -> Path2:
+        if (s, x) not in self._table:
+            raise CoherenceError("projection table lacks a pair it needs")
+        return self._table[(s, x)]
 
     def alpha_path(self, u: int, v: int) -> Path2:
-        """pi of the Garside rule u|v => uv, as a path over Art_2(W).
-
-        The pairs it is built from are built first, from an explicit work
-        stack into the same memo, so a long dihedral chain needs no deep
-        recursion; a pair needed while it is still being built raises
-        CycleError.
-        """
-        memo = self._alpha_memo
-        building: dict[tuple[int, int], tuple] = {}  # expanded, not yet built
-        stack = [(u, v)]
-        while stack:
-            key = stack[-1]
-            plan = building.get(key)
-            if plan is None:
-                if key in memo:
-                    stack.pop()
-                    continue
-                plan = building[key] = self._expansion(*key)
-                missing = [k for k in plan[0] if k not in memo]
-                if missing:
-                    if any(k in building for k in missing):
-                        raise CycleError("projection recursion failed to ground")
-                    stack += reversed(missing)
-                    continue
-            stack.pop()
-            del building[key]
-            needs, build = plan
-            path = build(*[memo[k] for k in needs])
-            a, b = key
-            if path.source != self.word(a) + self.word(b) or path.target != self.word(
-                self.group.mult(a, b)
-            ):
-                raise CoherenceError("projection produced a misbounded path")
-            memo[key] = path
-        return memo[(u, v)]
-
-    def _expansion(self, u: int, v: int):
-        """The pairs pi(u|v) is built from, in order, and the function that
-        builds it from their paths."""
+        """pi of the Garside rule u|v => uv, as a path over Art_2(W): with
+        s1...sk the word of u, case (a) unrolled into the composite, for
+        i = k down to 1, of s1...s(i-1).pi(si | s(i+1)...sk v).  Every factor
+        was checked against its words when tabulated, so they chain up."""
         g = self.group
         if not g.is_reduced_product(u, v):
             raise PreconditionError("pair is not length-additive")
-        if g.length[u] > 1:
-            # u = s u' with s the smallest divisor: case (a)
-            s = g.smallest_divisor(u)
-            u2 = g.left[u][s]
-            return ((u2, v), (g.generator(s), g.mult(u2, v))), lambda p1, p2: compose(
-                whisker((self.letters[s],), p1, ()), p2
-            )
-        s = g.word[u][0]
-        uv = g.mult(u, v)
-        r = g.smallest_divisor(uv)
-        if r == s:
-            # collapsible: identity on the target word
-            return (), lambda: identity_path(self.art, self.word(u) + self.word(v))
-        w0 = g.longest_element((r, s))
-        if uv == w0:
-            rule = self.gamma[(self.letters[r], self.letters[s])]
-            return (), lambda: Path2(self.art, self.word(u) + self.word(v), ((rule, 1, 0),))
-        # case (b): split v across the braid relation on (r, s)
-        u2 = g.complement(u, w0)
-        v2 = g.complement(u2, v)
-
-        def build(down: Path2, across: Path2, up: Path2) -> Path2:
-            down = inverse(whisker((self.letters[s],), down, ()))
-            return compose(compose(down, whisker((), across, self.word(v2))), up)
-
-        return ((u2, v2), (u, u2), (w0, v2)), build
+        steps: list[Step2] = []
+        x = v
+        for i in range(g.length[u] - 1, -1, -1):
+            s = g.word[u][i]
+            steps += shift_steps(self._entry(s, x).steps, i)
+            x = g.left[x][s]
+        return Path2._make(self.art, self._words[u] + self._words[v], tuple(steps), self._words[x])
 
     def acell(self, t: int, u: int, v: int) -> tuple[Path2, Path2]:
         """pi of the 3-cell A_{t,u,v}: the parallel pair of projected sides,

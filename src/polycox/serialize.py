@@ -255,11 +255,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
         two = tuple(
             TwoCollapse(
                 base.rule_index(tc["rule"]),
-                (
-                    base.generators.index(tc["redundant"])
-                    if "redundant" in tc
-                    else None
-                ),
+                base.generator_ids[tc["redundant"]] if "redundant" in tc else None,
             )
             for tc in d.get("two_cells", ())
         )
@@ -275,7 +271,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
         )
         order = d.get("order", {})
         gen_rank = {
-            base.generators.index(n): i
+            base.generator_ids[n]: i
             for i, n in enumerate(order.get("generators", ()))
         }
         rule_rank = {

@@ -76,6 +76,8 @@ class Polygraph2:
         self.generator_ids = {n: i for i, n in enumerate(self.generators)}
         if len(self.generator_ids) != len(self.generators):
             raise InputError("generator names must be unique")
+        if any(not isinstance(n, str) or not n or "." in n for n in self.generators):
+            raise InputError("generator names must be non-empty strings without '.'")
         self.separator = "." if any(len(n) != 1 for n in self.generators) else ""
         self.rules: list[Rule] = []
         self.rule_lengths: list[tuple[int, int]] = []
@@ -301,7 +303,7 @@ def deglex_from_names(p: Polygraph2, names_desc: list[str]) -> Deglex:
         )
     rank = [0] * len(p.generators)
     for pos, name in enumerate(names_desc):
-        rank[p.generators.index(name)] = len(names_desc) - pos
+        rank[p.generator_ids[name]] = len(names_desc) - pos
     return Deglex(tuple(rank))
 
 

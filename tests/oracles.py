@@ -317,3 +317,52 @@ def additive(g, *elts):
     for e in elts:
         total = g.mult(total, e)
     return g.length[total] == sum(g.length[e] for e in elts)
+
+
+def recursive_projection(g, art, letters, gamma):
+    """GGM's projection pi(u|v) of a Garside rule onto Artin's presentation,
+    by its two cases, recursively and with a memo.  (a) l(u) > 1: peel the
+    smallest divisor s off u = s u'.  (b) u = s a generator, r the smallest
+    divisor of sv: the identity when r = s, the braid relation on (r, s)
+    when sv = w0(r, s), else v split as v = u2 v2 across it, s u2 = w0."""
+    from polycox.paths import Path2, compose, identity_path, inverse, whisker
+
+    memo, longest = {}, {}
+
+    def word(e):
+        return tuple(letters[s] for s in g.word[e])
+
+    def descent(e):
+        return min(s for s in range(g.rank) if g.length[g.left[e][s]] < g.length[e])
+
+    def pi(u, v):
+        if (u, v) in memo:
+            return memo[(u, v)]
+        if g.length[u] > 1:
+            s = descent(u)
+            u2 = g.left[u][s]
+            path = compose(
+                whisker((letters[s],), pi(u2, v), ()), pi(g.generator(s), g.mult(u2, v))
+            )
+        else:
+            (s,) = g.word[u]
+            uv = g.mult(u, v)
+            r = descent(uv)
+            if (r, s) not in longest:
+                longest[(r, s)] = parabolic_longest(g, (r, s))
+            w0 = longest[(r, s)]
+            if r == s:
+                path = identity_path(art, word(u) + word(v))
+            elif uv == w0:
+                path = Path2(art, word(u) + word(v), [(gamma[(letters[r], letters[s])], 1, 0)])
+            else:
+                u2 = g.mult(u, w0)  # u is an involution
+                v2 = g.mult(g.inv[u2], v)
+                down = inverse(whisker((letters[s],), pi(u2, v2), ()))
+                path = compose(
+                    compose(down, whisker((), pi(u, u2), word(v2))), pi(w0, v2)
+                )
+        memo[(u, v)] = path
+        return path
+
+    return pi

@@ -358,6 +358,14 @@ class TestMalformedInput:
             {"generators": ["r", "s", "t"], "m": [[1, 3.0, 2], [3.0, 1, 3], [2, 3, 1]]},
         ),
         "matrix name not a string": ("coxeter", {"generators": [1, 2], "m": [[1, 3], [3, 1]]}),
+        "generator name with a dot": (
+            "artin",
+            {"generators": ["a.b", "c", "d"], "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]},
+        ),
+        "empty generator name": (
+            "artin",
+            {"generators": ["", "s", "t"], "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]},
+        ),
         "step dir a float": ("reduce", _cell_with_step(dir=1.9)),
         "step dir a bool": ("reduce", _cell_with_step(dir=True)),
         "step dir a string": ("reduce", _cell_with_step(dir="1")),

@@ -403,22 +403,27 @@ class TestProjection:
         names = [proj.art.rules[s.rule].name for s in path.steps]
         assert names == ["g(r,t)", "g(r,s)"]  # s.g(r,t) then g(r,s).t
 
-    def test_pair_needed_while_being_built_raises(self, groups):
+    @pytest.mark.parametrize("name", ["A3", "B3", "I5xA1", "H3"])
+    def test_matches_recursive_reference(self, groups, name):
+        # every alpha pair, step for step against GGM's recursive cases
+        g = groups(name)
+        art, gamma = px.artin_presentation(MATRICES[name])
+        proj = px.ArtinProjection(g, art, list(range(g.rank)), gamma)
+        pi = oracles.recursive_projection(g, art, list(range(g.rank)), gamma)
+        pairs = [
+            (u, v) for u in range(1, g.size) for v in range(1, g.size) if oracles.additive(g, u, v)
+        ]
+        assert len(pairs) == len(px.garside_presentation(g).alpha)
+        for u, v in pairs:
+            got, want = proj.alpha_path(u, v), pi(u, v)
+            assert (got.source, got.steps, got.target) == (want.source, want.steps, want.target)
+
+    def test_missing_table_entry_raises(self, groups):
         g, proj = self._projection(groups, "A2")
         s, t = g.generator(0), g.generator(1)
-        real = proj._expansion
-
-        def looping(u, v):
-            # (s, t) needs (t, s), which needs (s, t) again
-            if (u, v) == (t, s):
-                return ((s, t),), lambda p: p
-            if (u, v) == (s, t):
-                return ((t, s),), lambda p: p
-            return real(u, v)
-
-        proj._expansion = looping
-        with pytest.raises(px.CycleError):
-            proj.alpha_path(s, t)
+        del proj._table[(1, s)]  # pi(t|s), a factor of pi(st|s)
+        with pytest.raises(px.CoherenceError):
+            proj.alpha_path(g.mult(s, t), s)
 
     def test_words_are_reduced_expressions(self, groups):
         for name in ("A3", "B3", "H3"):
