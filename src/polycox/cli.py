@@ -31,6 +31,7 @@ from .words import (
     DEFAULT_RULE_BUDGET,
     DEFAULT_STEP_BUDGET,
     deglex_from_names,
+    word_separator,
 )
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ def cmd_coxeter(args) -> int:
     doc = {
         "order": group.size,
         "longest_length": group.length[w0],
-        "longest_word": "".join(mat.names[s] for s in group.word[w0]),
+        "longest_word": word_separator(mat.names).join(mat.names[s] for s in group.word[w0]),
         "lengths": [group.length[e] for e in range(group.size)],
     }
     _emit(doc, args.out)

@@ -3,23 +3,23 @@
 Homotopical completion interleaves Knuth-Bendix completion with Squier's
 completion: every critical branching of the final convergent rule set
 gets a generating 3-cell whose two sides are the normalizing reduction
-paths of the branching.  When a branching is not confluent, a new rule is
-adjoined, directed from the greater normal form to the smaller one under
-the termination order; the adjoined 3-cell then carries the new rule on
-its target side.
+paths of the branching, reused from Knuth-Bendix for the branchings it
+examined after its last adjoined rule.  When a branching is not
+confluent, a new rule is adjoined, directed from the greater normal form
+to the smaller one under the termination order.
 
 Triple critical branchings extend each critical branching by a third
 step found through the first-letter buckets.  Generating triple
 confluences are assembled from them by a filler that decomposes any pair
 of parallel positive reduction paths into whiskered generating 3-cells,
-by well-founded recursion on the rewritten word, threading the steps from
-the sphere's source.  Peiffer (disjoint) local branchings
-contribute no generating cell: their two completions are equal modulo
-the exchange relations.  Sphere validation builds each face once as a
-flat step tuple, with the cell's steps shifted by the left whisker
-rather than whiskered into a path, and compares consecutive faces
-through ``_exchange_normal_form``; a malformed face is a violation, not
-an error.
+well-founded on the rewritten word and run from an explicit stack,
+threading the steps from the sphere's source.  Peiffer (disjoint) local
+branchings contribute no generating cell: their two completions are
+equal modulo the exchange relations.  Sphere validation builds each face
+once as a flat step tuple, with the cell's steps shifted by the left
+whisker rather than whiskered into a path, and compares consecutive
+faces through ``_exchange_normal_form``; a malformed face is a
+violation, not an error.
 """
 
 from __future__ import annotations
@@ -226,10 +226,12 @@ def homotopical_complete(
     involving that new rule join the queue, so each critical branching is
     examined once.  Phase two runs Squier's completion against the final
     rule set, so every 3-cell's endpoints are genuine normal forms and the
-    number of 3-cells equals the number of critical branchings.  If ``p``
-    is already confluent, phase one adds nothing and the result is exactly
-    Squier's completion.  Raises PreconditionError unless ``order``
-    orients every rule of ``p``.
+    number of 3-cells equals the number of critical branchings; it reuses
+    the two normalizing paths phase one found for each branching examined
+    after the last adjoined rule, and normalizes only the others.  If
+    ``p`` is already confluent, phase one adds nothing and the result is
+    exactly Squier's completion.  Raises PreconditionError unless
+    ``order`` orients every rule of ``p``.
     """
     bad = check_termination(p, order)
     if bad:
@@ -241,17 +243,18 @@ def homotopical_complete(
     queue = [(_order(br), br) for br in critical_branchings(work)]
     counter = 0
     n_initial = len(p.rules)
+    # the sides of the confluent branchings examined since the last new rule
+    kept: dict[Branching, tuple[Path2, Path2]] = {}
     while queue:
         _, br = heapq.heappop(queue)
         counter += 1
         if counter > branching_budget:
             raise DivergenceError(f"branching budget {branching_budget} exceeded")
-        w = br.source
-        left_word = Path2(work, w, (br.left,)).target
-        right_word = Path2(work, w, (br.right,)).target
-        nf_l, _ = normalize(left_word, work, budget=step_budget)
-        nf_r, _ = normalize(right_word, work, budget=step_budget)
+        src = _branch_side(work, br.source, br.left, budget=step_budget)
+        tgt = _branch_side(work, br.source, br.right, budget=step_budget)
+        nf_l, nf_r = src.target, tgt.target
         if nf_l == nf_r:
+            kept[br] = (src, tgt)
             continue
         cmp = order.compare(nf_l, nf_r)
         if cmp is Ordering.INCOMPARABLE:
@@ -262,6 +265,8 @@ def homotopical_complete(
         big, small = (nf_l, nf_r) if cmp is Ordering.GREATER else (nf_r, nf_l)
         if len(work.rules) + 1 - n_initial > rule_budget:
             raise DivergenceError(f"rule budget {rule_budget} exceeded")
+        # a new rule can change any leftmost reduction found before it
+        kept.clear()
         new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
         for a, b in [(new, a) for a in range(new)] + [(a, new) for a in range(new + 1)]:
             for br in _overlaps(work.rules, a, b):
@@ -270,8 +275,10 @@ def homotopical_complete(
     # Squier pass: one 3-cell per critical branching of the final rules
     cells: list[ThreeCell] = []
     for i, br in enumerate(critical_branchings(work)):
-        src = _branch_side(work, br.source, br.left, budget=step_budget)
-        tgt = _branch_side(work, br.source, br.right, budget=step_budget)
+        src, tgt = kept.get(br) or (
+            _branch_side(work, br.source, br.left, budget=step_budget),
+            _branch_side(work, br.source, br.right, budget=step_budget),
+        )
         if src.target != tgt.target:
             raise CoherenceError(
                 f"completion not confluent at {work.word_str(br.source)}"
@@ -424,34 +431,40 @@ def _fill_parallel(
 ) -> list[SphereEntry]:
     """Decompose the parallel positive reduction paths pA, pB (with a common
     normal-form target) into whiskered generating 3-cells rewriting pA into
-    pB.  Well-founded recursion on the current word w under the termination
-    order, on step tuples: each level applies only the head steps to w, and
-    carries the steps ``pre`` from pA's source to w, made a path only for
-    an entry.  Peiffer faces contribute no entry.
+    pB.  Well-founded on the current word w under the termination order:
+    an explicit stack, no recursion, holds subproblems (pre, w, a, b) on
+    step tuples, where ``pre`` runs from pA's source to w and becomes a
+    path only for an entry, and entries, so that each local cell's left
+    completion is filled first, then its entry, then its right completion.
+    Peiffer faces contribute no entry.
     """
     pg = p31.base
-
-    def go(pre: tuple, w: Word, a: tuple, b: tuple) -> list[SphereEntry]:
-        if a == b:
-            return []
-        if not a or not b:
-            raise CoherenceError("parallel fill: sides of unequal reach")
-        s1, s2 = a[0], b[0]
-        w1 = apply_step(w, pg, s1.rule, s1.pos, s1.dir)
-        if s1 == s2:
-            return go(pre + (s1,), w1, a[1:], b[1:])
+    out: list[SphereEntry] = []
+    stack: list = [((), pA.source, pA.steps, pB.steps)]
+    while stack:
+        task = stack.pop()
+        if type(task) is SphereEntry:
+            out.append(task)
+            continue
+        pre, w, a, b = task
+        while a != b:
+            if not a or not b:
+                raise CoherenceError("parallel fill: sides of unequal reach")
+            s1, s2 = a[0], b[0]
+            w1 = apply_step(w, pg, s1.rule, s1.pos, s1.dir)
+            if s1 != s2:
+                break
+            pre, w, a, b = pre + (s1,), w1, a[1:], b[1:]
+        else:
+            continue
         entry, c1, c2, z = _local_cell(p31, lookup, w, s1, s2)
         _, n = normalize(z, pg, memo=memo)
         w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
-        left = go(pre + (s1,), w1, a[1:], c1 + n.steps)
-        right = go(pre + (s2,), w2, c2 + n.steps, b[1:])
-        if entry is None:
-            return left + right
-        idx, direction, lw, rw = entry
-        pre_path = Path2._make(pg, pA.source, pre, w)
-        return left + [SphereEntry(idx, direction, lw, rw, pre_path, n)] + right
-
-    return go((), pA.source, pA.steps, pB.steps)
+        stack.append((pre + (s2,), w2, c2 + n.steps, b[1:]))
+        if entry is not None:
+            stack.append(SphereEntry(*entry, Path2._make(pg, pA.source, pre, w), n))
+        stack.append((pre + (s1,), w1, a[1:], c1 + n.steps))
+    return out
 
 
 def generating_triple_confluence(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CoherenceError, InfiniteOrUnknown, InputError, PreconditionError
-from .words import DEFAULT_COSET_CAP
+from .words import DEFAULT_COSET_CAP, word_separator
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class CoxeterMatrix:
         n = len(self.names)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "m", tuple(tuple(row) for row in self.m))
-        if len(set(self.names)) != n:
-            raise InputError("generator names must be unique")
+        word_separator(self.names)
         if len(self.m) != n or any(len(row) != n for row in self.m):
             raise InputError("Coxeter matrix must be square")
         if any(type(x) is not int for row in self.m for x in row):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, StepError
 
@@ -43,6 +43,16 @@ class Rule:
         object.__setattr__(self, "rhs", tuple(self.rhs))
         if not self.lhs:
             raise InputError(f"rule {self.name!r}: empty left-hand side")
+
+
+def word_separator(names: Sequence[str]) -> str:
+    """The joiner of names in a word: "." if some name is not one character
+    long, else ""; InputError unless unique, non-empty and without '.'."""
+    if any(not isinstance(n, str) or not n or "." in n for n in names):
+        raise InputError("generator names must be non-empty strings without '.'")
+    if len(set(names)) != len(names):
+        raise InputError("generator names must be unique")
+    return "." if any(len(n) != 1 for n in names) else ""
 
 
 class Polygraph2:
@@ -73,12 +83,8 @@ class Polygraph2:
 
     def __init__(self, generators: Iterable[str], rules: Iterable[Rule] = ()):
         self.generators = list(generators)
+        self.separator = word_separator(self.generators)
         self.generator_ids = {n: i for i, n in enumerate(self.generators)}
-        if len(self.generator_ids) != len(self.generators):
-            raise InputError("generator names must be unique")
-        if any(not isinstance(n, str) or not n or "." in n for n in self.generators):
-            raise InputError("generator names must be non-empty strings without '.'")
-        self.separator = "." if any(len(n) != 1 for n in self.generators) else ""
         self.rules: list[Rule] = []
         self.rule_lengths: list[tuple[int, int]] = []
         self.rules_by_first: dict[int, list[int]] = {}

@@ -67,19 +67,41 @@ def all_normal_forms(word, rules, fuel=10**5):
     return nfs
 
 
-def brute_overlap_sources(rules):
-    """Sources of all minimal overlaps of rule lhs pairs (proper overlap,
-    inclusion, or equal source), as a set of words."""
+def brute_branchings(rules):
+    """All minimal overlaps of rule lhs pairs (proper overlap, inclusion, or
+    equal source), as a set of (source, (a, 0), (b, k)): rule a at offset
+    0 and rule b at offset k, with a < b when k = 0."""
     out = set()
     for (a, (la, _)), (b, (lb, _)) in itertools.product(enumerate(rules), repeat=2):
         if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
-            out.add(la if len(la) >= len(lb) else lb)
+            out.add((la if len(la) >= len(lb) else lb, (a, 0), (b, 0)))
         for k in range(1, len(la)):
             if k + len(lb) <= len(la):
                 if la[k : k + len(lb)] == lb:
-                    out.add(la)
+                    out.add((la, (a, 0), (b, k)))
             elif la[k:] == lb[: len(la) - k]:
-                out.add(la + lb[len(la) - k :])
+                out.add((la + lb[len(la) - k :], (a, 0), (b, k)))
+    return out
+
+
+def brute_overlap_sources(rules):
+    """Sources of all minimal overlaps of rule lhs pairs, as a set of words."""
+    return {source for source, _, _ in brute_branchings(rules)}
+
+
+def squier_sides(rules):
+    """Squier's completion of convergent ``rules`` from scratch: for every
+    critical branching, (source, left side, right side), each side its
+    branching step then the naive leftmost reduction of that step's target,
+    as [(rule id, position), ...]."""
+    out = set()
+    for source, *steps in brute_branchings(rules):
+        sides = []
+        for r, i in steps:
+            lhs, rhs = rules[r]
+            _, rest = naive_leftmost_reduction(source[:i] + rhs + source[i + len(lhs) :], rules)
+            sides.append(tuple([(r, i)] + rest))
+        out.add((source, *sides))
     return out
 
 

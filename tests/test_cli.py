@@ -366,6 +366,14 @@ class TestMalformedInput:
             "artin",
             {"generators": ["", "s", "t"], "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]},
         ),
+        "coxeter name with a dot": (
+            "coxeter",
+            {"generators": ["a.b", "", "d"], "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]},
+        ),
+        "coxeter empty name": (
+            "coxeter",
+            {"generators": ["", "s", "t"], "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]},
+        ),
         "step dir a float": ("reduce", _cell_with_step(dir=1.9)),
         "step dir a bool": ("reduce", _cell_with_step(dir=True)),
         "step dir a string": ("reduce", _cell_with_step(dir="1")),
@@ -397,6 +405,17 @@ class TestCoxeterCmd:
         doc = json.loads(capsys.readouterr().out)
         assert doc["order"] == 120
         assert doc["longest_length"] == 15
+
+    @pytest.mark.parametrize(
+        "names, word",
+        [(["r", "s", "t"], "rsrtsr"), (["ab", "a", "b"], "ab.a.ab.b.a.ab")],
+    )
+    def test_longest_word_splits_into_names(self, tmp_path, capsys, names, word):
+        # joined like Polygraph2.word_str: "." once some name is not one letter
+        f = tmp_path / "a3.json"
+        f.write_text(json.dumps({"generators": names, "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]}))
+        assert main(["coxeter", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["longest_word"] == word
 
     def test_infinite_budget_exit(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
+from polycox.completion import _fill_parallel
 from polycox.paths import Path2, Step2
 
 import oracles
@@ -149,6 +151,62 @@ class TestHomotopicalComplete:
         for c in p31.cells:
             assert c.src.target == c.tgt.target
             assert px.find_redexes(c.src.target, p31.base) == []
+
+
+class TestSquierCellsFromScratch:
+    """Phase two reuses the paths Knuth-Bendix found after its last adjoined
+    rule; every cell must still equal the one built from scratch against
+    the final rules by the naive leftmost reduction."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cells_match_naive_squier_pass(self, data):
+        n = data.draw(st.integers(2, 3))
+        order = px.Deglex(tuple(range(n)))
+        word = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+        rules = []
+        for k in range(data.draw(st.integers(1, 3))):
+            u = data.draw(word)
+            v = data.draw(word.filter(lambda v: v != u))
+            big, small = (u, v) if order.compare(u, v) is px.Ordering.GREATER else (v, u)
+            rules.append(px.Rule(f"r{k}", big, small))
+        p = px.Polygraph2("abc"[:n], rules)
+        try:
+            p31 = px.homotopical_complete(
+                p, order, rule_budget=15, branching_budget=400, step_budget=2_000
+            )
+        except px.BudgetError:
+            assume(False)
+        steps = lambda path: tuple((s.rule, s.pos) for s in path.steps)  # noqa: E731
+        assert all(s.dir == 1 for c in p31.cells for s in c.src.steps + c.tgt.steps)
+        got = [(c.src.source, steps(c.src), steps(c.tgt)) for c in p31.cells]
+        expect = oracles.squier_sides([(r.lhs, r.rhs) for r in p31.base.rules])
+        assert len(got) == len(expect) and set(got) == expect
+
+
+class TestFillParallel:
+    def test_long_shared_head_does_not_recurse(self):
+        # a^3000 -> b^3000 one letter at a time, the last two steps swapped:
+        # one Peiffer face after 2 998 shared steps, so no entry at all
+        pg = px.Polygraph2(["a", "b"], [px.Rule("r", (0,), (1,))])
+        n = 3000
+        head = tuple(Step2(0, 1, i) for i in range(n - 2))
+        pA = Path2(pg, (0,) * n, head + (Step2(0, 1, n - 2), Step2(0, 1, n - 1)))
+        pB = Path2(pg, (0,) * n, head + (Step2(0, 1, n - 1), Step2(0, 1, n - 2)))
+        assert _fill_parallel(px.Polygraph31(pg), pA, pB, {}, {}) == []
+
+    def test_spheres_leave_no_cycle(self, d4_completed):
+        # the filler's state is freed by reference counting alone
+        triples = px.triple_critical_branchings(d4_completed.base)
+        gc.collect()
+        gc.disable()
+        try:
+            spheres = [px.generating_triple_confluence(d4_completed, t) for t in triples]
+            assert len(spheres) == 497
+            del spheres
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTripleBranchings:
