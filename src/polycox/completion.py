@@ -329,17 +329,18 @@ class Sphere3:
         whiskered path is made.  Word equality checks that ``pre``, replayed,
         runs from the source word to left + side source + right and ``post``
         from left + side target + right to the target word; along each
-        side, consecutive faces have equal exchange normal forms.  A path
-        shared by several entries is replayed once.
+        side, consecutive faces are equal as step tuples or else have equal
+        exchange normal forms.  A path shared by several entries is
+        replayed once.
         """
         nf = partial(_exchange_normal_form, p31.base.rule_lengths)
+        same = lambda f, g: f == g or nf(f) == nf(g)  # noqa: E731
         top, bottom = self.source.source, _end(self.target)
         if bottom is None or self.target.source != top or _end(self.source) != bottom:
             return ["boundary: source and target are not parallel"]
-        first, last = nf(self.source.steps), nf(self.target.steps)
         out = []
         for label, side in (("lhs", self.lhs), ("rhs", self.rhs)):
-            cur = first
+            cur = self.source.steps
             for k, e in enumerate(side):
                 c = p31.cells[e.cell]
                 a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
@@ -350,10 +351,10 @@ class Sphere3:
                     cur = None
                     continue
                 pre, post, shift = e.pre.steps, e.post.steps, len(u)
-                if cur is not None and nf(pre + shift_steps(a.steps, shift) + post) != cur:
+                if cur is not None and not same(pre + shift_steps(a.steps, shift) + post, cur):
                     out.append(f"{label}[{k}]: source mismatch")
-                cur = nf(pre + shift_steps(b.steps, shift) + post)
-            if cur is not None and cur != last:
+                cur = pre + shift_steps(b.steps, shift) + post
+            if cur is not None and not same(cur, self.target.steps):
                 out.append(f"{label}: does not end at the sphere target")
         return out
 

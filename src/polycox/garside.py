@@ -10,14 +10,15 @@ reduction along the B-cells and seven families of triple-confluence
 spheres leaves the A-family cells only.  A second reduction, driven by
 the chain of smallest divisors, contracts that presentation onto Artin's
 presentation with one Zamolodchikov 3-cell per finite rank-3 parabolic
-subgroup; the engine computes those Z-cells directly through the
-projection's recursive formulas, each inside its own parabolic.
+subgroup; the engine computes each Z-cell through the projection's
+recursive formulas once per parabolic type, and relabels it into place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .completion import (
@@ -752,28 +753,41 @@ def artin_coherent(
     mat: CoxeterMatrix, *, coset_cap: int = DEFAULT_COSET_CAP
 ) -> Polygraph31:
     """Art_3(W): Artin's presentation plus one Z-cell per finite rank-3
-    parabolic subgroup, each computed inside that parabolic alone.
+    parabolic subgroup i < j < k.
+
+    The Z-cell depends only on the parabolic's type (m_ij, m_ik, m_jk): it
+    is computed once per type, inside the parabolic's own presentation,
+    then relabeled into Art_2(W) for every parabolic of that type by
+    x -> (i, j, k)[x], the rule on (a, b) going to the one on the images.
+    The relabeling is monotone, so it keeps the braid orientation and the
+    rule lengths, hence the exchange normal form and every offset; each
+    relabeled side is replayed in Art_2(W) by ThreeCell.
 
     Raises InfiniteOrUnknown before building any braid relation when a
     dihedral parabolic has more than ``coset_cap`` elements.
     """
     check_dihedral_cap(mat, coset_cap)
     art, gamma = artin_presentation(mat)
+    m, names = mat.m, mat.names
+    types: dict[tuple[int, int, int], tuple] = {}
     cells: list[ThreeCell] = []
-    for i in range(mat.rank):
-        for j in range(i + 1, mat.rank):
-            for k in range(j + 1, mat.rank):
-                if not rank3_finite(mat.m[i][j], mat.m[i][k], mat.m[j][k]):
-                    continue
-                sub = mat.submatrix((i, j, k))
-                g = enumerate_group(sub, coset_cap)
-                proj = ArtinProjection(g, art, [i, j, k], gamma)
-                src, tgt = _zamolodchikov(g, proj)
-                cells.append(
-                    ThreeCell(
-                        f"Z({mat.names[i]},{mat.names[j]},{mat.names[k]})", src, tgt
-                    )
-                )
+    for i, j, k in combinations(range(mat.rank), 3):
+        key = (m[i][j], m[i][k], m[j][k])
+        if not rank3_finite(*key):
+            continue
+        if key not in types:
+            sub = mat.submatrix((i, j, k))
+            g = enumerate_group(sub, coset_cap)
+            art3, gamma3 = artin_presentation(sub)
+            types[key] = gamma3, _zamolodchikov(g, ArtinProjection(g, art3, [0, 1, 2], gamma3))
+        gamma3, sides = types[key]
+        letters = (i, j, k)
+        rule = {r: gamma[(letters[a], letters[b])] for (a, b), r in gamma3.items()}
+        src, tgt = (
+            Path2(art, [letters[x] for x in p.source], [(rule[r], d, o) for r, d, o in p.steps])
+            for p in sides
+        )
+        cells.append(ThreeCell(f"Z({names[i]},{names[j]},{names[k]})", src, tgt))
     return Polygraph31(art, cells)
 
 

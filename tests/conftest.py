@@ -32,6 +32,23 @@ MATRICES = {
 }
 
 
+# E8 in the Bourbaki labelling (a-c-d-e-f-g-h in a line, b attached to d);
+# kept out of MATRICES, whose types the tests enumerate as groups
+E8 = coxeter(
+    "abcdefgh",
+    [
+        [1, 2, 3, 2, 2, 2, 2, 2],
+        [2, 1, 2, 3, 2, 2, 2, 2],
+        [3, 2, 1, 3, 2, 2, 2, 2],
+        [2, 3, 3, 1, 3, 2, 2, 2],
+        [2, 2, 2, 3, 1, 3, 2, 2],
+        [2, 2, 2, 2, 3, 1, 3, 2],
+        [2, 2, 2, 2, 2, 3, 1, 3],
+        [2, 2, 2, 2, 2, 2, 3, 1],
+    ],
+)
+
+
 def _chain(*ms):
     n = len(ms) + 1
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]

@@ -388,3 +388,22 @@ def recursive_projection(g, art, letters, gamma):
         return path
 
     return pi
+
+
+def unshared_z_cells(mat):
+    """Art_3(W)'s Z-cells as (name, src, tgt), each computed in place: one
+    Todd-Coxeter run and one projection per finite rank-3 parabolic
+    i < j < k, with ambient letters [i, j, k] and the ambient braid rules,
+    sharing nothing between parabolics of the same type."""
+    from polycox.coxeter import enumerate_group, rank3_finite
+    from polycox.garside import ArtinProjection, _zamolodchikov, artin_presentation
+
+    art, gamma = artin_presentation(mat)
+    out = []
+    for i, j, k in itertools.combinations(range(mat.rank), 3):
+        if not rank3_finite(mat.m[i][j], mat.m[i][k], mat.m[j][k]):
+            continue
+        g = enumerate_group(mat.submatrix((i, j, k)))
+        src, tgt = _zamolodchikov(g, ArtinProjection(g, art, [i, j, k], gamma))
+        out.append((f"Z({mat.names[i]},{mat.names[j]},{mat.names[k]})", src, tgt))
+    return out

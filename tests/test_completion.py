@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -321,6 +322,31 @@ class TestGeneratingTripleConfluence:
         assert _digest([ser.sphere_to_dict(sp, p31) for sp in spheres]) == (
             "58b2056037850b080dcc40d9435591e02986fe51053de3352b11849a9042f8aa"
         )
+
+    def test_pre_reordered_by_one_exchange(self, d4_completed, d4_spheres):
+        # faces that differ as step tuples but agree up to exchange still
+        # meet: swap two disjoint steps of one entry's pre, the right-acting
+        # one moving first with its offset re-derived
+        p31 = d4_completed
+        lengths = p31.base.rule_lengths
+        for sp, label in itertools.product(d4_spheres, ("lhs", "rhs")):
+            entries = list(getattr(sp, label))
+            for k, e in enumerate(entries):
+                steps = e.pre.steps
+                for i in range(len(steps) - 1):
+                    (r1, d1, p1), (r2, d2, p2) = steps[i], steps[i + 1]
+                    n_in, n_out = lengths[r1][:: d1]
+                    if p2 >= p1 + n_out:
+                        break
+                else:
+                    continue
+                swapped = Step2(r2, d2, p2 - n_out + n_in), steps[i]
+                pre = Path2(p31.base, e.pre.source, steps[:i] + swapped + steps[i + 2 :])
+                entries[k] = dataclasses.replace(e, pre=pre)
+                sphere = dataclasses.replace(sp, **{label: tuple(entries)})
+                assert sphere.check(p31) == []
+                return
+        raise AssertionError("no entry's pre has two disjoint adjacent steps")
 
     def test_sphere_boundaries_paths_equal(self, b3plus_completed):
         p31, _ = b3plus_completed

@@ -4,12 +4,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize, tietze
 from polycox.garside import Classification
 from polycox.paths import Path2, Step2, paths_equal
-from conftest import MATRICES
+from conftest import E8, MATRICES
 
 import oracles
 
@@ -480,6 +482,52 @@ class TestArtinCoherent:
         w0 = g.longest_element(range(3))
         for w in z.src.words() + z.tgt.words():
             assert len(w) == 15 and g.mult_word(0, w) == w0
+
+
+def _cells_as_oracle(mat):
+    got = [(c.name, c.src, c.tgt) for c in px.artin_coherent(mat).cells]
+    want = oracles.unshared_z_cells(mat)
+    assert [n for n, _, _ in got] == [n for n, _, _ in want]
+    for (name, *sides), (_, *oracle_sides) in zip(got, want):
+        for p, q in zip(sides, oracle_sides):
+            assert (p.source, p.steps, p.target) == (q.source, q.steps, q.target), name
+
+
+@st.composite
+def _coxeter_matrices(draw):
+    n = draw(st.integers(4, 6))
+    m = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = m[j][i] = draw(st.sampled_from([0, 2, 3, 4, 5, 6]))
+    return px.CoxeterMatrix(tuple("abcdef"[:n]), tuple(map(tuple, m)))
+
+
+class TestZCellsByType:
+    # one Z-cell per parabolic type, relabeled into place, must equal the
+    # cell computed inside each parabolic with its ambient letters and rules
+    @pytest.mark.parametrize("name", ["A4", "B4", "F4", "E8"])
+    def test_equal_to_unshared_cells(self, name):
+        _cells_as_oracle(E8 if name == "E8" else MATRICES[name])
+
+    def test_one_group_and_projection_per_type(self, monkeypatch):
+        from polycox import garside
+
+        calls = []
+        for name in ("enumerate_group", "ArtinProjection"):
+            real = getattr(garside, name)
+            monkeypatch.setattr(
+                garside, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+            )
+        m = E8.m
+        types = {(m[i][j], m[i][k], m[j][k]) for i, j, k in itertools.combinations(range(8), 3)}
+        finite = [t for t in types if px.rank3_finite(*t)]
+        assert len(px.artin_coherent(E8).cells) == 56
+        assert sorted(calls) == ["ArtinProjection"] * len(finite) + ["enumerate_group"] * len(finite)
+
+    @given(_coxeter_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_random_matrices(self, mat):
+        _cells_as_oracle(mat)
 
 
 class TestArtinViaReduction:

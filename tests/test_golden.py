@@ -5,8 +5,9 @@ refactor.
 The pinned digests cover the completed and reduced Garside presentations
 of A2xA1 and A3 (rules, 3-cells, their boundaries and family tags, in
 output order), Artin's coherent presentation of every rank-3 type in
-conftest.py, and the Knuth-Bendix completion of the README's B3+ example
-and of the shortlex Coxeter monoid of D4, which adjoins 7 rules.  The
+conftest.py and of A4, B4, F4 and E8, and the Knuth-Bendix completion
+of the README's B3+ example and of the shortlex Coxeter monoid of D4,
+which adjoins 7 rules.  The
 reduction digests pin ``homotopical_reduce`` along the Garside part of
 S(Gar_2(W)) and the Artin part of Gar_3(W) for the types the CLI digests
 leave out.  A change that is meant to alter these outputs updates the
@@ -22,7 +23,7 @@ import polycox as px
 from polycox import serialize as ser
 from polycox.cli import main
 
-from conftest import MATRICES, coxeter_monoid
+from conftest import E8, MATRICES, coxeter_monoid
 
 GOLDEN = {
     ("garside", "A2xA1", "completed"): "55c208c46654586272accf6d750dc7fd8e83b09c4a57a4e8ae543e9aed7166d9",
@@ -36,6 +37,16 @@ GOLDEN = {
     ("artin", "H3", None): "e7743bf59b087bf8dbd1d17db13671466f9ab4e9cb03896e33066092b223d4b6",
     ("artin", "I5xA1", None): "c64ac8d307c8c75eb7f964d93507c6db72e15bf69a165a8dcaaa36ac3d1b5d09",
     ("artin", "Atilde2", None): "122623d4003de481bc3dfadb0ed597dfc8f291dcdfd9294742abb4a69b0da962",
+}
+
+
+# `polycox artin` at rank 4 and 8, where parabolics of one type share their
+# Z-cell; kept apart from GOLDEN, whose Artin rows are the rank-3 types
+ARTIN_GOLDEN = {
+    "A4": "25391aec16d497da8a96fdddab748a7b8226805ce3f6a7e2d2802104919934c7",
+    "B4": "524b0a41f724d0b166fae15f3fe1c49eeaf97e6d4d5e84042b50c053e4595ff4",
+    "F4": "a19ba7636601026f6d3dcf0b911849da028ee78d98a86a1d6fda1f78b78b2418",
+    "E8": "14a70d1d4265be53b902389c346871e624d64355ecafba6b60b18fa59e339094",
 }
 
 
@@ -85,6 +96,15 @@ def test_stdout_digest(tmp_path, capsys, cmd, name, stage):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(cmd, name, stage)]
+
+
+@pytest.mark.parametrize("name", sorted(ARTIN_GOLDEN))
+def test_artin_digest(tmp_path, capsys, name):
+    f = tmp_path / "matrix.json"
+    f.write_text(json.dumps(ser.matrix_to_dict(E8 if name == "E8" else MATRICES[name])))
+    assert main(["artin", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ARTIN_GOLDEN[name]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
