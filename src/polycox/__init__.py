@@ -74,10 +74,7 @@ from .tietze import (
     SphereCollapse,
     ThreeCollapse,
     TwoCollapse,
-    adjoin_definition,
     homotopical_reduce,
-    nielsen_invert_rule,
-    standard_coherent_presentation,
     validate_collapsible,
 )
 from .words import (

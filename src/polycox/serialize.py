@@ -22,10 +22,6 @@ from .tietze import (
 from .words import Polygraph2, Rule, Word
 
 
-def word_to_str(p: Polygraph2, w: Word) -> str:
-    return p.word_str(w)
-
-
 def word_from_str(p: Polygraph2, s: str) -> Word:
     if not isinstance(s, str):
         raise InputError(f"a word must be a string, not {s!r}")
@@ -48,7 +44,7 @@ def polygraph2_to_dict(p: Polygraph2) -> dict:
     return {
         "generators": list(p.generators),
         "rules": [
-            {"id": r.name, "lhs": word_to_str(p, r.lhs), "rhs": word_to_str(p, r.rhs)}
+            {"id": r.name, "lhs": p.word_str(r.lhs), "rhs": p.word_str(r.rhs)}
             for r in p.rules
         ],
     }
@@ -80,7 +76,7 @@ def polygraph2_from_dict(d: dict) -> Polygraph2:
 def path_to_dict(path: Path2) -> dict:
     p = path.pg
     return {
-        "source": word_to_str(p, path.source),
+        "source": p.word_str(path.source),
         "steps": [
             {"rule": p.rules[s.rule].name, "dir": s.dir, "at": s.pos}
             for s in path.steps
@@ -159,8 +155,8 @@ def sphere_to_dict(sp: Sphere3, p31: Polygraph31, path_dict=path_to_dict) -> dic
         return {
             "cell": p31.cells[e.cell].name,
             "dir": e.dir,
-            "left": word_to_str(p31.base, e.left),
-            "right": word_to_str(p31.base, e.right),
+            "left": p31.base.word_str(e.left),
+            "right": p31.base.word_str(e.right),
             "pre": path_dict(e.pre),
             "post": path_dict(e.post),
         }

@@ -1,4 +1,4 @@
-"""Tietze and Nielsen transformations on (3,1)-polygraphs.
+"""Collapsible parts of (3,1)-polygraphs and the reduction along them.
 
 Homotopical reduction eliminates a collapsible part: designated redundant
 3-cells disappear through 3-spheres, redundant rules are replaced in every
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, NielsenError
+from .errors import NielsenError
 from .completion import Polygraph31, Sphere3, ThreeCell
 from .paths import Path2, Step2, compose, inverse, normalize_path
 from .words import Polygraph2, Rule, Word
@@ -74,8 +74,8 @@ class CollapsiblePart:
 def _collapse_sides(rule: Rule) -> Optional[tuple[int, Word]]:
     """(redundant generator, defining word) of a collapsible rule, or None.
 
-    The defining word may be empty (the unit rule of a standard
-    presentation collapses the unit generator to the empty word)."""
+    The defining word may be empty (a unit rule collapses its
+    generator to the empty word)."""
     if len(rule.rhs) == 1 and rule.rhs[0] not in rule.lhs:
         return rule.rhs[0], rule.lhs
     if len(rule.lhs) == 1 and rule.lhs[0] not in rule.rhs:
@@ -317,97 +317,3 @@ def homotopical_reduce(
         if i not in dead_cells
     ]
     return Polygraph31(final, cells)
-
-
-def nielsen_invert_rule(p31: Polygraph31, r: int) -> Polygraph31:
-    """Replace rule ``r`` by its formal inverse, negating its steps."""
-    base = p31.base
-    old = base.rules[r]
-    if not old.rhs:
-        raise InputError(f"rule {old.name!r} has an empty rhs; cannot invert")
-    rules = list(base.rules)
-    rules[r] = Rule(old.name, old.rhs, old.lhs)
-    pg = Polygraph2(list(base.generators), rules)
-
-    def flip(path: Path2) -> Path2:
-        steps = tuple(
-            Step2(s.rule, -s.dir if s.rule == r else s.dir, s.pos) for s in path.steps
-        )
-        return Path2(pg, path.source, steps)
-
-    cells = [ThreeCell(c.name, flip(c.src), flip(c.tgt)) for c in p31.cells]
-    return Polygraph31(pg, cells)
-
-
-def adjoin_definition(
-    p31: Polygraph31, gen_name: str, word: Word, rule_name: str
-) -> tuple[Polygraph31, TwoCollapse]:
-    """Coherently adjoin a redundant generator defined by ``word``, with its
-    collapsible rule.  Inverse of a 2-cell elimination; used for round trips.
-    """
-    base = p31.base
-    pg = Polygraph2(list(base.generators) + [gen_name], list(base.rules))
-    x = len(pg.generators) - 1
-    idx = pg.add_rule(Rule(rule_name, tuple(word), (x,)))
-    cells = [
-        ThreeCell(c.name, Path2(pg, c.src.source, c.src.steps), Path2(pg, c.tgt.source, c.tgt.steps))
-        for c in p31.cells
-    ]
-    return Polygraph31(pg, cells), TwoCollapse(idx, x)
-
-
-def standard_coherent_presentation(
-    table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None
-) -> Polygraph31:
-    """The standard coherent presentation of a finite monoid.
-
-    One generator per element, one rule for every product pair, one rule
-    collapsing the unit generator to the empty word, and the associativity
-    and unit 3-cells over them.  The unit rule is stored oriented toward
-    the empty word so left-hand sides stay non-empty.
-    """
-    n = len(table)
-    if n == 0 or any(len(row) != n for row in table):
-        raise InputError("multiplication table must be square and non-empty")
-    for row in table:
-        for v in row:
-            if not (0 <= v < n):
-                raise InputError("table entry out of range")
-    unit = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            unit = e
-            break
-    if unit is None:
-        raise InputError("multiplication table has no unit")
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                if table[table[u][v]][w] != table[u][table[v][w]]:
-                    raise InputError(f"table not associative at ({u},{v},{w})")
-    if names is None:
-        names = [f"x{i}" for i in range(n)]
-    pg = Polygraph2(list(names))
-    mu = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            mu[u][v] = pg.add_rule(
-                Rule(f"mu({names[u]},{names[v]})", (u, v), (table[u][v],))
-            )
-    iota = pg.add_rule(Rule("iota", (unit,), ()))
-    cells = []
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                src = Path2(pg, (u, v, w), ((mu[u][v], 1, 0), (mu[table[u][v]][w], 1, 0)))
-                tgt = Path2(pg, (u, v, w), ((mu[v][w], 1, 1), (mu[u][table[v][w]], 1, 0)))
-                cells.append(
-                    ThreeCell(f"assoc({names[u]},{names[v]},{names[w]})", src, tgt)
-                )
-    for u in range(n):
-        src = Path2(pg, (u,), ((iota, -1, 0), (mu[unit][u], 1, 0)))
-        cells.append(ThreeCell(f"lunit({names[u]})", src, Path2(pg, (u,))))
-    for u in range(n):
-        src = Path2(pg, (u,), ((iota, -1, 1), (mu[u][unit], 1, 0)))
-        cells.append(ThreeCell(f"runit({names[u]})", src, Path2(pg, (u,))))
-    return Polygraph31(pg, cells)

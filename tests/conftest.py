@@ -99,6 +99,21 @@ def groups():
 
 
 @pytest.fixture(scope="session")
+def gar3(groups):
+    """Gar_3(W) by the certified route, built once per type for the whole
+    run; tests only read it.  Tests that patch a garside internal call
+    ``garside_coherent`` themselves, so no patched result is cached."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = px.garside_coherent(groups(name))
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def a3_completion(groups):
     """S(Gar_2(A3)), built once for the whole run; tests only read it."""
     return px.complete_garside(groups("A3"))

@@ -141,12 +141,12 @@ class TestCompleteGarside:
 
 class TestGarsideReduction:
     @pytest.mark.parametrize("name", ["A1xA1", "A2", "B2", "A1^3", "A2xA1"])
-    def test_part_validates_and_reduces_to_a_cells(self, groups, name):
+    def test_part_validates_and_reduces_to_a_cells(self, groups, gar3, name):
         g = groups(name)
         gc = px.complete_garside(g)
         part = px.garside_reduction_part(gc)
         assert px.validate_collapsible(gc.p31, part) == []
-        g3 = px.garside_coherent(g)
+        g3 = gar3(name)
         got = set()
         for c in g3.p31.cells:
             rule = g3.p31.base.rules[c.src.steps[0].rule]
@@ -290,15 +290,15 @@ class TestGarsidePart:
 
 
 class TestGar4Spheres:
-    def test_rank_one_none(self, groups):
-        g3 = px.garside_coherent(groups("A1"))
+    def test_rank_one_none(self, gar3):
+        g3 = gar3("A1")
         assert px.gar4_spheres(g3) == []
 
-    def test_a1cubed_and_a2_derived_counts(self, groups):
+    def test_a1cubed_and_a2_derived_counts(self, groups, gar3):
         # oracle: enumerate fully length-additive quadruples directly
         for name in ("A1^3", "A2", "B2"):
             g = groups(name)
-            g3 = px.garside_coherent(g)
+            g3 = gar3(name)
             nontrivial = [e for e in range(g.size) if e]
             quads = [
                 q
@@ -369,11 +369,11 @@ class TestPhiKey:
         with pytest.raises(px.PreconditionError):
             px.phi_key(groups("A2"), ())
 
-    def test_keys_decrease_for_artin_part(self, groups):
+    def test_keys_decrease_for_artin_part(self, gar3):
         # targets of the collapsible cells rank strictly above the cells
         # appearing in their sources, for A2 and A1^3
         for name in ("A2", "A1^3"):
-            g3 = px.garside_coherent(groups(name))
+            g3 = gar3(name)
             part = px.artin_reduction_part(g3)
             assert px.validate_collapsible(g3.p31, part) == []
 
@@ -538,11 +538,10 @@ class TestArtinViaReduction:
     }
 
     @pytest.mark.parametrize("name", ["A1^3", "A3"])
-    def test_direct_vs_reduction_cross_check(self, groups, name):
+    def test_direct_vs_reduction_cross_check(self, gar3, name):
         # the generic homotopical reduction of Gar_3 must produce the same
         # Z-cell as the direct projection
-        g = groups(name)
-        g3 = px.garside_coherent(g)
+        g3 = gar3(name)
         part = px.artin_reduction_part(g3)
         doc = json.dumps(serialize.part_to_dict(part, g3.p31))
         assert hashlib.sha256(doc.encode()).hexdigest() == self.PART_DIGESTS[name]
@@ -568,9 +567,9 @@ class TestArtinViaReduction:
         assert paths_equal(transport(zr.src), zd.src)
         assert paths_equal(transport(zr.tgt), zd.tgt)
 
-    def test_a2_and_b2_reduce_to_artin(self, groups):
+    def test_a2_and_b2_reduce_to_artin(self, gar3):
         for name, relation in (("A2", ("tst", "sts")), ("B2", ("tsts", "stst"))):
-            g3 = px.garside_coherent(groups(name))
+            g3 = gar3(name)
             part = px.artin_reduction_part(g3)
             red = px.homotopical_reduce(g3.p31, part, validate=True)
             pg = red.base

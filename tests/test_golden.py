@@ -137,12 +137,11 @@ REDUCE_GOLDEN = {
 
 
 @pytest.mark.parametrize("part,name", sorted(REDUCE_GOLDEN), ids=str)
-def test_reduction_digest(groups, part, name):
+def test_reduction_digest(gar3, part, name):
+    g3 = gar3(name)
     if part == "garside":
-        gc = px.complete_garside(groups(name))
-        red = px.homotopical_reduce(gc.p31, px.garside_reduction_part(gc))
+        red = g3.p31  # garside_coherent's reduction along the Garside part
     else:
-        g3 = px.garside_coherent(groups(name))
         red = px.homotopical_reduce(g3.p31, px.artin_reduction_part(g3))
     doc = json.dumps(ser.polygraph31_to_dict(red))
     assert hashlib.sha256(doc.encode()).hexdigest() == REDUCE_GOLDEN[(part, name)]

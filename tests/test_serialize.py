@@ -12,7 +12,7 @@ from conftest import MATRICES
 class TestWordEncoding:
     def test_single_char_names_concatenate(self, b3plus):
         p, _ = b3plus
-        assert ser.word_to_str(p, (0, 1, 2)) == "sta"
+        assert p.word_str((0, 1, 2)) == "sta"
         assert ser.word_from_str(p, "sta") == (0, 1, 2)
 
     def test_dotted_accepted_for_single_char(self, b3plus):
@@ -22,13 +22,13 @@ class TestWordEncoding:
     def test_multi_char_names_use_dots(self, groups):
         gp = px.garside_presentation(groups("A2"))
         w = (0, 4, 2)
-        s = ser.word_to_str(gp.pg, w)
+        s = gp.pg.word_str(w)
         assert "." in s
         assert ser.word_from_str(gp.pg, s) == w
 
     def test_empty(self, b3plus):
         p, _ = b3plus
-        assert ser.word_to_str(p, ()) == ""
+        assert p.word_str(()) == ""
         assert ser.word_from_str(p, "") == ()
 
     def test_unknown_generator(self, b3plus):
@@ -125,7 +125,7 @@ class TestGarsideDocuments:
         back = ser.polygraph31_from_dict(doc)
         assert back == gc.p31
 
-    def test_reduced_presentation_round_trip(self, groups):
-        g3 = px.garside_coherent(groups("A1^3"))
+    def test_reduced_presentation_round_trip(self, gar3):
+        g3 = gar3("A1^3")
         back = ser.polygraph31_from_dict(ser.polygraph31_to_dict(g3.p31))
         assert back == g3.p31

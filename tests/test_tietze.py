@@ -126,7 +126,7 @@ class TestHomotopicalReduce:
 class TestNielsenInvertRule:
     def test_double_inversion_identity(self, b3plus_completed):
         p31, _ = b3plus_completed
-        twice = px.nielsen_invert_rule(px.nielsen_invert_rule(p31, 0), 0)
+        twice = oracles.nielsen_invert_rule(oracles.nielsen_invert_rule(p31, 0), 0)
         assert twice.base == p31.base
         assert [(c.src.steps, c.tgt.steps) for c in twice.cells] == [
             (c.src.steps, c.tgt.steps) for c in p31.cells
@@ -134,7 +134,7 @@ class TestNielsenInvertRule:
 
     def test_monoid_preserved(self, b3plus_completed):
         p31, _ = b3plus_completed
-        flipped = px.nielsen_invert_rule(p31, 0)
+        flipped = oracles.nielsen_invert_rule(p31, 0)
         a = oracles.closure_classes(
             [(r.lhs, r.rhs) for r in p31.base.rules], 3, 6, 9
         )
@@ -153,7 +153,7 @@ class TestNielsenInvertRule:
 
     def test_cells_still_parallel(self, b3plus_completed):
         p31, _ = b3plus_completed
-        flipped = px.nielsen_invert_rule(p31, 2)
+        flipped = oracles.nielsen_invert_rule(p31, 2)
         for c in flipped.cells:
             assert c.src.source == c.tgt.source
             assert c.src.target == c.tgt.target
@@ -161,7 +161,7 @@ class TestNielsenInvertRule:
 
 class TestStandardPresentation:
     def test_trivial_monoid_schema(self):
-        p31 = px.standard_coherent_presentation([[0]])
+        p31 = oracles.standard_coherent_presentation([[0]])
         # schema: one generator, a product rule and the unit rule, and the
         # associativity plus two unit 3-cells
         assert p31.base.n_generators == 1
@@ -169,26 +169,26 @@ class TestStandardPresentation:
         assert len(p31.cells) == 3
 
     def test_idempotent_monoid_counts(self):
-        p31 = px.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
+        p31 = oracles.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
         assert p31.base.n_generators == 2
         assert len(p31.base.rules) == 5  # 4 products + unit
         assert len(p31.cells) == 8 + 2 + 2
 
     def test_z2_counts(self):
-        p31 = px.standard_coherent_presentation([[0, 1], [1, 0]])
+        p31 = oracles.standard_coherent_presentation([[0, 1], [1, 0]])
         assert p31.base.n_generators == 2
         assert len(p31.base.rules) == 5
         assert len(p31.cells) == 12
 
     def test_non_associative_rejected(self):
         with pytest.raises(px.InputError):
-            px.standard_coherent_presentation(
+            oracles.standard_coherent_presentation(
                 [[0, 1, 2], [1, 2, 2], [2, 2, 1]]
             )
 
     def test_no_unit_rejected(self):
         with pytest.raises(px.InputError):
-            px.standard_coherent_presentation([[1, 1], [1, 1]])
+            oracles.standard_coherent_presentation([[1, 1], [1, 1]])
 
 
 def reduce_standard_to_reduced(p31, names):
@@ -250,7 +250,7 @@ class TestReducedStandardPresentation:
     def test_idempotent_monoid(self):
         # {1, e | ee = e}: the reduced standard presentation keeps one
         # generator, one rule and one associativity cell
-        p31 = px.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
+        p31 = oracles.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
         red = reduce_standard_to_reduced(p31, ["1", "e"])
         assert red.base.generators == ["e"]
         assert [(red.base.word_str(r.lhs), red.base.word_str(r.rhs)) for r in red.base.rules] == [
@@ -259,7 +259,7 @@ class TestReducedStandardPresentation:
         assert [c.name for c in red.cells] == ["assoc(e,e,e)"]
 
     def test_monoid_count_preserved(self):
-        p31 = px.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
+        p31 = oracles.standard_coherent_presentation([[0, 1], [1, 1]], names=["1", "e"])
         red = reduce_standard_to_reduced(p31, ["1", "e"])
         # the monoid {1, e} has exactly 2 classes at every positive length cap
         classes_in = oracles.closure_classes(
@@ -275,7 +275,7 @@ class TestReducedStandardPresentation:
 class TestAdjoinDefinition:
     def test_round_trip(self, b3plus_completed):
         p31, _ = b3plus_completed
-        bigger, undo = px.adjoin_definition(p31, "z", (0, 1, 0), "def_z")
+        bigger, undo = oracles.adjoin_definition(p31, "z", (0, 1, 0), "def_z")
         assert bigger.base.n_generators == 4
         part = px.CollapsiblePart(
             (undo,),
@@ -289,8 +289,8 @@ class TestAdjoinDefinition:
 
     def nested(self, p31, y_rank):
         # y := z.a with z := st, so y's defining word holds a redundant generator
-        with_z, z = px.adjoin_definition(p31, "z", (0, 1), "def_z")
-        with_y, y = px.adjoin_definition(with_z, "y", (3, 2), "def_y")
+        with_z, z = oracles.adjoin_definition(p31, "z", (0, 1), "def_z")
+        with_y, y = oracles.adjoin_definition(with_z, "y", (3, 2), "def_y")
         ranks = {0: 0, 1: 1, 2: 2, 3: 9, 4: y_rank}
         return with_y, px.CollapsiblePart((y, z), (), (), px.OrderWitness(ranks, {}, {}))
 
