@@ -2,6 +2,8 @@
 completion-reduction of string rewriting systems, specialized to Garside's
 and Artin's coherent presentations of Artin monoids."""
 
+from types import ModuleType as _ModuleType
+
 from .completion import (
     Branching,
     Polygraph31,
@@ -91,4 +93,4 @@ from .words import (
     find_redexes,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _ModuleType)]

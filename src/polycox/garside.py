@@ -331,21 +331,20 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
     its family's generating triple confluence, transcribed face by face;
     cells are ordered I > H > ... > B > A by family.
 
-    Every face is stored forward (direction +1) and found by the family
-    tag of its cell; a missing face raises CoherenceError.  The part
-    shares one Step2 per (rule, offset), one word per element tuple and
-    one Path2 per (source, steps) across all its spheres; the tables live
-    only during the call.  The paths carry no target, so every distinct
-    path is replayed, once, when its sphere is checked.  The part is
-    only built here, not checked: ``validate_collapsible``, which
-    ``homotopical_reduce`` runs by default, checks every sphere.
+    Faces are forward (direction +1) and found by their cell's family tag;
+    a missing face raises CoherenceError.  A face's pre path starts at the
+    sphere's source word, its post path at left + cell target + right.
+    Steps, words and paths are shared per value while the call runs; the
+    paths carry no target, so each distinct one is replayed once when its
+    sphere is checked.  The part is only built here: ``validate_collapsible``,
+    which ``homotopical_reduce`` runs by default, checks every sphere.
     """
-    gp, g, pg = gc.gp, gc.gp.group, gc.p31.base
-    m = g.mult
+    gp, g, pg, m = gc.gp, gc.gp.group, gc.p31.base, gc.gp.group.mult
     cell_of = {
         (tag.letter.translate(_FACE_LETTER), tag.indices): i
         for i, tag in enumerate(gc.tags)
     }
+    tgt = [c.src.target for c in gc.p31.cells]  # replayed by ThreeCell
 
     def face(letter: str, *elts: int) -> int:
         idx = cell_of.get((letter, elts))
@@ -354,6 +353,7 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
         return idx
 
     words: dict[tuple[int, ...], Word] = {}
+    ends: dict[Word, Word] = {}  # post-path source words, one per value
     paths: dict[tuple[Word, tuple[Step2, ...]], Path2] = {}
     aS, bS = _step_makers(gp.alpha, gc.beta)
 
@@ -370,6 +370,11 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             path = paths[key] = Path2._make(pg, word, steps, None)
         return path
 
+    def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
+        lw, rw = W(*left), W(*right)
+        t = lw + tgt[cell] + rw
+        return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(ends.setdefault(t, t), *post))
+
     three: list[ThreeCollapse] = []
     spheres: list[SphereCollapse] = []
     for i, tag in enumerate(gc.tags):
@@ -382,127 +387,85 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
         if letter in ("C", "D", "E", "H"):
             u, v, w, x = idx
             X = W(u, v, w, x)
-            idX = P(X)
             uv, vw, wx = m(u, v), m(v, w), m(w, x)
+        elif letter in ("F", "G"):
+            u, v, w, x, y = idx
+            uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
+            X = W(u, vw, x, y) if letter == "F" else W(u, v, w, xy)
         if letter == "C":
             start = P(X, aS(u, v, 0), aS(uv, w, 0))
             end = P(X, aS(w, x, 2), bS(v, w, x, 1), aS(u, vw, 0))
-            idT = P(W(m(uv, w), x))
-            lhs = [
-                (face("A", u, v, w), (), W(x), idX, idT),
-                (face("A", v, w, x), W(u), (), idX, P(W(u, vw, x), aS(u, vw, 0))),
-            ]
-            rhs = [
-                (face("A", uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
-                (i, (), (), P(X, aS(w, x, 2)), idT),
-            ]
+            lhs = (
+                E(face("A", u, v, w), right=(x,)),
+                E(face("A", v, w, x), left=(u,), post=(aS(u, vw, 0),)),
+            )
+            rhs = (
+                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
+                E(i, pre=(aS(w, x, 2),)),
+            )
         elif letter == "D":
             start = P(X, aS(u, v, 0), aS(w, x, 1))
             end = P(X, aS(w, x, 2), bS(v, w, x, 1), bS(u, v, w, 0), aS(w, x, 1))
-            idT = P(W(uv, wx))
-            lhs = [
-                (face("A", u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
-                (
-                    face("A", v, w, x),
-                    W(u),
-                    (),
-                    idX,
-                    P(W(u, vw, x), bS(u, v, w, 0), aS(w, x, 1)),
-                ),
-            ]
-            rhs = [(i, (), (), P(X, aS(w, x, 2)), idT)]
+            lhs = (
+                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, v, w, 0), aS(w, x, 1))),
+            )
+            rhs = (E(i, pre=(aS(w, x, 2),)),)
         elif letter == "E":
             start = P(X, aS(u, v, 0), aS(w, x, 1))
             end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, v, wx, 0))
-            idT = P(W(uv, wx))
-            lhs = [
-                (face("A", u, v, w), (), W(x), idX, P(W(uv, w, x), aS(w, x, 1))),
-                (i, (), (), P(X, aS(v, w, 1)), idT),
-                (face("A", v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, v, wx, 0))),
-            ]
-            rhs = [(face("A", u, v, wx), (), (), P(X, aS(w, x, 2)), idT)]
+            lhs = (
+                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
+                E(i, pre=(aS(v, w, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, v, wx, 0),)),
+            )
+            rhs = (E(face("A", u, v, wx), pre=(aS(w, x, 2),)),)
         elif letter == "F":
-            u, v, w, x, y = idx
-            uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
-            X = W(u, vw, x, y)
-            idX = P(X)
             start = P(X, bS(u, v, w, 0), aS(w, x, 1), aS(wx, y, 1))
             end = P(X, aS(x, y, 2), bS(vw, x, y, 1), bS(u, v, wx, 0), aS(wx, y, 1))
-            idT = P(W(uv, m(w, xy)))
-            lhs = [
-                (face("E", u, v, w, x), (), W(y), idX, P(W(uv, wx, y), aS(wx, y, 1))),
-                (
-                    face("A", vw, x, y),
-                    W(u),
-                    (),
-                    idX,
-                    P(W(u, m(vw, x), y), bS(u, v, wx, 0), aS(wx, y, 1)),
-                ),
-            ]
-            rhs = [
-                (face("A", w, x, y), W(uv), (), P(X, bS(u, v, w, 0)), idT),
-                (i, (), (), P(X, aS(x, y, 2)), idT),
-            ]
+            lhs = (
+                E(face("E", u, v, w, x), right=(y,), post=(aS(wx, y, 1),)),
+                E(face("A", vw, x, y), left=(u,), post=(bS(u, v, wx, 0), aS(wx, y, 1))),
+            )
+            rhs = (
+                E(face("A", w, x, y), left=(uv,), pre=(bS(u, v, w, 0),)),
+                E(i, pre=(aS(x, y, 2),)),
+            )
         elif letter == "G":
-            u, v, w, x, y = idx
-            uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
-            X = W(u, v, w, xy)
-            idX = P(X)
             start = P(X, aS(u, v, 0), bS(w, x, y, 1))
             end = P(X, bS(w, x, y, 2), aS(v, wx, 1), bS(u, v, wx, 0))
-            idT = P(W(uv, wx, y))
-            lhs = [
-                (face("A", u, v, w), (), W(xy), idX, P(W(uv, w, xy), bS(w, x, y, 1))),
-                (i, (), (), P(X, aS(v, w, 1)), idT),
-                (
-                    face("C", v, w, x, y),
-                    W(u),
-                    (),
-                    idX,
-                    P(W(u, m(v, wx), y), bS(u, v, wx, 0)),
-                ),
-            ]
-            rhs = [(face("A", u, v, wx), (), W(y), P(X, bS(w, x, y, 2)), idT)]
+            lhs = (
+                E(face("A", u, v, w), right=(xy,), post=(bS(w, x, y, 1),)),
+                E(i, pre=(aS(v, w, 1),)),
+                E(face("C", v, w, x, y), left=(u,), post=(bS(u, v, wx, 0),)),
+            )
+            rhs = (E(face("A", u, v, wx), right=(y,), pre=(bS(w, x, y, 2),)),)
         elif letter == "H":
             start = P(X, aS(u, v, 0), aS(uv, w, 0))
             end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, vw, x, 0))
-            idT = P(W(m(uv, w), x))
-            lhs = [
-                (face("A", u, v, w), (), W(x), idX, idT),
-                (face("A", u, vw, x), (), (), P(X, aS(v, w, 1)), idT),
-                (face("A", v, w, x), W(u), (), idX, P(W(u, m(v, wx)), bS(u, vw, x, 0))),
-            ]
-            rhs = [
-                (face("A", uv, w, x), (), (), P(X, aS(u, v, 0)), idT),
-                (
-                    face("A", u, v, wx),
-                    (),
-                    (),
-                    P(X, aS(w, x, 2)),
-                    P(W(uv, wx), bS(uv, w, x, 0)),
-                ),
-                (i, (), (), P(X, aS(w, x, 2), aS(v, wx, 1)), idT),
-            ]
+            lhs = (
+                E(face("A", u, v, w), right=(x,)),
+                E(face("A", u, vw, x), pre=(aS(v, w, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, vw, x, 0),)),
+            )
+            rhs = (
+                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
+                E(face("A", u, v, wx), pre=(aS(w, x, 2),), post=(bS(uv, w, x, 0),)),
+                E(i, pre=(aS(w, x, 2), aS(v, wx, 1))),
+            )
         elif letter == "I":
             u, v1, w1, v2, w2 = idx
             join = g.lcm(v1, v2)
             x1, x2 = g.complement(v1, join), g.complement(v2, join)
             y = g.complement(join, m(v1, w1))
             X = W(u, m(v1, w1))
-            idX = P(X)
             start = P(X, bS(u, v1, w1, 0), bS(m(u, v1), x1, y, 0))
             end = P(X, bS(u, join, y, 0))
-            idT = P(W(m(u, join), y))
-            lhs = [
-                (i, (), (), idX, idT),
-                (face("H", u, v2, x2, y), (), (), idX, idT),
-            ]
-            rhs = [(face("H", u, v1, x1, y), (), (), idX, idT)]
+            lhs = (E(i), E(face("H", u, v2, x2, y)))
+            rhs = (E(face("H", u, v1, x1, y)),)
         else:
             raise ClassificationError(f"unknown family {letter!r}")
-        lhs_entries = tuple(SphereEntry(c, 1, *rest) for c, *rest in lhs)
-        rhs_entries = tuple(SphereEntry(c, 1, *rest) for c, *rest in rhs)
-        spheres.append(SphereCollapse(Sphere3(start, end, lhs_entries, rhs_entries), i))
+        spheres.append(SphereCollapse(Sphere3(start, end, lhs, rhs), i))
 
     rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
     rule_rank.update({i: (1, i) for i in gc.beta_of_rule})

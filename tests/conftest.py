@@ -7,6 +7,8 @@ import pytest
 
 import polycox as px
 
+import oracles
+
 
 def coxeter(names, rows):
     return px.CoxeterMatrix(tuple(names), tuple(tuple(r) for r in rows))
@@ -120,6 +122,21 @@ def a3_completion(groups):
 
 
 @pytest.fixture(scope="session")
+def garside_parts(groups, a3_completion):
+    """S(Gar_2(W)) and its Garside part, built once per type for the whole
+    run (A3's completion is ``a3_completion``); tests only read them."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            gc = a3_completion if name == "A3" else px.complete_garside(groups(name))
+            cache[name] = gc, px.garside_reduction_part(gc)
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def b3plus():
     """The positive braid presentation (s,t,a; ta=>as, st=>a)."""
     p = px.Polygraph2(
@@ -134,3 +151,15 @@ def b3plus():
 def b3plus_completed(b3plus):
     p, order = b3plus
     return px.homotopical_complete(p, order), order
+
+
+@pytest.fixture(scope="session")
+def b3plus_closure_classes(b3plus_completed):
+    """The congruence classes of the completed B3+ rules (words up to
+    length 6) and of the braid monoid tst = sts (words up to length 14),
+    by the closure oracle; tests only read them."""
+    p31, _ = b3plus_completed
+    return (
+        oracles.closure_classes([(r.lhs, r.rhs) for r in p31.base.rules], 3, 6, 10),
+        oracles.closure_classes([((1, 0, 1), (0, 1, 0))], 2, 14, 14),
+    )

@@ -156,20 +156,18 @@ GARSIDE_TYPES = ["A1xA1", "A2", "B2", "A1^3", "A2xA1", "A3"]
 _PIPELINE: dict = {}
 
 
-def garside_pipeline(groups):
+def garside_pipeline(garside_parts):
     if not _PIPELINE:
         for name in GARSIDE_TYPES:
-            g = groups(name)
-            gc = px.complete_garside(g)
-            part = px.garside_reduction_part(gc)
+            gc, part = garside_parts(name)
             red = px.homotopical_reduce(gc.p31, part, validate=False)
-            _PIPELINE[name] = (g, gc, part, red)
+            _PIPELINE[name] = (gc.gp.group, gc, part, red)
     return _PIPELINE
 
 
-def test_criterion_3_garside_reduction(groups):
+def test_criterion_3_garside_reduction(garside_parts):
     t0 = time.time()
-    pipeline = garside_pipeline(groups)
+    pipeline = garside_pipeline(garside_parts)
     for name in GARSIDE_TYPES:
         g, gc, part, red = pipeline[name]
         # classification total, no error raised, one tag per cell
@@ -311,11 +309,11 @@ def test_criterion_5_z_cell_boundaries():
     report(5, "Z-cell boundaries vs their transcriptions", t0, 50.0)
 
 
-def test_criterion_6_convergence(b3plus_completed, groups):
+def test_criterion_6_convergence(b3plus_completed, garside_parts):
     t0 = time.time()
     p31, _ = b3plus_completed
     strategies_agree(p31.base, 8, exhaustive=True)
-    pipeline = garside_pipeline(groups)
+    pipeline = garside_pipeline(garside_parts)
     for name in GARSIDE_TYPES:
         _, gc, _, _ = pipeline[name]
         exhaustive = gc.p31.base.n_generators <= 5
@@ -323,16 +321,12 @@ def test_criterion_6_convergence(b3plus_completed, groups):
     report(6, "strategy-independent normal forms", t0, 300.0)
 
 
-def test_criterion_7_presentation_preservation(b3plus_completed, groups):
+def test_criterion_7_presentation_preservation(b3plus_closure_classes, garside_parts):
     t0 = time.time()
-    pipeline = garside_pipeline(groups)
+    pipeline = garside_pipeline(garside_parts)
     # the braid-monoid reduction: classes of words up to length 6 are in
     # bijection under s,t -> s,t and a -> st (full closure oracle)
-    p31, _ = b3plus_completed
-    classes_in = oracles.closure_classes(
-        [(r.lhs, r.rhs) for r in p31.base.rules], 3, 6, 10
-    )
-    classes_out = oracles.closure_classes([((1, 0, 1), (0, 1, 0))], 2, 14, 14)
+    classes_in, classes_out = b3plus_closure_classes
 
     def phi(word):
         image = {0: (0,), 1: (1,), 2: (0, 1)}

@@ -205,11 +205,20 @@ class TestGarsidePart:
     }
 
     @pytest.mark.parametrize("name", sorted(PART_DIGESTS))
-    def test_part_digest(self, groups, a3_completion, name):
-        gc = a3_completion if name == "A3" else px.complete_garside(groups(name))
-        part = px.garside_reduction_part(gc)
+    def test_part_digest(self, garside_parts, name):
+        gc, part = garside_parts(name)
         doc = json.dumps(serialize.part_to_dict(part, gc.p31))
         assert hashlib.sha256(doc.encode()).hexdigest() == self.PART_DIGESTS[name]
+
+    def test_missing_face_raises(self, garside_parts):
+        gc, _ = garside_parts("A2xA1")
+        tags = list(gc.tags)
+        first_a = next(i for i, tag in enumerate(tags) if tag.letter == "A")
+        tags[first_a] = px.FamilyTag("A", (0, 0, 0))
+        with pytest.raises(
+            px.CoherenceError, match=r"^no A-family 3-cell on elements \(1, 2, 1\)$"
+        ):
+            px.garside_reduction_part(dataclasses.replace(gc, tags=tags))
 
     def test_one_object_per_value(self, groups):
         # equal steps are one Step2, and equal part paths one Path2

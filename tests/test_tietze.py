@@ -84,13 +84,10 @@ class TestHomotopicalReduce:
         assert red.base == p31.base
         assert [c.name for c in red.cells] == [c.name for c in p31.cells]
 
-    def test_presented_monoid_preserved(self, b3plus_completed):
+    def test_presented_monoid_preserved(self, b3plus_closure_classes):
         # classes of words of length <= 6, via congruence closure, must be
         # in bijection under s,t -> s,t and a -> st
-        p31, _ = b3plus_completed
-        rules_in = [(r.lhs, r.rhs) for r in p31.base.rules]
-        classes_in = oracles.closure_classes(rules_in, 3, 6, 10)
-        classes_out = oracles.closure_classes([((1, 0, 1), (0, 1, 0))], 2, 14, 14)
+        classes_in, classes_out = b3plus_closure_classes
 
         def phi(word):
             image = {0: (0,), 1: (1,), 2: (0, 1)}
