@@ -7,9 +7,12 @@ Cayley graph, so no algebraic-number arithmetic is needed even for type
 H3.  The declaration order of the Coxeter matrix is the total order on
 the generating set.
 
-Canonical words are shortlex-minimal reduced expressions; their first
-letter is the smallest left-divisor of the element, which is exactly the
-recursion the reduction to Artin's presentation uses.
+Element ids are the order in which one HLT pass (Sims, Computation with
+Finitely Presented Groups, 1994) leaves its live cosets.  Canonical words
+are shortlex-minimal reduced expressions, read off a breadth-first search
+that also fills the left and inverse tables; their first letter is the
+smallest left-divisor of the element, which is exactly the recursion the
+reduction to Artin's presentation uses.
 """
 
 from __future__ import annotations
@@ -91,10 +94,14 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
     """Coset table of the trivial subgroup; generators are involutions.
 
     One HLT pass: each live coset in turn scans every relator, defining
-    cosets to fill the gaps and handling coincidences at once.  The pass
-    closes every relator at every live coset, which is checked rather than
-    rescanned (CoherenceError otherwise).  Raises InfiniteOrUnknown if more
-    than ``cap`` cosets get defined, or before any relator is built if a
+    cosets to fill the gaps and handling coincidences at once.  A define
+    adds one coset with one edge, back to the forward walk's end, and
+    merges nothing, so a restarted scan would retrace both walks to where
+    they stopped: the scan continues them, and the table is the same.
+    The pass closes every relator at every live coset, which is checked
+    on the renumbered table rather than rescanned (CoherenceError for a
+    gap or an open relator).  Raises InfiniteOrUnknown if more than
+    ``cap`` cosets get defined, or before any relator is built if a
     dihedral subgroup alone exceeds ``cap``.
     """
     check_dihedral_cap(mat, cap)
@@ -152,24 +159,23 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
                     queue.append((find(cur), z))
 
     def scan(a: int, rel: tuple[int, ...]) -> None:
-        # forward as far as defined, then fill the gap; rescan after a define
+        # forward as far as defined, backward to meet it; fill the gap and go on
+        f, i, b, j = a, 0, a, len(rel)
         while True:
-            f, i = a, 0
             while i < len(rel):
                 nxt = table[f][rel[i]]
                 if nxt is None:
                     break
-                f, i = find(nxt), i + 1
+                f, i = nxt if parent[nxt] == nxt else find(nxt), i + 1
             if i == len(rel):
                 if f != a:
                     merge(f, a)
                 return
-            b, j = a, len(rel)
             while j > i:
                 prv = table[b][rel[j - 1]]
                 if prv is None:
                     break
-                b, j = find(prv), j - 1
+                b, j = prv if parent[prv] == prv else find(prv), j - 1
             if j == i:
                 merge(f, b)
                 return
@@ -186,28 +192,33 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
 
     a = 0
     while a < len(table):
-        if find(a) == a:
+        if parent[a] == a:
             for rel in relators:
                 scan(a, rel)
-                if find(a) != a:
+                if parent[a] != a:
                     break
         a += 1
-    live = [c for c in range(len(table)) if find(c) == c]
-    for c in live:  # the pass has closed every relator at every live coset
+    live = [c for c in range(len(table)) if parent[c] == c]
+    if any(None in table[c] for c in live):
+        raise CoherenceError("coset table incomplete after the HLT pass")
+    renum = {c: i for i, c in enumerate(live)}
+    right = [[renum[find(table[c][g])] for g in range(n)] for c in live]
+    for c in range(len(right)):  # the pass has closed every relator at every coset
         for rel in relators:
             f = c
             for g in rel:
-                if table[f][g] is None:
-                    raise CoherenceError("coset table incomplete after the HLT pass")
-                f = find(table[f][g])
+                f = right[f][g]
             if f != c:
                 raise CoherenceError("a relator does not close after the HLT pass")
-    renum = {c: i for i, c in enumerate(live)}
-    return [[renum[find(table[c][g])] for g in range(n)] for c in live]
+    return right
 
 
 class CoxeterGroup:
-    """A finite Coxeter group with its Cayley graph and length/word data."""
+    """A finite Coxeter group with its Cayley graph and length/word data.
+
+    A breadth-first search of ``right`` gives lengths and shortlex words
+    and fills ``left`` and ``inv``: for e = f t found from f, s e = (s f) t
+    and e^-1 = t f^-1, where f^-1 is as long as f, so found before e."""
 
     __slots__ = (
         "matrix",
@@ -225,6 +236,8 @@ class CoxeterGroup:
         n = matrix.rank
         self.length = [-1] * size
         self.word: list[tuple[int, ...]] = [()] * size
+        self.left = [list(right[0])] + [[]] * (size - 1)  # left[e][s] = s * e
+        self.inv = [0] * size
         self.length[0] = 0
         order = [0]
         for e in order:
@@ -233,11 +246,11 @@ class CoxeterGroup:
                 if self.length[f] < 0:
                     self.length[f] = self.length[e] + 1
                     self.word[f] = self.word[e] + (s,)
+                    self.left[f] = [right[x][s] for x in self.left[e]]
+                    self.inv[f] = self.left[self.inv[e]][s]
                     order.append(f)
         if any(l < 0 for l in self.length):
             raise PreconditionError("Cayley graph is not connected")
-        self.left = [[self.mult_word(right[0][s], self.word[e]) for s in range(n)] for e in range(size)]
-        self.inv = [self.mult_word(0, tuple(reversed(self.word[e]))) for e in range(size)]
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -283,13 +296,11 @@ class CoxeterGroup:
         return w
 
     def smallest_divisor(self, u: int) -> int:
-        """The least generator (in matrix order) dividing u != 1."""
+        """The least generator (in matrix order) dividing u != 1: the first
+        letter of its shortlex-minimal word, as every left descent starts one."""
         if u == self.identity:
             raise PreconditionError("the identity has no smallest divisor")
-        for s in range(self.rank):
-            if self.length[self.left[u][s]] < self.length[u]:
-                return s
-        raise PreconditionError("unreachable: non-identity with no descent")
+        return self.word[u][0]
 
     def gcd(self, a: int, b: int) -> int:
         """Greatest common left divisor (the weak-order meet).

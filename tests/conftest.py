@@ -31,6 +31,7 @@ MATRICES = {
     # in this order Todd-Coxeter meets coincidences (25 and 23 merges)
     "B4": coxeter("abcd", [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]),
     "F4": coxeter("abcd", [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]),
+    "D4": coxeter("abcd", [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
 }
 
 

@@ -3,10 +3,11 @@ builders made from polycox's value types.
 
 The oracles recompute expected values by brute force (exhaustive
 reduction, naive overlap scans, congruence closure, braid-move
-enumeration) without going through the code paths under test.  The
-builders (the standard coherent presentation of a finite monoid, Nielsen
-rule inversion, an adjoined definition) make (3,1)-polygraphs that the
-reduction and the round-trip tests start from.
+enumeration, a Todd-Coxeter pass that restarts every scan) without going
+through the code paths under test.  The builders (the standard coherent
+presentation of a finite monoid, Nielsen rule inversion, an adjoined
+definition) make (3,1)-polygraphs that the reduction and the round-trip
+tests start from.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections import deque
 from typing import Optional, Sequence
 
 from polycox import (
+    CoherenceError,
+    InfiniteOrUnknown,
     InputError,
     Path2,
     Polygraph2,
@@ -26,6 +29,7 @@ from polycox import (
     TwoCollapse,
     Word,
 )
+from polycox.coxeter import check_dihedral_cap
 
 
 def one_step_reducts(word, rules):
@@ -296,6 +300,122 @@ def tits_enumerate(m, max_size=100000):
     for closure in elements.values():
         distinct[min(closure)] = closure
     return distinct
+
+
+def reference_coset_table(mat, cap: int) -> list[list[int]]:
+    """Todd-Coxeter's coset table of the trivial subgroup by the plain HLT
+    pass: a scan restarts from scratch after every define, and closure is
+    checked by walking every relator at every live coset of the table
+    before renumbering, through ``find``.  ``enumerate_group`` must give
+    the same table, ids included.  Raises InfiniteOrUnknown past ``cap``
+    cosets and CoherenceError if the table does not close."""
+    check_dihedral_cap(mat, cap)
+    n = mat.rank
+    relators: list[tuple[int, ...]] = [(i, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mat.m[i][j]:
+                relators.append((i, j) * mat.m[i][j])
+
+    table: list[list[Optional[int]]] = [[None] * n]
+    parent = [0]
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def define(a: int, g: int) -> int:
+        if len(table) >= cap:
+            raise InfiniteOrUnknown(
+                f"coset enumeration did not close within {cap} cosets"
+            )
+        b = len(table)
+        table.append([None] * n)
+        parent.append(b)
+        table[a][g] = b
+        table[b][g] = a
+        return b
+
+    def merge(a: int, b: int) -> None:
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            for g in range(n):
+                z = table[y][g]
+                if z is None:
+                    continue
+                z = find(z)
+                cur = table[x][g]
+                if cur is None:
+                    table[x][g] = z
+                    if table[z][g] is None:
+                        table[z][g] = x
+                    else:
+                        queue.append((table[z][g], x))
+                else:
+                    queue.append((find(cur), z))
+
+    def scan(a: int, rel: tuple[int, ...]) -> None:
+        # forward as far as defined, then fill the gap; rescan after a define
+        while True:
+            f, i = a, 0
+            while i < len(rel):
+                nxt = table[f][rel[i]]
+                if nxt is None:
+                    break
+                f, i = find(nxt), i + 1
+            if i == len(rel):
+                if f != a:
+                    merge(f, a)
+                return
+            b, j = a, len(rel)
+            while j > i:
+                prv = table[b][rel[j - 1]]
+                if prv is None:
+                    break
+                b, j = find(prv), j - 1
+            if j == i:
+                merge(f, b)
+                return
+            if j == i + 1:
+                g0 = rel[i]
+                c = table[b][g0]
+                if c is not None:
+                    merge(find(c), f)
+                else:
+                    table[f][g0] = b
+                    table[b][g0] = f
+                return
+            define(f, rel[i])
+
+    a = 0
+    while a < len(table):
+        if find(a) == a:
+            for rel in relators:
+                scan(a, rel)
+                if find(a) != a:
+                    break
+        a += 1
+    live = [c for c in range(len(table)) if find(c) == c]
+    for c in live:  # the pass has closed every relator at every live coset
+        for rel in relators:
+            f = c
+            for g in rel:
+                if table[f][g] is None:
+                    raise CoherenceError("coset table incomplete after the HLT pass")
+                f = find(table[f][g])
+            if f != c:
+                raise CoherenceError("a relator does not close after the HLT pass")
+    renum = {c: i for i, c in enumerate(live)}
+    return [[renum[find(table[c][g])] for g in range(n)] for c in live]
 
 
 def direct_product_a1n(n):

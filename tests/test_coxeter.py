@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycox as px
-from conftest import MATRICES
+from conftest import MATRICES, _chain, coxeter
 
 import oracles
 
@@ -76,6 +79,77 @@ class TestEnumeration:
             assert g.mult_word(0, w) == e
             if e != g.identity:
                 assert w[0] == g.smallest_divisor(e)
+
+
+# the finite groups of the `groups` fixture, and a large dihedral group
+FINITE = sorted(name for name in MATRICES if name != "Atilde2")
+I2_600 = coxeter("st", [[1, 600], [600, 1]])
+
+
+class TestTablesAgainstDefinitions:
+    """``left``, ``inv`` and ``smallest_divisor`` are read off the
+    breadth-first tree; check them against products along whole words."""
+
+    @pytest.fixture(scope="class", params=FINITE + ["I2(600)"])
+    def group(self, request, groups):
+        if request.param == "I2(600)":
+            return px.enumerate_group(I2_600)
+        return groups(request.param)
+
+    def test_left_is_left_multiplication(self, group):
+        g = group
+        for e in range(g.size):
+            assert g.left[e] == [g.mult_word(g.generator(s), g.word[e]) for s in range(g.rank)]
+
+    def test_inv_is_the_inverse(self, group):
+        g = group
+        for e in range(g.size):
+            assert g.mult(e, g.inv[e]) == g.mult(g.inv[e], e) == g.identity
+
+    def test_smallest_divisor_is_the_least_left_descent(self, group):
+        g = group
+        for e in range(1, g.size):
+            descents = [
+                s for s in range(g.rank)
+                if g.length[g.mult_word(g.generator(s), g.word[e])] < g.length[e]
+            ]
+            assert g.smallest_divisor(e) == min(descents)
+
+
+def _relabeled(m, perm):
+    n = len(m)
+    return coxeter("abcde"[:n], [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+_D5 = _chain(3, 3, 3, 2)
+_D5[2][4] = _D5[4][2] = 3
+RANK45 = {"A5": _chain(3, 3, 3, 3), "B4": _chain(4, 3, 3), "D5": _D5, "F4": _chain(3, 4, 3)}
+
+# every finite rank-3 type (m_rs, m_rt, m_st) with entries up to 12, up to order
+RANK3_TYPES = sorted(
+    {tuple(sorted(t)) for t in itertools.product(range(2, 13), repeat=3) if px.rank3_finite(*t)}
+)
+
+
+class TestReferenceCosetTable:
+    """The coset table equals the one a scan that restarts after every
+    define and checks closure through ``find`` gives (``oracles``), ids
+    included, so every layer above reads the same element numbering."""
+
+    @given(st.sampled_from(RANK3_TYPES), st.permutations(range(3)))
+    @settings(max_examples=80, deadline=None)
+    def test_rank3_types_in_any_generator_order(self, orders, perm):
+        a, b, c = orders
+        mat = _relabeled([[1, a, b], [a, 1, c], [b, c, 1]], perm)
+        assert px.enumerate_group(mat, 10**4).right == oracles.reference_coset_table(mat, 10**4)
+
+    @pytest.mark.parametrize("name", sorted(RANK45))
+    def test_rank45_in_six_generator_orders(self, name):
+        m = RANK45[name]
+        perms = list(itertools.permutations(range(len(m))))
+        for perm in [perms[0]] + random.Random(name).sample(perms[1:], 5):
+            mat = _relabeled(m, perm)
+            assert px.enumerate_group(mat, 10**4).right == oracles.reference_coset_table(mat, 10**4)
 
 
 class TestArithmetic:

@@ -1,8 +1,10 @@
-"""Golden outputs: the SHA-256 of the JSON that ``polycox garside``,
-``polycox artin`` and ``polycox complete`` print must not change under a
-refactor.
+"""Golden outputs: the SHA-256 of the JSON that ``polycox coxeter``,
+``polycox garside``, ``polycox artin`` and ``polycox complete`` print
+must not change under a refactor.
 
-The pinned digests cover the completed and reduced Garside presentations
+The pinned digests cover the group order and the lengths, in element-id
+order, of seven Coxeter groups (which pins the numbering Todd-Coxeter
+gives the elements), the completed and reduced Garside presentations
 of A2xA1 and A3 (rules, 3-cells, their boundaries and family tags, in
 output order), Artin's coherent presentation of every rank-3 type in
 conftest.py and of A4, B4, F4 and E8, and the Knuth-Bendix completion
@@ -47,6 +49,19 @@ ARTIN_GOLDEN = {
     "B4": "524b0a41f724d0b166fae15f3fe1c49eeaf97e6d4d5e84042b50c053e4595ff4",
     "F4": "a19ba7636601026f6d3dcf0b911849da028ee78d98a86a1d6fda1f78b78b2418",
     "E8": "14a70d1d4265be53b902389c346871e624d64355ecafba6b60b18fa59e339094",
+}
+
+
+# `polycox coxeter`: its `lengths` list is in element-id order, so these
+# pin the numbering that every later layer reads
+COXETER_GOLDEN = {
+    "A1^3": "8bfc76643df0043f3294d6f445b5348d3c01d02c12ed2800617062fb92b05fcc",
+    "A3": "bc9edfdb33d8f341c068c110e6dbfa08954fcda2f510ff391c3ae2e659a07611",
+    "B3": "7a4e7d17b77508f88dd94b77ef6ab0050c7b64e0b90350ce176a983dea279bcd",
+    "H3": "880793fd12c33772a9aba48e96d63e79c065fb8c600d1645f4459f8ba5598517",
+    "I5xA1": "40cdd19e4c87c14520cfc4a4ab1c80c210f52861401bc6c6d3c2f90da8610cad",
+    "D4": "197544932b4bd9344ce2bfbadad4947560a818a5a59bffedd207f56b63fd8369",
+    "F4": "f5110af171034492b1d895a802b5e8ed685528c9b384249868da9531c0a8cee5",
 }
 
 
@@ -105,6 +120,15 @@ def test_artin_digest(tmp_path, capsys, name):
     assert main(["artin", str(f)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ARTIN_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(COXETER_GOLDEN))
+def test_coxeter_digest(tmp_path, capsys, name):
+    f = tmp_path / "matrix.json"
+    f.write_text(json.dumps(ser.matrix_to_dict(MATRICES[name])))
+    assert main(["coxeter", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COXETER_GOLDEN[name]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
