@@ -12,10 +12,12 @@ Triple critical branchings extend each critical branching by a third
 step found through the first-letter buckets.  Generating triple
 confluences are assembled from them by a filler that decomposes any pair
 of parallel positive reduction paths into whiskered generating 3-cells,
-well-founded on the rewritten word and run from an explicit stack,
-threading the steps from the sphere's source.  Peiffer (disjoint) local
-branchings contribute no generating cell: their two completions are
-equal modulo the exchange relations.  Sphere validation builds each face
+well-founded on the rewritten word and run from an explicit stack whose
+subproblems walk the two sides by index, threading the steps from the
+sphere's source.  A local cell's sides are shifted by its left whisker,
+never whiskered into paths.  Peiffer (disjoint) local branchings
+contribute no generating cell: their two completions are equal modulo
+the exchange relations.  Sphere validation builds each face
 once as a flat step tuple, with the cell's steps shifted by the left
 whisker rather than whiskered into a path, and compares consecutive
 faces through ``_exchange_normal_form``; a malformed face is a
@@ -44,7 +46,6 @@ from .paths import (
     compose,
     normalize,
     shift_steps,
-    whisker,
 )
 from .words import (
     DEFAULT_BRANCHING_BUDGET,
@@ -129,6 +130,8 @@ def _overlaps(rules: list[Rule], a: int, b: int) -> Iterator[Branching]:
         source = la if len(la) >= len(lb) else lb
         yield Branching(source, Step2(a, 1, 0), Step2(b, 1, 0))
     for k in range(1, len(la)):
+        if la[k] != lb[0]:
+            continue
         if k + len(lb) <= len(la):
             if la[k : k + len(lb)] != lb:
                 continue
@@ -378,93 +381,88 @@ def cells_by_branching(p31: Polygraph31) -> dict[tuple, int]:
     return table
 
 
-def _shifted(pg: Polygraph2, after: Step2, s: Step2) -> Step2:
-    """Re-derive the offset of ``s`` once the disjoint step ``after`` ran."""
-    n_lhs, n_rhs = pg.rule_lengths[after.rule]
-    a, b = (n_lhs, n_rhs) if after.dir > 0 else (n_rhs, n_lhs)
-    if s.pos >= after.pos + a:
-        return Step2(s.rule, s.dir, s.pos + (b - a))
-    return s
-
-
-def _local_cell(
-    p31: Polygraph31, lookup: dict, w: Word, s1: Step2, s2: Step2
-) -> tuple[Optional[tuple], tuple[Step2, ...], tuple[Step2, ...], Word]:
-    """Resolve the local branching (s1, s2) at w.
-
-    Returns (entry data or None for a Peiffer branching, completion of the
-    s1 side, completion of the s2 side, their common target word).
-    """
-    pg = p31.base
-    a1 = len(pg.rules[s1.rule].lhs)
-    a2 = len(pg.rules[s2.rule].lhs)
-    if s1.pos + a1 <= s2.pos or s2.pos + a2 <= s1.pos:
-        c1 = (_shifted(pg, s1, s2),)
-        c2 = (_shifted(pg, s2, s1),)
-        z = Path2(pg, w, (s1,) + c1).target
-        return None, c1, c2, z
-    off = min(s1.pos, s2.pos)
-    end = max(s1.pos + a1, s2.pos + a2)
-    lw, rw = w[:off], w[end:]
-    rel1 = (s1.rule, s1.pos - off)
-    rel2 = (s2.rule, s2.pos - off)
-    f, g = sorted((rel1, rel2), key=lambda rp: (rp[1], rp[0]))
-    idx = lookup.get((w[off:end], f, g))
-    if idx is None:
-        raise CoherenceError(
-            f"no generating 3-cell for the branching at {pg.word_str(w[off:end])}"
-        )
-    cell = p31.cells[idx]
-    src_side = whisker(lw, cell.src, rw)
-    tgt_side = whisker(lw, cell.tgt, rw)
-    if src_side.steps[0] == s1:
-        direction, c1, c2 = 1, src_side.steps[1:], tgt_side.steps[1:]
-    elif tgt_side.steps[0] == s1:
-        direction, c1, c2 = -1, tgt_side.steps[1:], src_side.steps[1:]
-    else:
-        raise CoherenceError("stored 3-cell does not start with the branching step")
-    z = src_side.target
-    return (idx, direction, lw, rw), c1, c2, z
-
-
 def _fill_parallel(
     p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict
 ) -> list[SphereEntry]:
     """Decompose the parallel positive reduction paths pA, pB (with a common
     normal-form target) into whiskered generating 3-cells rewriting pA into
     pB.  Well-founded on the current word w under the termination order:
-    an explicit stack, no recursion, holds subproblems (pre, w, a, b) on
-    step tuples, where ``pre`` runs from pA's source to w and becomes a
-    path only for an entry, and entries, so that each local cell's left
-    completion is filled first, then its entry, then its right completion.
-    Peiffer faces contribute no entry.
+    an explicit stack, no recursion, holds subproblems (pre, w, a, i, b, j)
+    and entries, so that each local cell's left completion is filled
+    first, then its entry, then its right completion.  In a subproblem the
+    sides left to fill are a[i:] and b[j:], and ``pre`` runs from pA's
+    source to w; it becomes a path only for an entry.
+
+    A subproblem whose sides are equal is done.  Otherwise both sides are
+    walked by index, each step replayed, to their first local branching
+    (s1, s2) at w.  A Peiffer (disjoint) branching has no entry: each step
+    completes by the other, its offset re-derived.  Otherwise the branching
+    is looked up, the cell's sides are shifted by the left whisker lw, and
+    both completions meet at z = lw + cell.src.target + rw, whose
+    normalizing path is read from ``memo`` before ``normalize`` runs.
     """
     pg = p31.base
+    lengths, cells = pg.rule_lengths, p31.cells
     out: list[SphereEntry] = []
-    stack: list = [((), pA.source, pA.steps, pB.steps)]
+    stack: list = [((), pA.source, pA.steps, 0, pB.steps, 0)]
     while stack:
         task = stack.pop()
         if type(task) is SphereEntry:
             out.append(task)
             continue
-        pre, w, a, b = task
-        while a != b:
-            if not a or not b:
+        pre, w, a, i, b, j = task
+        na, nb = len(a), len(b)
+        if na - i == nb - j and a[i:] == b[j:]:
+            continue
+        i0 = i
+        while True:
+            if i == na or j == nb:
                 raise CoherenceError("parallel fill: sides of unequal reach")
-            s1, s2 = a[0], b[0]
-            w1 = apply_step(w, pg, s1.rule, s1.pos, s1.dir)
+            s1, s2 = a[i], b[j]
+            r1, d1, p1 = s1
+            w1 = apply_step(w, pg, r1, p1, d1)
             if s1 != s2:
                 break
-            pre, w, a, b = pre + (s1,), w1, a[1:], b[1:]
+            w, i, j = w1, i + 1, j + 1
+        if i > i0:
+            pre += a[i0:i]
+        r2, d2, p2 = s2
+        a1, a2 = lengths[r1][0], lengths[r2][0]
+        if p1 + a1 <= p2 or p2 + a2 <= p1:
+            entry = None
+            i1, o1 = lengths[r1] if d1 > 0 else lengths[r1][::-1]
+            i2, o2 = lengths[r2] if d2 > 0 else lengths[r2][::-1]
+            c1 = (Step2(r2, d2, p2 + o1 - i1) if p2 >= p1 + i1 else s2,)
+            c2 = (Step2(r1, d1, p1 + o2 - i2) if p1 >= p2 + i2 else s1,)
+            z = apply_step(w1, pg, c1[0].rule, c1[0].pos, c1[0].dir)
         else:
-            continue
-        entry, c1, c2, z = _local_cell(p31, lookup, w, s1, s2)
-        _, n = normalize(z, pg, memo=memo)
+            off = p1 if p1 < p2 else p2
+            end = max(p1 + a1, p2 + a2)
+            rel1, rel2 = (r1, p1 - off), (r2, p2 - off)
+            f, g = (rel1, rel2) if (p1, r1) <= (p2, r2) else (rel2, rel1)
+            idx = lookup.get((w[off:end], f, g))
+            if idx is None:
+                raise CoherenceError(
+                    f"no generating 3-cell for the branching at {pg.word_str(w[off:end])}"
+                )
+            cell = cells[idx]
+            x, y, direction = cell.src.steps, cell.tgt.steps, 1
+            if x[0] != (r1, d1, p1 - off):
+                if y[0] != (r1, d1, p1 - off):
+                    raise CoherenceError("stored 3-cell does not start with the branching step")
+                x, y, direction = y, x, -1
+            lw, rw = w[:off], w[end:]
+            entry = (idx, direction, lw, rw)
+            c1, c2 = shift_steps(x[1:], off), shift_steps(y[1:], off)
+            z = lw + cell.src.target + rw
+        n = memo.get(z)
+        if n is None:
+            _, n = normalize(z, pg, memo=memo)
         w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
-        stack.append((pre + (s2,), w2, c2 + n.steps, b[1:]))
+        stack.append((pre + (s2,), w2, c2 + n.steps, 0, b, j + 1))
         if entry is not None:
             stack.append(SphereEntry(*entry, Path2._make(pg, pA.source, pre, w), n))
-        stack.append((pre + (s1,), w1, a[1:], c1 + n.steps))
+        stack.append((pre + (s1,), w1, a, i + 1, c1 + n.steps, 0))
     return out
 
 

@@ -1,13 +1,16 @@
 """Composite 2-cells of the free (2,1)-category over a 2-polygraph.
 
 A path is a source word plus a sequence of signed, positioned rule
-applications.  Equality of 2-cells modulo the exchange relations and
-inverse cancellation is decided through a canonical form: adjacent
-mutually-inverse steps cancel, and adjacent steps acting on disjoint
-factors are reordered so the leftmost-acting step comes first (with
-offsets re-derived when the earlier step changes the word length).
+applications.  Paths are compared through an exchange normal form:
+adjacent mutually-inverse steps cancel, and adjacent steps acting on
+disjoint factors are reordered so the leftmost-acting step comes first
+(with offsets re-derived when the earlier step changes the word length).
 Two steps commute exactly when their redex intervals against the common
-ambient word are disjoint.
+ambient word are disjoint.  Equal normal forms imply equal 2-cells, not
+conversely: with a: ss -> 1, the steps (a at 0) and (a at 2) out of ssss
+are one 2-cell (by interchange, each followed by a is a*a; cancel a) with
+distinct normal forms.  So no caller may strip common steps before
+comparing.
 
 Every path the module derives (composites, whiskerings, inverses, exchange
 normal forms, normalizing reductions) carries its target word, obtained by
@@ -15,14 +18,15 @@ an exact identity from its operands, so asking for an endpoint never
 replays the chain.  A path built through the public constructor carries no
 target: the first ``target`` replays and checks its steps and caches only
 the last word.  The chain of intermediate words is cached only by
-``words()``, whose replay checks every step.
+``words()``, whose replay checks every step.  ``normalize`` scans the lhs
+automaton itself, in the loop that rewrites.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import CompositionError, NonterminationError
+from .errors import CompositionError, NonterminationError, StepError
 from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
@@ -163,13 +167,13 @@ def whisker(u, f: Path2, v) -> Path2:
 
 
 def normalize_path(f: Path2) -> Path2:
-    """Canonical representative of f's 2-cell in the free (2,1)-category.
+    """The exchange normal form of f, a path of the same 2-cell.
 
-    Repeats to a fixed point: (a) adjacent mutually-inverse steps cancel;
+    Until neither applies: (a) adjacent mutually-inverse steps cancel;
     (b) when of two adjacent steps the later one acts entirely to the left
     of the earlier one's redex, they are swapped, re-deriving the offset of
-    the step that crosses over.  The canonical steps are computed once per
-    path object; a path already canonical is its own representative.
+    the step that crosses over.  It is computed once per path object; a
+    path already in normal form is its own.
     """
     nf = f._nf
     if nf is None:
@@ -184,43 +188,40 @@ def normalize_path(f: Path2) -> Path2:
 def _exchange_normal_form(
     lengths: list[tuple[int, int]], path_steps: tuple[Step2, ...]
 ) -> tuple[Step2, ...]:
-    """The canonical step sequence; ``path_steps`` itself when unchanged."""
+    """The normal-form steps; ``path_steps`` itself when unchanged.  One
+    pass: the pairs before ``i`` are canonical, and a cancel or swap at
+    ``i`` steps back one pair, the only earlier pair it changes."""
     steps = list(path_steps)
     touched = False
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(steps):
-            s1, s2 = steps[i], steps[i + 1]
-            r1, d1, p1 = s1
-            r2, d2, p2 = s2
-            # cancellation: s2 exactly undoes s1
-            if r2 == r1 and d2 == -d1 and p2 == p1:
-                del steps[i : i + 2]
-                changed = touched = True
-                i = max(i - 1, 0)
-                continue
-            # s2 acts right of s1's output: canonical already
-            n_lhs, n_rhs = lengths[r1]
-            if p2 >= p1 + (n_rhs if d1 > 0 else n_lhs):
-                i += 1
-                continue
-            # s2 acts entirely left of s1's redex: swap
-            n_lhs, n_rhs = lengths[r2]
-            a2, b2 = (n_lhs, n_rhs) if d2 > 0 else (n_rhs, n_lhs)
-            if p2 + a2 <= p1:
-                steps[i] = s2
-                steps[i + 1] = _new_tuple(Step2, (r1, d1, p1 + (b2 - a2)))
-                changed = touched = True
-                i = max(i - 1, 0)
-                continue
+    i = 0
+    while i + 1 < len(steps):
+        r1, d1, p1 = steps[i]
+        r2, d2, p2 = s2 = steps[i + 1]
+        # cancellation: s2 exactly undoes s1
+        if r2 == r1 and p2 == p1 and d2 == -d1:
+            del steps[i : i + 2]
+            touched = True
+            i = i - 1 if i else 0
+            continue
+        # s2 acts right of s1's output: canonical already
+        if p2 >= p1 + lengths[r1][d1 > 0]:
             i += 1
+            continue
+        # s2 acts entirely left of s1's redex: swap
+        a2, b2 = lengths[r2] if d2 > 0 else lengths[r2][::-1]
+        if p2 + a2 <= p1:
+            steps[i] = s2
+            steps[i + 1] = _new_tuple(Step2, (r1, d1, p1 + (b2 - a2)))
+            touched = True
+            i = i - 1 if i else 0
+            continue
+        i += 1
     return tuple(steps) if touched else path_steps
 
 
 def paths_equal(f: Path2, g: Path2) -> bool:
-    """Equality of 2-cells modulo exchange and inverse cancellation."""
+    """Equal endpoints and exchange normal forms: sound for equality of
+    2-cells, not complete (see the module docstring)."""
     if f.source != g.source or f.target != g.target:
         return False
     return normalize_path(f).steps == normalize_path(g).steps
@@ -236,48 +237,62 @@ def normalize(
     """Reduce ``w`` to a normal form, returning (normal form, path).
 
     Every step rewrites the leftmost redex, the lowest rule id on ties,
-    which is the first redex ``find_redexes`` would list.  The lhs
-    automaton's states along the word are kept across steps: no redex ends
-    before the offset i of a rewrite, so the next scan resumes at i.
-    The step budget turns nontermination into a diagnosable error; the
-    caller remains responsible for supplying a terminating polygraph.
-    ``memo`` maps already-normalized words to their paths and must be
-    discarded whenever the rule set changes.
+    which is the first redex ``find_redexes`` would list.  ``states[k]`` is
+    the lhs automaton's state after ``cur[:k]``; no redex ends before the
+    offset i of a rewrite, so the next scan resumes at i, and it stops once
+    no lhs prefix read so far starts at or before the best position.  The
+    step budget turns nontermination into a diagnosable error; the caller
+    remains responsible for supplying a terminating polygraph.  ``memo``
+    maps already-normalized words to their paths and must be discarded
+    whenever the rule set changes.
     """
     w = p.check_word(w)
-    if memo is not None and w in memo:
-        path = memo[w]
-        return path.target, path
+    if memo is not None:
+        path = memo.get(w)
+        if path is not None:
+            return path.target, path
+        seen = [w]
     limit = DEFAULT_STEP_BUDGET if budget is None else budget
+    ac = p.automaton()
+    delta, depth, out, rules = ac.delta, ac.depth, ac.out, p.rules
     steps: list[Step2] = []
-    seen: list[Word] = [w]
     cur = w
-    leftmost = p.automaton().leftmost
     states = [0]
     while True:
-        if memo is not None and cur in memo and cur is not w:
-            tail = memo[cur]
-            steps.extend(tail.steps)
-            cur = tail.target
-            break
-        redex = leftmost(cur, states)
-        if redex is None:
+        s, i, r = states[-1], len(cur) + 1, -1  # the best redex: position i, rule r
+        for k in range(len(states), len(cur) + 1):
+            s = delta[s].get(cur[k - 1], 0)
+            states.append(s)
+            if k - depth[s] > i:
+                break
+            if out[s]:
+                n, ids = out[s][0]  # the longest lhs ending here starts first
+                if (k - n, ids[0]) < (i, r):
+                    i, r = k - n, ids[0]
+        if r < 0:
             break
         if len(steps) >= limit:
             raise NonterminationError(
                 f"no normal form for {p.word_str(w)} within {limit} steps"
             )
-        r, i = redex
-        steps.append(Step2(r, 1, i))
-        cur = apply_step(cur, p, r, i, 1)
-        seen.append(cur)
+        rule = rules[r]
+        j = i + len(rule.lhs)
+        if cur[i:j] != rule.lhs:
+            raise StepError(f"rule {rule.name!r} (forward) does not match {cur} at {i}")
+        steps.append(_new_tuple(Step2, (r, 1, i)))
+        cur = cur[:i] + rule.rhs + cur[j:]
         del states[i + 1 :]
+        if memo is not None:
+            seen.append(cur)
+            tail = memo.get(cur)
+            if tail is not None:
+                steps.extend(tail.steps)
+                cur = tail.target
+                break
     path = Path2._make(p, w, tuple(steps), cur)
     if memo is not None:
         memo[w] = path
         # every suffix of the reduction is itself a reduction
         for k in range(1, len(seen) - 1):
-            word_k = seen[k]
-            if word_k not in memo:
-                memo[word_k] = Path2._make(p, word_k, path.steps[k:], cur)
+            memo[seen[k]] = Path2._make(p, seen[k], path.steps[k:], cur)
     return cur, path

@@ -11,7 +11,10 @@ explicit precedence on generators, the wreath-style order used for
 Garside presentations (component count first, then component lengths
 compared from the right), and explicit user tables.  Positions are
 0-based letter offsets throughout, and ties between overlapping redexes
-are broken by (position, rule id).
+are broken by (position, rule id).  Redexes are found through one
+Aho-Corasick automaton over the left-hand sides, ``LhsAutomaton``, which
+holds tables and no search method: ``find_redexes`` lists every match,
+and ``paths.normalize`` scans for the leftmost one as it rewrites.
 """
 
 from __future__ import annotations
@@ -181,28 +184,6 @@ class LhsAutomaton:
                 order.append(t)
             delta[s] = {**delta[f], **goto[s]}
             out[s] = ((depth[s], tuple(ends[s])),) + out[f] if s in ends else out[f]
-
-    def leftmost(self, w: Word, states: list[int]) -> Optional[tuple[int, int]]:
-        """The leftmost redex of ``w``, lowest rule id on ties, as
-        (rule id, position); None when ``w`` is irreducible.
-
-        ``states[k]`` is the state after ``w[:k]``; the scan resumes after
-        the last one and appends the states it reaches.  It stops once no
-        lhs prefix read so far starts at or before the best position.
-        """
-        delta, depth, out = self.delta, self.depth, self.out
-        s = states[-1]
-        best = None  # (position, rule id)
-        for k in range(len(states), len(w) + 1):
-            s = delta[s].get(w[k - 1], 0)
-            states.append(s)
-            if best and k - depth[s] > best[0]:
-                break
-            if out[s]:
-                n, ids = out[s][0]  # the longest lhs ending here starts first
-                if best is None or (k - n, ids[0]) < best:
-                    best = (k - n, ids[0])
-        return best and (best[1], best[0])
 
 
 def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:

@@ -63,6 +63,7 @@ def _chain(*ms):
 # Coxeter matrices of the shortlex completions pinned in the tests; E6 in
 # the Bourbaki labelling (0-2-3-4-5 in a line, 1 attached to 3)
 MONOID_MATRICES = {
+    "A3": _chain(3, 3),
     "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
     "H4": _chain(5, 3, 3),
     "E6": [

@@ -4,7 +4,12 @@ builders made from polycox's value types.
 The oracles recompute expected values by brute force (exhaustive
 reduction, naive overlap scans, congruence closure, braid-move
 enumeration, a Todd-Coxeter pass that restarts every scan) without going
-through the code paths under test.  The builders (the standard coherent
+through the code paths under test.  The ``reference_*`` kernels are the
+earlier, slower forms of the rewriting kernels (leftmost normalization
+through a separate automaton scan, the filler that re-slices its sides
+and whiskers each local cell, the exchange normal form that rescans to a
+fixed point), kept to check that the faster ones return the same paths,
+memo entries and spheres.  The builders (the standard coherent
 presentation of a finite monoid, Nielsen rule inversion, an adjoined
 definition) make (3,1)-polygraphs that the reduction and the round-trip
 tests start from.
@@ -18,18 +23,27 @@ from typing import Optional, Sequence
 
 from polycox import (
     CoherenceError,
+    Gar3,
     InfiniteOrUnknown,
     InputError,
+    NonterminationError,
     Path2,
     Polygraph2,
     Polygraph31,
     Rule,
+    Sphere3,
+    SphereEntry,
     Step2,
     ThreeCell,
     TwoCollapse,
     Word,
+    apply_step,
+    compose,
+    garside_presentation,
+    whisker,
 )
 from polycox.coxeter import check_dihedral_cap
+from polycox.words import DEFAULT_STEP_BUDGET, LhsAutomaton
 
 
 def one_step_reducts(word, rules):
@@ -88,20 +102,31 @@ def all_normal_forms(word, rules, fuel=10**5):
     return nfs
 
 
+def naive_overlaps(la, lb, a, b):
+    """The branchings of lhs ``la`` (rule a) at offset 0 with lhs ``lb``
+    (rule b) at every offset k, by slicing at each k: a list of (source,
+    (a, 1, 0), (b, 1, k)), the equal-offset one first (only for b > a),
+    then by increasing k >= 1."""
+    out = []
+    if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
+        out.append((la if len(la) >= len(lb) else lb, (a, 1, 0), (b, 1, 0)))
+    for k in range(1, len(la)):
+        if k + len(lb) <= len(la):
+            if la[k : k + len(lb)] == lb:
+                out.append((la, (a, 1, 0), (b, 1, k)))
+        elif la[k:] == lb[: len(la) - k]:
+            out.append((la + lb[len(la) - k :], (a, 1, 0), (b, 1, k)))
+    return out
+
+
 def brute_branchings(rules):
     """All minimal overlaps of rule lhs pairs (proper overlap, inclusion, or
     equal source), as a set of (source, (a, 0), (b, k)): rule a at offset
     0 and rule b at offset k, with a < b when k = 0."""
     out = set()
     for (a, (la, _)), (b, (lb, _)) in itertools.product(enumerate(rules), repeat=2):
-        if b > a and (la[: len(lb)] == lb or lb[: len(la)] == la):
-            out.add((la if len(la) >= len(lb) else lb, (a, 0), (b, 0)))
-        for k in range(1, len(la)):
-            if k + len(lb) <= len(la):
-                if la[k : k + len(lb)] == lb:
-                    out.add((la, (a, 0), (b, k)))
-            elif la[k:] == lb[: len(la) - k]:
-                out.add((la + lb[len(la) - k :], (a, 0), (b, k)))
+        for source, _, (_, _, k) in naive_overlaps(la, lb, a, b):
+            out.add((source, (a, 0), (b, k)))
     return out
 
 
@@ -181,6 +206,205 @@ def cubic_triple_branchings(lhss):
                         found.add((w3, tuple(sorted(steps, key=lambda s: (s[2], s[0])))))
     return sorted(found, key=lambda t: (len(t[0]), t[0], t[1]))
 
+
+# -- the earlier rewriting kernels ---------------------------------------------
+
+
+def reference_leftmost(ac: LhsAutomaton, w: Word, states: list[int]):
+    """The leftmost redex of ``w``, lowest rule id on ties, as
+    (rule id, position); None when ``w`` is irreducible.
+
+    ``states[k]`` is the state after ``w[:k]``; the scan resumes after
+    the last one and appends the states it reaches.  It stops once no
+    lhs prefix read so far starts at or before the best position.
+    """
+    delta, depth, out = ac.delta, ac.depth, ac.out
+    s = states[-1]
+    best = None  # (position, rule id)
+    for k in range(len(states), len(w) + 1):
+        s = delta[s].get(w[k - 1], 0)
+        states.append(s)
+        if best and k - depth[s] > best[0]:
+            break
+        if out[s]:
+            n, ids = out[s][0]  # the longest lhs ending here starts first
+            if best is None or (k - n, ids[0]) < best:
+                best = (k - n, ids[0])
+    return best and (best[1], best[0])
+
+
+def reference_normalize(w, p: Polygraph2, *, budget=None, memo=None):
+    """``normalize`` as a loop over ``reference_leftmost`` and ``apply_step``,
+    testing the memo with ``in`` before reading it."""
+    w = p.check_word(w)
+    if memo is not None and w in memo:
+        path = memo[w]
+        return path.target, path
+    limit = DEFAULT_STEP_BUDGET if budget is None else budget
+    steps: list[Step2] = []
+    seen: list[Word] = [w]
+    cur = w
+    ac = p.automaton()
+    states = [0]
+    while True:
+        if memo is not None and cur in memo and cur is not w:
+            tail = memo[cur]
+            steps.extend(tail.steps)
+            cur = tail.target
+            break
+        redex = reference_leftmost(ac, cur, states)
+        if redex is None:
+            break
+        if len(steps) >= limit:
+            raise NonterminationError(
+                f"no normal form for {p.word_str(w)} within {limit} steps"
+            )
+        r, i = redex
+        steps.append(Step2(r, 1, i))
+        cur = apply_step(cur, p, r, i, 1)
+        seen.append(cur)
+        del states[i + 1 :]
+    path = Path2._make(p, w, tuple(steps), cur)
+    if memo is not None:
+        memo[w] = path
+        # every suffix of the reduction is itself a reduction
+        for k in range(1, len(seen) - 1):
+            word_k = seen[k]
+            if word_k not in memo:
+                memo[word_k] = Path2._make(p, word_k, path.steps[k:], cur)
+    return cur, path
+
+
+def reference_exchange_normal_form(lengths, path_steps):
+    """The exchange normal form, rescanned until a pass changes nothing."""
+    steps = list(path_steps)
+    touched = False
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i + 1 < len(steps):
+            s1, s2 = steps[i], steps[i + 1]
+            r1, d1, p1 = s1
+            r2, d2, p2 = s2
+            # cancellation: s2 exactly undoes s1
+            if r2 == r1 and d2 == -d1 and p2 == p1:
+                del steps[i : i + 2]
+                changed = touched = True
+                i = max(i - 1, 0)
+                continue
+            # s2 acts right of s1's output: canonical already
+            n_lhs, n_rhs = lengths[r1]
+            if p2 >= p1 + (n_rhs if d1 > 0 else n_lhs):
+                i += 1
+                continue
+            # s2 acts entirely left of s1's redex: swap
+            n_lhs, n_rhs = lengths[r2]
+            a2, b2 = (n_lhs, n_rhs) if d2 > 0 else (n_rhs, n_lhs)
+            if p2 + a2 <= p1:
+                steps[i] = s2
+                steps[i + 1] = Step2(r1, d1, p1 + (b2 - a2))
+                changed = touched = True
+                i = max(i - 1, 0)
+                continue
+            i += 1
+    return tuple(steps) if touched else path_steps
+
+
+def _reference_shifted(pg: Polygraph2, after: Step2, s: Step2) -> Step2:
+    """Re-derive the offset of ``s`` once the disjoint step ``after`` ran."""
+    n_lhs, n_rhs = pg.rule_lengths[after.rule]
+    a, b = (n_lhs, n_rhs) if after.dir > 0 else (n_rhs, n_lhs)
+    if s.pos >= after.pos + a:
+        return Step2(s.rule, s.dir, s.pos + (b - a))
+    return s
+
+
+def _reference_local_cell(p31: Polygraph31, lookup: dict, w: Word, s1: Step2, s2: Step2):
+    """Resolve the local branching (s1, s2) at w: (entry data or None for
+    a Peiffer branching, completion of the s1 side, completion of the s2
+    side, their common target word), through two whiskered cell sides."""
+    pg = p31.base
+    a1 = len(pg.rules[s1.rule].lhs)
+    a2 = len(pg.rules[s2.rule].lhs)
+    if s1.pos + a1 <= s2.pos or s2.pos + a2 <= s1.pos:
+        c1 = (_reference_shifted(pg, s1, s2),)
+        c2 = (_reference_shifted(pg, s2, s1),)
+        z = Path2(pg, w, (s1,) + c1).target
+        return None, c1, c2, z
+    off = min(s1.pos, s2.pos)
+    end = max(s1.pos + a1, s2.pos + a2)
+    lw, rw = w[:off], w[end:]
+    rel1 = (s1.rule, s1.pos - off)
+    rel2 = (s2.rule, s2.pos - off)
+    f, g = sorted((rel1, rel2), key=lambda rp: (rp[1], rp[0]))
+    idx = lookup.get((w[off:end], f, g))
+    if idx is None:
+        raise CoherenceError(
+            f"no generating 3-cell for the branching at {pg.word_str(w[off:end])}"
+        )
+    cell = p31.cells[idx]
+    src_side = whisker(lw, cell.src, rw)
+    tgt_side = whisker(lw, cell.tgt, rw)
+    if src_side.steps[0] == s1:
+        direction, c1, c2 = 1, src_side.steps[1:], tgt_side.steps[1:]
+    elif tgt_side.steps[0] == s1:
+        direction, c1, c2 = -1, tgt_side.steps[1:], src_side.steps[1:]
+    else:
+        raise CoherenceError("stored 3-cell does not start with the branching step")
+    z = src_side.target
+    return (idx, direction, lw, rw), c1, c2, z
+
+
+def reference_fill_parallel(p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict):
+    """The filler on re-sliced step tuples: each equal step re-slices both
+    sides and extends ``pre``, and each local branching is resolved by
+    ``_reference_local_cell``, then normalized by ``reference_normalize``."""
+    pg = p31.base
+    out: list[SphereEntry] = []
+    stack: list = [((), pA.source, pA.steps, pB.steps)]
+    while stack:
+        task = stack.pop()
+        if type(task) is SphereEntry:
+            out.append(task)
+            continue
+        pre, w, a, b = task
+        while a != b:
+            if not a or not b:
+                raise CoherenceError("parallel fill: sides of unequal reach")
+            s1, s2 = a[0], b[0]
+            w1 = apply_step(w, pg, s1.rule, s1.pos, s1.dir)
+            if s1 != s2:
+                break
+            pre, w, a, b = pre + (s1,), w1, a[1:], b[1:]
+        else:
+            continue
+        entry, c1, c2, z = _reference_local_cell(p31, lookup, w, s1, s2)
+        _, n = reference_normalize(z, pg, memo=memo)
+        w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
+        stack.append((pre + (s2,), w2, c2 + n.steps, b[1:]))
+        if entry is not None:
+            stack.append(SphereEntry(*entry, Path2._make(pg, pA.source, pre, w), n))
+        stack.append((pre + (s1,), w1, a[1:], c1 + n.steps))
+    return out
+
+
+
+def reference_triple_confluence(p31: Polygraph31, steps, source, lookup: dict, memo: dict):
+    """The sphere ``generating_triple_confluence`` builds for the triple
+    branching (source, steps), from ``reference_normalize`` and
+    ``reference_fill_parallel``."""
+    pg = p31.base
+    sides = []
+    for s in steps:
+        first = Path2(pg, source, (s,))
+        _, rest = reference_normalize(first.target, pg, memo=memo)
+        sides.append(compose(first, rest))
+    F, G, H = sides
+    lhs = reference_fill_parallel(p31, F, G, lookup, memo)
+    lhs += reference_fill_parallel(p31, G, H, lookup, memo)
+    rhs = reference_fill_parallel(p31, F, H, lookup, memo)
+    return Sphere3(F, H, tuple(lhs), tuple(rhs))
 
 def words_up_to(n_letters, max_len):
     for length in range(max_len + 1):
@@ -638,3 +862,23 @@ def standard_coherent_presentation(
         src = Path2(pg, (u,), ((iota, -1, 1), (mu[u][unit], 1, 0)))
         cells.append(ThreeCell(f"runit({names[u]})", src, Path2(pg, (u,))))
     return Polygraph31(pg, cells)
+
+
+def direct_gar3(g) -> Gar3:
+    """Gar_3(W) built directly: Gar_2(W) plus one A-cell per length-additive
+    triple u|v|w, with sides (u|v then uv|w) and (v|w then u|vw), in
+    increasing (u, v, w) order; no completion and no reduction."""
+    gp = garside_presentation(g)
+    pg, alpha = gp.pg, gp.alpha
+    cells = []
+    for u, v in sorted(alpha):
+        uv = g.mult(u, v)
+        for w in range(g.size):
+            if (v, w) not in alpha or (uv, w) not in alpha:
+                continue
+            vw = g.mult(v, w)
+            word = (gp.gen_of_elt[u], gp.gen_of_elt[v], gp.gen_of_elt[w])
+            src = Path2(pg, word, ((alpha[(u, v)], 1, 0), (alpha[(uv, w)], 1, 0)))
+            tgt = Path2(pg, word, ((alpha[(v, w)], 1, 1), (alpha[(u, vw)], 1, 0)))
+            cells.append(ThreeCell(f"A({u},{v},{w})", src, tgt))
+    return Gar3(g, Polygraph31(pg, cells), gp.elt_of_gen, gp.gen_of_elt, alpha)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
-from polycox.completion import _fill_parallel
+from polycox.completion import _fill_parallel, _overlaps
 from polycox.paths import Path2, Step2
 
 import oracles
@@ -196,6 +196,23 @@ class TestFillParallel:
         pB = Path2(pg, (0,) * n, head + (Step2(0, 1, n - 1), Step2(0, 1, n - 2)))
         assert _fill_parallel(px.Polygraph31(pg), pA, pB, {}, {}) == []
 
+    def test_coherence_errors(self):
+        # aa -> b: each malformed fill raises as the earlier filler did
+        pg = px.Polygraph2(["a", "b"], [px.Rule("r", (0, 0), (1,))])
+        at = lambda *steps: Path2(pg, (0, 0, 0), [Step2(0, 1, i) for i in steps])  # noqa: E731
+        stray = px.ThreeCell("c", at(1), at(1))
+        key = ((0, 0, 0), (0, 0), (0, 1))
+        cases = [
+            ("sides of unequal reach", [], at(0), at(), {}),
+            ("no generating 3-cell for the branching at aaa", [], at(0), at(1), {}),
+            ("does not start with the branching step", [stray], at(0), at(1), {key: 0}),
+        ]
+        for message, cells, pA, pB, lookup in cases:
+            p31 = px.Polygraph31(pg, cells)
+            for fill in (_fill_parallel, oracles.reference_fill_parallel):
+                with pytest.raises(px.CoherenceError, match=message):
+                    fill(p31, pA, pB, lookup, {})
+
     def test_spheres_leave_no_cycle(self, d4_completed):
         # the filler's state is freed by reference counting alone
         triples = px.triple_critical_branchings(d4_completed.base)
@@ -208,6 +225,73 @@ class TestFillParallel:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestOverlaps:
+    lhs = st.lists(st.integers(0, 2), min_size=1, max_size=7).map(tuple)
+
+    @given(lhs, lhs, st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_slice_oracle(self, la, lb, ab):
+        # the first-letter test skips only offsets no slice test accepts
+        a, b = ab
+        rules = [px.Rule("x", la, ()), px.Rule("y", lb, ())]
+        got = [(br.source, br.left, br.right) for br in _overlaps(rules, a, b)]
+        assert got == oracles.naive_overlaps(rules[a].lhs, rules[b].lhs, a, b)
+
+
+def _sphere_fields(sp):
+    """Every field of a sphere, its paths' carried targets included."""
+
+    def path(p):
+        assert all(type(s) is Step2 for s in p.steps)
+        return p.source, p.steps, p.target
+
+    def entry(e):
+        return e.cell, e.dir, e.left, e.right, path(e.pre), path(e.post)
+
+    return path(sp.source), path(sp.target), [entry(e) for e in sp.lhs], [entry(e) for e in sp.rhs]
+
+
+class TestReferenceFiller:
+    """The filler's spheres and memo equal those of its earlier form,
+    ``oracles.reference_fill_parallel`` over ``reference_normalize``."""
+
+    @staticmethod
+    def check(p31, triples, spheres, memo):
+        lookup, ref_memo = px.cells_by_branching(p31), {}
+        assert len(triples) == len(spheres) > 0
+        for (source, steps), sp in zip(triples, spheres):
+            ref = oracles.reference_triple_confluence(p31, steps, source, lookup, ref_memo)
+            assert _sphere_fields(sp) == _sphere_fields(ref)
+        if memo is not None:
+            assert memo == ref_memo and list(memo) == list(ref_memo)
+
+    @pytest.mark.parametrize("name", ["A3", "D4"])
+    def test_shortlex_triples(self, name):
+        p = ser.polygraph2_from_dict(coxeter_monoid(name))
+        p31 = px.homotopical_complete(p, px.Deglex(tuple(range(p.n_generators))))
+        lookup, memo = px.cells_by_branching(p31), {}
+        triples = px.triple_critical_branchings(p31.base)
+        spheres = [
+            px.generating_triple_confluence(p31, t, lookup=lookup, memo=memo) for t in triples
+        ]
+        assert len(spheres) == {"A3": 49, "D4": 497}[name]
+        self.check(p31, [(t.source, t.steps) for t in triples], spheres, memo)
+
+    @pytest.mark.parametrize("name", ["A3", "B3"])
+    def test_gar4_spheres(self, groups, gar3, name):
+        # A3's Gar_3 by the certified route; B3's route takes about half a
+        # minute, so its Gar_3 is built directly
+        g3 = gar3(name) if name == "A3" else oracles.direct_gar3(groups(name))
+        spheres = px.gar4_spheres(g3)
+        assert len(spheres) == {"A3": 184, "B3": 2462}[name]
+        triples = []
+        for sp in spheres:
+            quad = [g3.elt_of_gen[x] for x in sp.source.source]
+            steps = tuple(Step2(g3.alpha[(quad[i], quad[i + 1])], 1, i) for i in range(3))
+            triples.append((sp.source.source, steps))
+        self.check(g3.p31, triples, spheres, None)
 
 
 class TestTripleBranchings:
