@@ -86,6 +86,8 @@ class ThreeCell:
     def __post_init__(self) -> None:
         if self.src.source != self.tgt.source or self.src.target != self.tgt.target:
             raise CoherenceError(f"3-cell {self.name!r}: boundary not parallel")
+        # both replayed and equal: keep one target word
+        self.tgt._target = self.src._target
 
 
 class Polygraph31:
@@ -338,8 +340,13 @@ class Sphere3:
         """
         nf = partial(_exchange_normal_form, p31.base.rule_lengths)
         same = lambda f, g: f == g or nf(f) == nf(g)  # noqa: E731
-        top, bottom = self.source.source, _end(self.target)
-        if bottom is None or self.target.source != top or _end(self.source) != bottom:
+        top = self.source.source
+        try:
+            bottom = self.target.target
+            parallel = self.target.source == top and self.source.target == bottom
+        except StepError:
+            parallel = False
+        if not parallel:
             return ["boundary: source and target are not parallel"]
         out = []
         for label, side in (("lhs", self.lhs), ("rhs", self.rhs)):
@@ -348,8 +355,13 @@ class Sphere3:
                 c = p31.cells[e.cell]
                 a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
                 u, v = tuple(e.left), tuple(e.right)
-                ends = (e.pre.source, _end(e.pre), e.post.source, _end(e.post))
-                if ends != (top, u + a.source + v, u + a.target + v, bottom):
+                try:
+                    met = (e.pre.source, e.pre.target, e.post.source, e.post.target) == (
+                        top, u + a.source + v, u + a.target + v, bottom
+                    )  # fmt: skip
+                except StepError:
+                    met = False
+                if not met:
                     out.append(f"{label}[{k}]: pre or post does not meet the whiskered cell")
                     cur = None
                     continue
@@ -360,14 +372,6 @@ class Sphere3:
             if cur is not None and not same(cur, self.target.steps):
                 out.append(f"{label}: does not end at the sphere target")
         return out
-
-
-def _end(path: Path2) -> Optional[Word]:
-    """The target word of ``path``, or None when its steps do not replay."""
-    try:
-        return path.target
-    except StepError:
-        return None
 
 
 def cells_by_branching(p31: Polygraph31) -> dict[tuple, int]:

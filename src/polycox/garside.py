@@ -7,7 +7,9 @@ the rules u|vw => uv|w for the non-additive triples and one 3-cell per
 critical branching; every 3-cell falls into exactly one of nine families
 (A through I), read off the shape of its branching.  Homotopical
 reduction along the B-cells and seven families of triple-confluence
-spheres leaves the A-family cells only.  A second reduction, driven by
+spheres leaves the A-family cells only; those spheres come from one
+generator, through which ``garside_coherent`` streams them into validation
+so that none outlives its check.  A second reduction, driven by
 the chain of smallest divisors, contracts that presentation onto Artin's
 presentation with one Zamolodchikov 3-cell per finite rank-3 parabolic
 subgroup; the engine computes each Z-cell through the projection's
@@ -16,10 +18,10 @@ recursive formulas once per parabolic type, and relabels it into place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .completion import (
     Branching,
@@ -61,7 +63,7 @@ from .tietze import (
     SphereCollapse,
     ThreeCollapse,
     TwoCollapse,
-    homotopical_reduce,
+    _reduce,
 )
 from .words import (
     DEFAULT_COSET_CAP,
@@ -329,60 +331,83 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
     All B-cells collapse with their beta rules redundant, and every cell
     of the families C through I is designated redundant in the 3-sphere of
     its family's generating triple confluence, transcribed face by face;
-    cells are ordered I > H > ... > B > A by family.
+    cells are ordered I > H > ... > B > A by family.  The spheres are those
+    of ``_garside_spheres``, materialized.  The part is only built here:
+    ``validate_collapsible``, which ``homotopical_reduce`` runs by default,
+    checks every sphere.
+    """
+    spheres = tuple(_garside_spheres(gc))
+    return replace(_garside_frame(gc), spheres=spheres)
+
+
+def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
+    """The Garside part without its spheres: the B-cells with their beta
+    rules, and the order witness."""
+    g, pg = gc.gp.group, gc.p31.base
+    three = tuple(
+        ThreeCollapse(i, gc.beta[tag.indices])
+        for i, tag in enumerate(gc.tags)
+        if tag.letter == "B"
+    )
+    rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
+    rule_rank.update({i: (1, i) for i in gc.beta_of_rule})
+    cell_rank = {i: (_FAMILIES.index(tag.letter), i) for i, tag in enumerate(gc.tags)}
+    gen_rank = {i: (g.length[e], i) for i, e in enumerate(gc.gp.elt_of_gen)}
+    return CollapsiblePart((), three, (), OrderWitness(gen_rank, rule_rank, cell_rank))
+
+
+def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
+    """The spheres of the Garside part, one per cell of the families C
+    through I, in tag order, each built only when asked for.
 
     Faces are forward (direction +1) and found by their cell's family tag;
     a missing face raises CoherenceError.  A face's pre path starts at the
     sphere's source word, its post path at left + cell target + right.
-    Steps, words and paths are shared per value while the call runs; the
-    paths carry no target, so each distinct one is replayed once when its
-    sphere is checked.  The part is only built here: ``validate_collapsible``,
-    which ``homotopical_reduce`` runs by default, checks every sphere.
+    Words, step tuples and identity paths are shared per value for as long
+    as the generator lives, in tables keyed by the values themselves.  A
+    path with steps belongs to its sphere alone: no sphere uses one twice
+    (their offsets, lengths or rules differ by family shape), so a finished
+    sphere leaves no path behind.  The paths carry no target, so each is
+    replayed when its sphere is checked, an identity path once.
     """
     gp, g, pg, m = gc.gp, gc.gp.group, gc.p31.base, gc.gp.group.mult
-    cell_of = {
-        (tag.letter.translate(_FACE_LETTER), tag.indices): i
-        for i, tag in enumerate(gc.tags)
-    }
+    gen = gp.gen_of_elt
+    cell_of: dict[str, dict[tuple[int, ...], int]] = {}
+    for i, tag in enumerate(gc.tags):
+        cell_of.setdefault(tag.letter.translate(_FACE_LETTER), {})[tag.indices] = i
     tgt = [c.src.target for c in gc.p31.cells]  # replayed by ThreeCell
 
     def face(letter: str, *elts: int) -> int:
-        idx = cell_of.get((letter, elts))
+        idx = cell_of.get(letter, {}).get(elts)
         if idx is None:
             raise CoherenceError(f"no {letter}-family 3-cell on elements {elts}")
         return idx
 
-    words: dict[tuple[int, ...], Word] = {}
-    ends: dict[Word, Word] = {}  # post-path source words, one per value
-    paths: dict[tuple[Word, tuple[Step2, ...]], Path2] = {}
+    words: dict[Word, Word] = {}
+    seqs: dict[tuple[Step2, ...], tuple[Step2, ...]] = {}
+    ids: dict[Word, Path2] = {}
     aS, bS = _step_makers(gp.alpha, gc.beta)
 
     def W(*elts: int) -> Word:
-        w = words.get(elts)
-        if w is None:
-            w = words[elts] = tuple([gp.gen_of_elt[e] for e in elts])
-        return w
+        w = tuple([gen[e] for e in elts])
+        return words.setdefault(w, w)
 
     def P(word: Word, *steps: Step2) -> Path2:
-        key = (word, steps)
-        path = paths.get(key)
-        if path is None:
-            path = paths[key] = Path2._make(pg, word, steps, None)
-        return path
+        if not steps:
+            path = ids.get(word)
+            if path is None:
+                path = ids[word] = Path2._make(pg, word, (), None)
+            return path
+        return Path2._make(pg, word, seqs.setdefault(steps, steps), None)
 
     def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
         lw, rw = W(*left), W(*right)
         t = lw + tgt[cell] + rw
-        return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(ends.setdefault(t, t), *post))
+        return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(words.setdefault(t, t), *post))
 
-    three: list[ThreeCollapse] = []
-    spheres: list[SphereCollapse] = []
     for i, tag in enumerate(gc.tags):
         letter, idx = tag.letter, tag.indices
-        if letter == "A":
-            continue
-        if letter == "B":
-            three.append(ThreeCollapse(i, gc.beta[idx]))
+        if letter in ("A", "B"):
             continue
         if letter in ("C", "D", "E", "H"):
             u, v, w, x = idx
@@ -465,15 +490,7 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
             rhs = (E(face("H", u, v1, x1, y)),)
         else:
             raise ClassificationError(f"unknown family {letter!r}")
-        spheres.append(SphereCollapse(Sphere3(start, end, lhs, rhs), i))
-
-    rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
-    rule_rank.update({i: (1, i) for i in gc.beta_of_rule})
-    cell_rank = {i: (_FAMILIES.index(tag.letter), i) for i, tag in enumerate(gc.tags)}
-    gen_rank = {i: (g.length[e], i) for i, e in enumerate(gp.elt_of_gen)}
-    return CollapsiblePart(
-        (), tuple(three), tuple(spheres), OrderWitness(gen_rank, rule_rank, cell_rank)
-    )
+        yield SphereCollapse(Sphere3(start, end, lhs, rhs), i)
 
 
 @dataclass
@@ -495,13 +512,17 @@ def garside_coherent(
 ) -> Gar3:
     """Gar_3(W): complete, then homotopically reduce to the A-family cells.
 
-    The budgets bound the completion, as in ``complete_garside``.
+    The budgets bound the completion, as in ``complete_garside``.  The
+    Garside part is never materialized: its spheres stream from
+    ``_garside_spheres`` through the validation of the reduction, each
+    checked as it is built and dropped once checked, so only their
+    redundant cells are kept.  An invalid part raises NielsenError with
+    every violation, as ``homotopical_reduce`` does.
     """
     gc = complete_garside(
         g, rule_budget=rule_budget, branching_budget=branching_budget
     )
-    part = garside_reduction_part(gc)
-    reduced = homotopical_reduce(gc.p31, part)
+    reduced = _reduce(gc.p31, _garside_frame(gc), _garside_spheres(gc))
     gp = gc.gp
     if reduced.base != gp.pg:
         raise CoherenceError("Garside reduction did not leave Gar_2(W)")

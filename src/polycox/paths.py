@@ -90,12 +90,10 @@ class Path2:
         """All intermediate words, source first, target last."""
         if self._chain is None:
             chain = [self.source]
-            w = self.source
-            for s in self.steps:
-                w = apply_step(w, self.pg, s.rule, s.pos, s.dir)
-                chain.append(w)
+            t = _replay(self.pg, self.source, self.steps, chain)
+            if self._target is None:
+                self._target = t
             self._chain = tuple(chain)
-            self._target = w
         return self._chain
 
     @property
@@ -103,10 +101,7 @@ class Path2:
         """The last word; a replay, which checks every step, keeps only it."""
         t = self._target
         if t is None:
-            t = self.source
-            for s in self.steps:
-                t = apply_step(t, self.pg, s.rule, s.pos, s.dir)
-            self._target = t
+            t = self._target = _replay(self.pg, self.source, self.steps, None)
         return t
 
     def __len__(self) -> int:
@@ -124,6 +119,24 @@ class Path2:
 
     def __repr__(self) -> str:
         return f"Path2({self.pg.word_str(self.source)!r}, {list(self.steps)!r})"
+
+
+def _replay(pg: Polygraph2, w: Word, steps, chain: Optional[list]) -> Word:
+    """The word ``steps`` lead ``w`` to, each step checked as it is applied
+    and each word after it appended to ``chain`` unless that is None.  The
+    rule sides are read inline; a step that does not match is handed to
+    ``apply_step`` for its StepError."""
+    rules = pg.rules
+    for r, d, i in steps:
+        rule = rules[r]
+        src, dst = (rule.lhs, rule.rhs) if d > 0 else (rule.rhs, rule.lhs)
+        j = i + len(src)
+        if i < 0 or j > len(w) or w[i:j] != src:
+            apply_step(w, pg, r, i, d)  # raises
+        w = w[:i] + dst + w[j:]
+        if chain is not None:
+            chain.append(w)
+    return w
 
 
 def identity_path(pg: Polygraph2, w) -> Path2:

@@ -15,6 +15,8 @@ here: the designated redundant cell must occur exactly once across the
 boundary (after exchange/inverse normalization) and, for rules, the solved
 replacement must unwhisker to a bare path between the rule's sides.
 Recipes are supplied by callers; only the bare shapes are inferred.
+Validation and reduction consume the spheres once, from any iterable,
+keeping only the redundant cell of each.
 """
 
 from __future__ import annotations
@@ -89,16 +91,24 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     Returns a list of violations; empty means the part is collapsible.  A
     malformed sphere entry, such as a ``pre`` or ``post`` whose steps do not
     replay or do not meet its whiskered cell, is a violation too, through
-    ``Sphere3.check``; nothing is raised for it.
+    ``Sphere3.check``; nothing is raised for it.  The spheres are consumed
+    once, in order, each checked as it comes.
     """
-    return _validate(p31, part)[0]
+    return _validate(p31, part, part.spheres)[0]
 
 
 def _validate(
-    p31: Polygraph31, part: CollapsiblePart
-) -> tuple[list[str], dict[ThreeCollapse, Path2]]:
-    """The violations of ``validate_collapsible`` with the replacements it
-    solved, by collapsible 3-cell, so a reduction need not solve them again.
+    p31: Polygraph31, part: CollapsiblePart, spheres: Iterable[SphereCollapse]
+) -> tuple[list[str], dict[ThreeCollapse, Path2], set[int]]:
+    """The violations of ``validate_collapsible`` on ``part`` with its
+    spheres given as ``spheres``, the replacements it solved by collapsible
+    3-cell, so a reduction need not solve them again, and the 3-cells the
+    part makes redundant.
+
+    ``part.spheres`` is not read.  ``spheres`` is consumed once: each
+    sphere is checked as it arrives and only its redundant cell is kept, so
+    none outlives its check.  The whole-part checks over those cells are
+    reported first.
     """
     out: list[str] = []
     solved: dict[ThreeCollapse, Path2] = {}
@@ -124,19 +134,9 @@ def _validate(
 
     rule_names = [r.name for r in pg.rules]
     cell_names = [c.name for c in p31.cells]
-    sphere_dead = {sc.redundant for sc in part.spheres}
     cell_dead = {tc.cell for tc in part.three_cells}
     rule_dead = {tc.redundant for tc in part.three_cells}
     gen_dead = set()
-
-    if len(sphere_dead) != len(part.spheres):
-        out.append("spheres: a 3-cell is designated redundant twice")
-    if len({tc.cell for tc in part.three_cells}) != len(part.three_cells):
-        out.append("three_cells: a 3-cell collapses twice")
-    if len(rule_dead) != len(part.three_cells):
-        out.append("three_cells: a rule is designated redundant twice")
-    if cell_dead & sphere_dead:
-        out.append("a collapsible 3-cell is redundant for a sphere")
 
     for tc in part.two_cells:
         rule = pg.rules[tc.rule]
@@ -165,7 +165,8 @@ def _validate(
         others = {s.rule for s in steps if s.rule != tc.redundant}
         rank_above(ow.rule_rank, "rule", rule_names, tc.redundant, others)
 
-    for sc in part.spheres:
+    redundant: list[int] = []
+    for sc in spheres:
         bad = sc.sphere.check(p31)
         out.extend(f"sphere for {p31.cells[sc.redundant].name!r}: {b}" for b in bad)
         entries = sc.sphere.lhs + sc.sphere.rhs
@@ -177,7 +178,19 @@ def _validate(
             )
         others = [e.cell for e in entries if e.cell != sc.redundant]
         rank_above(ow.cell_rank, "3-cell", cell_names, sc.redundant, others)
-    return out, solved
+        redundant.append(sc.redundant)
+
+    sphere_dead = set(redundant)
+    head = []
+    if len(sphere_dead) != len(redundant):
+        head.append("spheres: a 3-cell is designated redundant twice")
+    if len(cell_dead) != len(part.three_cells):
+        head.append("three_cells: a 3-cell collapses twice")
+    if len(rule_dead) != len(part.three_cells):
+        head.append("three_cells: a rule is designated redundant twice")
+    if cell_dead & sphere_dead:
+        head.append("a collapsible 3-cell is redundant for a sphere")
+    return head + out, solved, sphere_dead | cell_dead
 
 
 def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
@@ -238,13 +251,28 @@ def homotopical_reduce(
     own step and a collapsible rule's is empty.  Redundant 3-cells vanish
     with their spheres, and each surviving boundary is rewritten once
     through the images into the final polygraph, which replays it.  An
-    empty part is the identity.
+    empty part is the identity.  The spheres are consumed once, in order:
+    validated as they come, or only read for their redundant cells.
     """
-    solved: dict[ThreeCollapse, Path2] = {}
+    return _reduce(p31, part, part.spheres, validate=validate)
+
+
+def _reduce(
+    p31: Polygraph31,
+    part: CollapsiblePart,
+    spheres: Iterable[SphereCollapse],
+    *,
+    validate: bool = True,
+) -> Polygraph31:
+    """``homotopical_reduce`` along ``part`` with its spheres given as
+    ``spheres``, an iterable consumed once; ``part.spheres`` is not read."""
     if validate:
-        bad, solved = _validate(p31, part)
+        bad, solved, dead_cells = _validate(p31, part, spheres)
         if bad:
             raise NielsenError("; ".join(bad))
+    else:
+        solved = {}
+        dead_cells = {sc.redundant for sc in spheres} | {tc.cell for tc in part.three_cells}
     base = p31.base
     ow = part.order
 
@@ -309,8 +337,6 @@ def homotopical_reduce(
     def move(path: Path2) -> Path2:
         return Path2(final, expand(path.source), rewrite(path))
 
-    dead_cells = {sc.redundant for sc in part.spheres}
-    dead_cells |= {tc.cell for tc in part.three_cells}
     cells = [
         ThreeCell(c.name, move(c.src), move(c.tgt))
         for i, c in enumerate(p31.cells)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycox as px
-from polycox import serialize, tietze
+from polycox import garside, serialize, tietze
 from polycox.garside import Classification
 from polycox.paths import Path2, Step2, paths_equal
 from conftest import E8, MATRICES
@@ -93,6 +93,14 @@ class TestCompleteGarside:
             else:
                 assert br.right.pos == 1
 
+    def test_cells_keep_one_target_word(self, a3_completion):
+        cells = a3_completion.p31.cells
+        assert all(c.src.target is c.tgt.target for c in cells)
+        # a later full replay keeps the shared word
+        for c in cells:
+            c.src.words(), c.tgt.words()
+        assert all(c.src.target is c.tgt.target for c in cells)
+
     def test_classification_total_and_consistent(self, groups):
         for name in ("A1xA1", "A2", "B2", "A1^3"):
             gc = px.complete_garside(groups(name))
@@ -157,38 +165,86 @@ class TestGarsideReduction:
         # only alpha rules survive
         assert all(len(r.lhs) == 2 and len(r.rhs) == 1 for r in g3.p31.base.rules)
 
-    def test_reduction_must_leave_gar2(self, groups, monkeypatch):
-        real = px.homotopical_reduce
+    @pytest.mark.parametrize("name", ["A2", "B2", "I5", "A1^3", "A2xA1", "A3"])
+    def test_streamed_route_equals_materialized_part(self, garside_parts, gar3, name):
+        # garside_coherent streams the part's spheres; reducing along the
+        # materialized part gives the same Gar_3(W), field by field
+        gc, part = garside_parts(name)
+        want = px.homotopical_reduce(gc.p31, part)
+        got = gar3(name).p31
+        assert got.base == want.base
+        assert len(got.cells) == len(want.cells)
+        for c, d in zip(got.cells, want.cells):
+            assert c.name == d.name
+            for p, q in ((c.src, d.src), (c.tgt, d.tgt)):
+                assert (p.source, p.steps, p.target) == (q.source, q.steps, q.target)
 
-        def drop_last_rule(p31, part):
-            red = real(p31, part)
+    def test_reduction_must_leave_gar2(self, groups, monkeypatch):
+        real = tietze._reduce
+
+        def drop_last_rule(*args, **kwargs):
+            red = real(*args, **kwargs)
             base = px.Polygraph2(red.base.generators, red.base.rules[:-1])
             return px.Polygraph31(base, red.cells)
 
-        monkeypatch.setattr("polycox.garside.homotopical_reduce", drop_last_rule)
+        monkeypatch.setattr("polycox.garside._reduce", drop_last_rule)
         with pytest.raises(px.CoherenceError):
             px.garside_coherent(groups("A2"))
 
     def test_corrupted_part_rejected(self, groups, monkeypatch):
-        # the part is checked only by validate_collapsible, so a face turned
-        # backwards must be caught there and by garside_coherent
-        real = px.garside_reduction_part
+        # the part is checked only by validation, so a face turned backwards
+        # must be caught by validate_collapsible and by garside_coherent,
+        # which streams the spheres from garside._garside_spheres
+        real = garside._garside_spheres
 
         def flip_first_face(gc):
-            part = real(gc)
-            sc = part.spheres[0]
+            spheres = real(gc)
+            sc = next(spheres)
             flipped = dataclasses.replace(sc.sphere.lhs[0], dir=-1)
             sphere = dataclasses.replace(sc.sphere, lhs=(flipped,) + sc.sphere.lhs[1:])
-            spheres = (dataclasses.replace(sc, sphere=sphere),) + part.spheres[1:]
-            return dataclasses.replace(part, spheres=spheres)
+            yield dataclasses.replace(sc, sphere=sphere)
+            yield from spheres
 
         g = groups("A2xA1")
         gc = px.complete_garside(g)
-        violations = px.validate_collapsible(gc.p31, flip_first_face(gc))
+        part = dataclasses.replace(
+            px.garside_reduction_part(gc), spheres=tuple(flip_first_face(gc))
+        )
+        violations = px.validate_collapsible(gc.p31, part)
         assert any("source mismatch" in v for v in violations)
-        monkeypatch.setattr("polycox.garside.garside_reduction_part", flip_first_face)
+        monkeypatch.setattr("polycox.garside._garside_spheres", flip_first_face)
         with pytest.raises(px.NielsenError, match="source mismatch"):
             px.garside_coherent(g)
+
+    def test_violations_pinned(self, garside_parts):
+        # three faults on the A2xA1 part: the first sphere's first face
+        # flipped, the second sphere designating the first one's cell, and
+        # the last sphere's cell left without a rank; the whole-part check
+        # comes first although the spheres are checked last
+        gc, part = garside_parts("A2xA1")
+        first, second = part.spheres[0], part.spheres[1]
+        flipped = dataclasses.replace(first.sphere.lhs[0], dir=-1)
+        first = dataclasses.replace(
+            first, sphere=dataclasses.replace(first.sphere, lhs=(flipped,) + first.sphere.lhs[1:])
+        )
+        second = dataclasses.replace(second, redundant=first.redundant)
+        last = part.spheres[-1].redundant
+        cell_rank = {i: r for i, r in part.order.cell_rank.items() if i != last}
+        bad = dataclasses.replace(
+            part,
+            spheres=(first, second) + part.spheres[2:],
+            order=dataclasses.replace(part.order, cell_rank=cell_rank),
+        )
+        assert px.validate_collapsible(gc.p31, bad) == [
+            "spheres: a 3-cell is designated redundant twice",
+            "sphere for 'H(r,s,r,s)#0': lhs[0]: source mismatch",
+            "sphere for 'H(r,s,r,s)#0': lhs[1]: source mismatch",
+            "sphere: 3-cell 'H(r,s,r,s)#0' occurs 0 times, need exactly 1",
+            "order: 3-cell 'H(r,s,r,s)#0' not above 'I(r,s,rst,t,rsr)#1'",
+            "order: 3-cell 'H(r,s,r,s)#0' not above 'H(r,t,s,rs)#6'",
+            "order: 3-cell 'H(r,s,r,s)#0' not above 'H(r,s,t,rs)#3'",
+            "3-cell 'G(srt,s,rt,s,rst)#767': no rank for 767",
+        ]
 
 
 class TestGarsidePart:
@@ -221,7 +277,8 @@ class TestGarsidePart:
             px.garside_reduction_part(dataclasses.replace(gc, tags=tags))
 
     def test_one_object_per_value(self, groups):
-        # equal steps are one Step2, and equal part paths one Path2
+        # equal steps are one Step2, equal step sequences one tuple and equal
+        # identity paths one Path2; a path with steps belongs to one entry
         gc = px.complete_garside(groups("A2xA1"))
         part = px.garside_reduction_part(gc)
 
@@ -233,14 +290,22 @@ class TestGarsidePart:
         part_paths = []
         for sc in part.spheres:
             sp = sc.sphere
-            part_paths += [sp.source, sp.target]
-            part_paths += [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+            paths = [sp.source, sp.target] + [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+            # no sphere uses a path with steps twice
+            stepped = [p for p in paths if p.steps]
+            assert len(set(stepped)) == len(stepped)
+            part_paths += paths
         assert shared([s for p in part_paths for s in p.steps])
-        assert len({id(p) for p in part_paths}) == len(
-            {(p.source, p.steps) for p in part_paths}
+        assert shared([p.steps for p in part_paths])
+        assert shared([p.source for p in part_paths])
+        identities = [p for p in part_paths if not p.steps]
+        assert shared(identities)
+        # A2xA1 repeats identities and step sequences, so the checks above
+        # are not vacuous
+        assert len({id(p) for p in identities}) < len(identities)
+        assert len({id(p.steps) for p in part_paths if p.steps}) < len(part_paths) - len(
+            identities
         )
-        # A2xA1 repeats paths, so the check above is not vacuous
-        assert len({id(p) for p in part_paths}) < len(part_paths)
 
     def test_each_part_path_rendered_once(self, groups, monkeypatch):
         gc = px.complete_garside(groups("A2xA1"))

@@ -339,6 +339,36 @@ class TestCarriedTargets:
         with pytest.raises(px.StepError):
             px.compose(Path2(pg, (2, 1), [Step2(0, 1, 0)]), px.identity_path(pg, (1,)))
 
+    @staticmethod
+    def same_error(pg, source, steps, before):
+        # the replay of target and of words() raise the very message that
+        # apply_step raises for the last step on ``before``
+        *_, bad = steps
+        with pytest.raises(px.StepError) as want:
+            px.apply_step(before, pg, bad.rule, bad.pos, bad.dir)
+        for end in (lambda p: p.target, lambda p: p.words()):
+            with pytest.raises(px.StepError) as got:
+                end(Path2(pg, source, steps))
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Step2(0, -1, 1),  # bad offset: "ba" is at 0 of "bac", not at 1
+            Step2(0, 1, 0),  # wrong side: "ba" matches p's rhs, not its lhs
+            Step2(2, -1, 3),  # offset past the end
+        ],
+    )
+    def test_replay_raises_apply_steps_error(self, pg, bad):
+        # "abc" -p-> "bac", then the bad step
+        self.same_error(pg, (0, 1, 2), [Step2(0, 1, 0), bad], (1, 0, 2))
+
+    @pytest.mark.parametrize("at", [-1, 1])
+    def test_empty_side_matches_only_inside_the_word(self, at):
+        unit = px.Polygraph2(["a"], [px.Rule("u", (0, 0), ())])
+        # "aa" -u-> "", whose only offset is 0
+        self.same_error(unit, (0, 0), [Step2(0, 1, 0), Step2(0, -1, at)], ())
+
     def test_compose_mismatch_with_carried_target(self, pg):
         f = px.whisker((2,), Path2(pg, (0, 1), [Step2(0, 1, 0)]), ())
         assert f.target == (2, 1, 0)
