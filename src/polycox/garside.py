@@ -136,8 +136,8 @@ class GarsideCompletion:
 
 
 def _step_makers(alpha: dict, beta: dict):
-    """The makers of alpha(u, v) and beta(u, v, w) steps at an offset; they
-    share one Step2 per (rule, offset) for as long as they live."""
+    """The makers of forward steps of a rule, alpha(u, v) and beta(u, v, w)
+    at an offset, sharing one Step2 per (rule, offset) while they live."""
     shared: dict[tuple[int, int], Step2] = {}
 
     def step(rule: int, pos: int) -> Step2:
@@ -152,7 +152,7 @@ def _step_makers(alpha: dict, beta: dict):
     def b(u: int, v: int, w: int, pos: int) -> Step2:
         return step(beta[(u, v, w)], pos)
 
-    return a, b
+    return step, a, b
 
 
 def complete_garside(
@@ -216,7 +216,7 @@ def complete_garside(
 
     m = g.mult
     elt = gp.elt_of_gen
-    a, b = _step_makers(alpha, beta)
+    _, a, b = _step_makers(alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
         """The family of a critical branching with the two reduction paths
@@ -363,6 +363,8 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     Faces are forward (direction +1) and found by their cell's family tag;
     a missing face raises CoherenceError.  A face's pre path starts at the
     sphere's source word, its post path at left + cell target + right.
+    No lhs is empty: the sphere's source is its first face, pre + the cell's
+    src shifted by len(left) + post, and its target its last, through tgt.
     Words, step tuples and identity paths are shared per value for as long
     as the generator lives, in tables keyed by the values themselves.  A
     path with steps belongs to its sphere alone: no sphere uses one twice
@@ -375,7 +377,8 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     cell_of: dict[str, dict[tuple[int, ...], int]] = {}
     for i, tag in enumerate(gc.tags):
         cell_of.setdefault(tag.letter.translate(_FACE_LETTER), {})[tag.indices] = i
-    tgt = [c.src.target for c in gc.p31.cells]  # replayed by ThreeCell
+    cells = gc.p31.cells
+    tgt = [c.src.target for c in cells]  # replayed by ThreeCell
 
     def face(letter: str, *elts: int) -> int:
         idx = cell_of.get(letter, {}).get(elts)
@@ -386,7 +389,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     words: dict[Word, Word] = {}
     seqs: dict[tuple[Step2, ...], tuple[Step2, ...]] = {}
     ids: dict[Word, Path2] = {}
-    aS, bS = _step_makers(gp.alpha, gc.beta)
+    step, aS, bS = _step_makers(gp.alpha, gc.beta)
 
     def W(*elts: int) -> Word:
         w = tuple([gen[e] for e in elts])
@@ -405,6 +408,10 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
         t = lw + tgt[cell] + rw
         return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(words.setdefault(t, t), *post))
 
+    def face_path(e: SphereEntry, side: Path2) -> Path2:
+        shifted = [step(r, pos + len(e.left)) for r, _, pos in side.steps]
+        return P(X, *e.pre.steps, *shifted, *e.post.steps)
+
     for i, tag in enumerate(gc.tags):
         letter, idx = tag.letter, tag.indices
         if letter in ("A", "B"):
@@ -418,8 +425,6 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
             X = W(u, vw, x, y) if letter == "F" else W(u, v, w, xy)
         if letter == "C":
-            start = P(X, aS(u, v, 0), aS(uv, w, 0))
-            end = P(X, aS(w, x, 2), bS(v, w, x, 1), aS(u, vw, 0))
             lhs = (
                 E(face("A", u, v, w), right=(x,)),
                 E(face("A", v, w, x), left=(u,), post=(aS(u, vw, 0),)),
@@ -429,16 +434,12 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
                 E(i, pre=(aS(w, x, 2),)),
             )
         elif letter == "D":
-            start = P(X, aS(u, v, 0), aS(w, x, 1))
-            end = P(X, aS(w, x, 2), bS(v, w, x, 1), bS(u, v, w, 0), aS(w, x, 1))
             lhs = (
                 E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
                 E(face("A", v, w, x), left=(u,), post=(bS(u, v, w, 0), aS(w, x, 1))),
             )
             rhs = (E(i, pre=(aS(w, x, 2),)),)
         elif letter == "E":
-            start = P(X, aS(u, v, 0), aS(w, x, 1))
-            end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, v, wx, 0))
             lhs = (
                 E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
                 E(i, pre=(aS(v, w, 1),)),
@@ -446,8 +447,6 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             )
             rhs = (E(face("A", u, v, wx), pre=(aS(w, x, 2),)),)
         elif letter == "F":
-            start = P(X, bS(u, v, w, 0), aS(w, x, 1), aS(wx, y, 1))
-            end = P(X, aS(x, y, 2), bS(vw, x, y, 1), bS(u, v, wx, 0), aS(wx, y, 1))
             lhs = (
                 E(face("E", u, v, w, x), right=(y,), post=(aS(wx, y, 1),)),
                 E(face("A", vw, x, y), left=(u,), post=(bS(u, v, wx, 0), aS(wx, y, 1))),
@@ -457,8 +456,6 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
                 E(i, pre=(aS(x, y, 2),)),
             )
         elif letter == "G":
-            start = P(X, aS(u, v, 0), bS(w, x, y, 1))
-            end = P(X, bS(w, x, y, 2), aS(v, wx, 1), bS(u, v, wx, 0))
             lhs = (
                 E(face("A", u, v, w), right=(xy,), post=(bS(w, x, y, 1),)),
                 E(i, pre=(aS(v, w, 1),)),
@@ -466,8 +463,6 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             )
             rhs = (E(face("A", u, v, wx), right=(y,), pre=(bS(w, x, y, 2),)),)
         elif letter == "H":
-            start = P(X, aS(u, v, 0), aS(uv, w, 0))
-            end = P(X, aS(w, x, 2), aS(v, wx, 1), bS(u, vw, x, 0))
             lhs = (
                 E(face("A", u, v, w), right=(x,)),
                 E(face("A", u, vw, x), pre=(aS(v, w, 1),)),
@@ -484,13 +479,13 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             x1, x2 = g.complement(v1, join), g.complement(v2, join)
             y = g.complement(join, m(v1, w1))
             X = W(u, m(v1, w1))
-            start = P(X, bS(u, v1, w1, 0), bS(m(u, v1), x1, y, 0))
-            end = P(X, bS(u, join, y, 0))
             lhs = (E(i), E(face("H", u, v2, x2, y)))
             rhs = (E(face("H", u, v1, x1, y)),)
         else:
             raise ClassificationError(f"unknown family {letter!r}")
-        yield SphereCollapse(Sphere3(start, end, lhs, rhs), i)
+        source = face_path(lhs[0], cells[lhs[0].cell].src)
+        target = face_path(lhs[-1], cells[lhs[-1].cell].tgt)
+        yield SphereCollapse(Sphere3(source, target, lhs, rhs), i)
 
 
 @dataclass

@@ -281,20 +281,16 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
     return CollapsiblePart(two, three, spheres, OrderWitness(gen_rank, rule_rank, cell_rank))
 
 
-def render_step(path: Path2, k: int) -> str:
-    """One whiskered step, e.g. "sa.b(st).a" with a trailing - for reverses."""
-    pg = path.pg
-    s = path.steps[k]
-    w = path.words()[k]
-    rule = pg.rules[s.rule]
-    consumed = len(rule.lhs) if s.dir > 0 else len(rule.rhs)
-    left = pg.word_str(w[: s.pos])
-    right = pg.word_str(w[s.pos + consumed :])
-    mid = rule.name + ("" if s.dir > 0 else "-")
-    return "·".join(x for x in (left, mid, right) if x)
-
-
 def render_path(path: Path2) -> str:
+    """The steps joined by " ⋆ ", each whiskered, e.g. "sa.b(st).a" with a
+    trailing - for reverses; the chain of words is replayed once."""
+    pg = path.pg
     if not path.steps:
-        return f"1_{path.pg.word_str(path.source)}"
-    return " ⋆ ".join(render_step(path, k) for k in range(len(path.steps)))
+        return f"1_{pg.word_str(path.source)}"
+    out = []
+    for (r, d, i), w in zip(path.steps, path.words()):
+        rule = pg.rules[r]
+        j = i + len(rule.lhs if d > 0 else rule.rhs)
+        parts = (pg.word_str(w[:i]), rule.name + ("" if d > 0 else "-"), pg.word_str(w[j:]))
+        out.append("·".join(x for x in parts if x))
+    return " ⋆ ".join(out)

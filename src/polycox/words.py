@@ -71,6 +71,7 @@ class Polygraph2:
     and ``rules_by_first``, the rule ids bucketed by the first letter of
     their lhs in increasing order, in step with ``rules``; it also drops
     the redex automaton, which ``automaton()`` rebuilds on first use.
+    Equal by generators and rules and mutable, instances are unhashable.
     """
 
     __slots__ = (
@@ -141,9 +142,6 @@ class Polygraph2:
             and self.generators == other.generators
             and self.rules == other.rules
         )
-
-    def __hash__(self) -> int:  # identity hash: instances act as contexts
-        return id(self)
 
     def __repr__(self) -> str:
         return f"Polygraph2({self.generators!r}, {len(self.rules)} rules)"

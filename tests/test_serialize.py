@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polycox as px
+from polycox import paths
 from polycox import serialize as ser
 from polycox.paths import Path2, Step2
 
@@ -116,6 +117,20 @@ class TestRendering:
         p, _ = b3plus
         path = Path2(p, (2, 0), [Step2(1, -1, 0)])
         assert "beta-" in ser.render_path(path)
+
+    def test_path_replayed_once(self, monkeypatch):
+        # a path caches no chain of words, so rendering must not replay it
+        # once per step
+        (z,) = px.artin_coherent(MATRICES["A3"]).cells
+        replays = []
+        real = paths._replay
+        monkeypatch.setattr(paths, "_replay", lambda *a: replays.append(a) or real(*a))
+        text = ser.render_path(z.tgt)
+        assert len(z.tgt.steps) == 8 and len(replays) == 1
+        assert text == (
+            "ts·g(r,t)·st ⋆ tsr·g(s,t) ⋆ t·g(r,s)·ts ⋆ g(r,t)·srts ⋆ "
+            "rts·g(r,t)-·s ⋆ r·g(s,t)·rs ⋆ rst·g(r,s) ⋆ rs·g(r,t)·sr"
+        )
 
 
 class TestGarsideDocuments:

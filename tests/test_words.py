@@ -16,6 +16,18 @@ def word_of(p, s):
     return tuple(p.generators.index(c) for c in s)
 
 
+class TestPolygraph2:
+    def test_equal_by_value_and_unhashable(self):
+        # equal polygraphs must hash alike, and a mutable one cannot
+        def build():
+            return px.Polygraph2(["s", "t"], [px.Rule("a", (0, 1), (1,))])
+
+        p, q = build(), build()
+        assert p is not q and p == q
+        with pytest.raises(TypeError):
+            hash(p)
+
+
 class TestFindRedexes:
     def test_sta(self, b3plus):
         p, _ = b3plus
