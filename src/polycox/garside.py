@@ -136,23 +136,16 @@ class GarsideCompletion:
 
 
 def _step_makers(alpha: dict, beta: dict):
-    """The makers of forward steps of a rule, alpha(u, v) and beta(u, v, w)
-    at an offset, sharing one Step2 per (rule, offset) while they live."""
-    shared: dict[tuple[int, int], Step2] = {}
-
-    def step(rule: int, pos: int) -> Step2:
-        s = shared.get((rule, pos))
-        if s is None:
-            s = shared[(rule, pos)] = Step2(rule, 1, pos)
-        return s
-
-    def a(u: int, v: int, pos: int) -> Step2:
-        return step(alpha[(u, v)], pos)
-
-    def b(u: int, v: int, w: int, pos: int) -> Step2:
-        return step(beta[(u, v, w)], pos)
-
-    return step, a, b
+    """The forward steps of the Garside rules at offsets 0 to 2, one Step2
+    per (rule, offset): ``rows[pos][rule]``, and the same steps by key,
+    ``a_rows[pos][(u, v)]`` for alpha(u, v) and ``b_rows[pos][(u, v, w)]``
+    for beta(u, v, w).  Rule ids run over alpha's then beta's, and no word
+    of a cell or sphere has more than four letters, so no step of a
+    two-letter lhs sits further right.  A lookup is one subscript, with no
+    key built for the offset; a missing rule raises KeyError."""
+    rows = [[Step2(r, 1, pos) for r in range(len(alpha) + len(beta))] for pos in range(3)]
+    a_rows = [{k: row[r] for k, r in alpha.items()} for row in rows]
+    return rows, a_rows, [{k: row[r] for k, r in beta.items()} for row in rows]
 
 
 def complete_garside(
@@ -180,11 +173,8 @@ def complete_garside(
     gp = garside_presentation(g)
     pg = Polygraph2(list(gp.pg.generators), list(gp.pg.rules))
     n_alpha = len(pg.rules)
-    names = pg.generators
-
-    def gen(e: int) -> int:
-        return gp.gen_of_elt[e]
-
+    gen = gp.gen_of_elt
+    label = {e: pg.generators[i] for e, i in gen.items()}  # an element's name
     alpha = gp.alpha
     beta: dict[tuple[int, int, int], int] = {}
     beta_of_rule: dict[int, tuple[int, int, int]] = {}
@@ -201,9 +191,9 @@ def complete_garside(
             vw = g.mult(v, w)
             idx = pg.add_rule(
                 Rule(
-                    f"b({names[gen(u)]}|{names[gen(v)]}|{names[gen(w)]})",
-                    (gen(u), gen(vw)),
-                    (gen(uv), gen(w)),
+                    f"b({label[u]}|{label[v]}|{label[w]})",
+                    (gen[u], gen[vw]),
+                    (gen[uv], gen[w]),
                 )
             )
             beta[(u, v, w)] = idx
@@ -216,7 +206,7 @@ def complete_garside(
 
     m = g.mult
     elt = gp.elt_of_gen
-    _, a, b = _step_makers(alpha, beta)
+    _, (a0, a1, _), (b0, b1, _) = _step_makers(alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
         """The family of a critical branching with the two reduction paths
@@ -231,16 +221,16 @@ def complete_garside(
                 x = g.complement(v1, v2)
                 return (
                     FamilyTag("H", (u, v1, x, w2)),
-                    (b(u, v1, w1, 0), b(m(u, v1), x, w2, 0)),
-                    (b(u, v2, w2, 0),),
+                    (b0[u, v1, w1], b0[m(u, v1), x, w2]),
+                    (b0[u, v2, w2],),
                 )
             join = g.lcm(v1, v2)
             x1, x2 = g.complement(v1, join), g.complement(v2, join)
             y = g.complement(join, m(v1, w1))
             return (
                 FamilyTag("I", (u, v1, w1, v2, w2)),
-                (b(u, v1, w1, 0), b(m(u, v1), x1, y, 0)),
-                (b(u, v2, w2, 0), b(m(u, v2), x2, y, 0)),
+                (b0[u, v1, w1], b0[m(u, v1), x1, y]),
+                (b0[u, v2, w2], b0[m(u, v2), x2, y]),
             )
         if br.right.pos != 1:
             return None
@@ -251,45 +241,45 @@ def complete_garside(
                 if (m(u, v), w) in alpha:
                     return (
                         FamilyTag("A", (u, v, w)),
-                        (a(u, v, 0), a(m(u, v), w, 0)),
-                        (a(v, w, 1), a(u, m(v, w), 0)),
+                        (a0[u, v], a0[m(u, v), w]),
+                        (a1[v, w], a0[u, m(v, w)]),
                     )
                 return (
                     FamilyTag("B", (u, v, w)),
-                    (a(u, v, 0),),
-                    (a(v, w, 1), b(u, v, w, 0)),
+                    (a0[u, v],),
+                    (a1[v, w], b0[u, v, w]),
                 )
             _, x, y = beta_of_rule[right]  # alpha/beta on u|v|xy
             if (m(u, v), x) in alpha:
                 return (
                     FamilyTag("C", (u, v, x, y)),
-                    (a(u, v, 0), b(m(u, v), x, y, 0)),
-                    (b(v, x, y, 1), a(u, m(v, x), 0)),
+                    (a0[u, v], b0[m(u, v), x, y]),
+                    (b1[v, x, y], a0[u, m(v, x)]),
                 )
             return (
                 FamilyTag("D", (u, v, x, y)),
-                (a(u, v, 0),),
-                (b(v, x, y, 1), b(u, v, x, 0), a(x, y, 1)),
+                (a0[u, v],),
+                (b1[v, x, y], b0[u, v, x], a1[x, y]),
             )
         u, v, w = beta_of_rule[left]
         if right < n_alpha:  # beta/alpha on u|vw|x
             x = elt[pg.rules[right].lhs[1]]
             return (
                 FamilyTag("E", (u, v, w, x)),
-                (b(u, v, w, 0), a(w, x, 1)),
-                (a(m(v, w), x, 1), b(u, v, m(w, x), 0)),
+                (b0[u, v, w], a1[w, x]),
+                (a1[m(v, w), x], b0[u, v, m(w, x)]),
             )
         _, x, y = beta_of_rule[right]  # beta/beta on u|vw|xy
         if (m(w, x), y) in alpha:
             return (
                 FamilyTag("F", (u, v, w, x, y)),
-                (b(u, v, w, 0), a(w, m(x, y), 1)),
-                (b(m(v, w), x, y, 1), b(u, v, m(w, x), 0), a(m(w, x), y, 1)),
+                (b0[u, v, w], a1[w, m(x, y)]),
+                (b1[m(v, w), x, y], b0[u, v, m(w, x)], a1[m(w, x), y]),
             )
         return (
             FamilyTag("G", (u, v, w, x, y)),
-            (b(u, v, w, 0), b(w, x, y, 1)),
-            (b(m(v, w), x, y, 1), b(u, v, m(w, x), 0)),
+            (b0[u, v, w], b1[w, x, y]),
+            (b1[m(v, w), x, y], b0[u, v, m(w, x)]),
         )
 
     branchings = critical_branchings(pg, budget=branching_budget)
@@ -307,7 +297,7 @@ def complete_garside(
                 f"no family matches the branching at {pg.word_str(br.source)}"
             )
         tag, left_steps, right_steps = found
-        idx = ",".join(names[gen(e)] for e in tag.indices)
+        idx = ",".join([label[e] for e in tag.indices])
         source = words.setdefault(br.source, br.source)
         tags.append(tag)
         cells.append(
@@ -356,61 +346,72 @@ def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
     return CollapsiblePart((), three, (), OrderWitness(gen_rank, rule_rank, cell_rank))
 
 
+class _Faces(dict):
+    """The 3-cells of one face family, by element ids; a miss raises."""
+
+    def __init__(self, letter: str):
+        self.letter = letter
+
+    def __missing__(self, elts: tuple[int, ...]):
+        raise CoherenceError(f"no {self.letter}-family 3-cell on elements {elts}")
+
+
 def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     """The spheres of the Garside part, one per cell of the families C
     through I, in tag order, each built only when asked for.
 
-    Faces are forward (direction +1) and found by their cell's family tag;
-    a missing face raises CoherenceError.  A face's pre path starts at the
-    sphere's source word, its post path at left + cell target + right.
-    No lhs is empty: the sphere's source is its first face, pre + the cell's
-    src shifted by len(left) + post, and its target its last, through tgt.
-    Words, step tuples and identity paths are shared per value for as long
-    as the generator lives, in tables keyed by the values themselves.  A
-    path with steps belongs to its sphere alone: no sphere uses one twice
-    (their offsets, lengths or rules differ by family shape), so a finished
+    Faces are forward (direction +1) and found by their cell's family tag
+    in the A, C, E and H tables; a missing face raises CoherenceError.  A
+    face's pre path starts at the sphere's source word, its post path at
+    left + cell target + right.  No lhs is empty: the sphere's source is
+    its first face, pre + the cell's src shifted by len(left) + post, and
+    its target its last, through tgt.  Each step is a subscript into the
+    rows of ``_step_makers`` and each whisker, empty or one letter, into
+    a table per element.  Words, step tuples and identity paths are shared
+    per value while the generator lives, in tables keyed by the values;
+    the one at the sphere's word is bound once per sphere.  A path with
+    steps belongs to its sphere alone: no sphere uses one twice (their
+    offsets, lengths or rules differ by family shape), so a finished
     sphere leaves no path behind.  The paths carry no target, so each is
     replayed when its sphere is checked, an identity path once.
     """
     gp, g, pg, m = gc.gp, gc.gp.group, gc.p31.base, gc.gp.group.mult
     gen = gp.gen_of_elt
-    cell_of: dict[str, dict[tuple[int, ...], int]] = {}
+    faces = {letter: _Faces(letter) for letter in "ACEH"}
     for i, tag in enumerate(gc.tags):
-        cell_of.setdefault(tag.letter.translate(_FACE_LETTER), {})[tag.indices] = i
+        faces.get(tag.letter.translate(_FACE_LETTER), {})[tag.indices] = i
+    fA, fC, fE, fH = faces.values()
     cells = gc.p31.cells
     tgt = [c.src.target for c in cells]  # replayed by ThreeCell
-
-    def face(letter: str, *elts: int) -> int:
-        idx = cell_of.get(letter, {}).get(elts)
-        if idx is None:
-            raise CoherenceError(f"no {letter}-family 3-cell on elements {elts}")
-        return idx
-
+    one = {e: (i,) for e, i in gen.items()}  # the one-letter whiskers
     words: dict[Word, Word] = {}
     seqs: dict[tuple[Step2, ...], tuple[Step2, ...]] = {}
     ids: dict[Word, Path2] = {}
-    step, aS, bS = _step_makers(gp.alpha, gc.beta)
+    rows, (a0, a1, a2), (b0, b1, b2) = _step_makers(gp.alpha, gc.beta)
 
     def W(*elts: int) -> Word:
         w = tuple([gen[e] for e in elts])
         return words.setdefault(w, w)
 
-    def P(word: Word, *steps: Step2) -> Path2:
-        if not steps:
-            path = ids.get(word)
-            if path is None:
-                path = ids[word] = Path2._make(pg, word, (), None)
-            return path
-        return Path2._make(pg, word, seqs.setdefault(steps, steps), None)
+    def identity(w: Word) -> Path2:
+        path = ids.get(w)
+        if path is None:
+            path = ids[w] = Path2._make(pg, w, (), None)
+        return path
 
     def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
-        lw, rw = W(*left), W(*right)
-        t = lw + tgt[cell] + rw
-        return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(words.setdefault(t, t), *post))
+        t = left + tgt[cell] + right
+        t = words.setdefault(t, t)
+        return SphereEntry(
+            cell, 1, left, right,
+            Path2._make(pg, X, seqs.setdefault(pre, pre), None) if pre else idX,
+            Path2._make(pg, t, seqs.setdefault(post, post), None) if post else identity(t),
+        )  # fmt: skip
 
     def face_path(e: SphereEntry, side: Path2) -> Path2:
-        shifted = [step(r, pos + len(e.left)) for r, _, pos in side.steps]
-        return P(X, *e.pre.steps, *shifted, *e.post.steps)
+        k = len(e.left)
+        steps = e.pre.steps + tuple([rows[pos + k][r] for r, _, pos in side.steps]) + e.post.steps
+        return Path2._make(pg, X, seqs.setdefault(steps, steps), None)
 
     for i, tag in enumerate(gc.tags):
         letter, idx = tag.letter, tag.indices
@@ -424,65 +425,67 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             u, v, w, x, y = idx
             uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
             X = W(u, vw, x, y) if letter == "F" else W(u, v, w, xy)
+        elif letter == "I":
+            u, v1, w1, v2, w2 = idx
+            X = W(u, m(v1, w1))
+        else:
+            raise ClassificationError(f"unknown family {letter!r}")
+        idX = identity(X)
         if letter == "C":
             lhs = (
-                E(face("A", u, v, w), right=(x,)),
-                E(face("A", v, w, x), left=(u,), post=(aS(u, vw, 0),)),
+                E(fA[u, v, w], right=one[x]),
+                E(fA[v, w, x], left=one[u], post=(a0[u, vw],)),
             )
             rhs = (
-                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
-                E(i, pre=(aS(w, x, 2),)),
+                E(fA[uv, w, x], pre=(a0[u, v],)),
+                E(i, pre=(a2[w, x],)),
             )
         elif letter == "D":
             lhs = (
-                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
-                E(face("A", v, w, x), left=(u,), post=(bS(u, v, w, 0), aS(w, x, 1))),
+                E(fA[u, v, w], right=one[x], post=(a1[w, x],)),
+                E(fA[v, w, x], left=one[u], post=(b0[u, v, w], a1[w, x])),
             )
-            rhs = (E(i, pre=(aS(w, x, 2),)),)
+            rhs = (E(i, pre=(a2[w, x],)),)
         elif letter == "E":
             lhs = (
-                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
-                E(i, pre=(aS(v, w, 1),)),
-                E(face("A", v, w, x), left=(u,), post=(bS(u, v, wx, 0),)),
+                E(fA[u, v, w], right=one[x], post=(a1[w, x],)),
+                E(i, pre=(a1[v, w],)),
+                E(fA[v, w, x], left=one[u], post=(b0[u, v, wx],)),
             )
-            rhs = (E(face("A", u, v, wx), pre=(aS(w, x, 2),)),)
+            rhs = (E(fA[u, v, wx], pre=(a2[w, x],)),)
         elif letter == "F":
             lhs = (
-                E(face("E", u, v, w, x), right=(y,), post=(aS(wx, y, 1),)),
-                E(face("A", vw, x, y), left=(u,), post=(bS(u, v, wx, 0), aS(wx, y, 1))),
+                E(fE[u, v, w, x], right=one[y], post=(a1[wx, y],)),
+                E(fA[vw, x, y], left=one[u], post=(b0[u, v, wx], a1[wx, y])),
             )
             rhs = (
-                E(face("A", w, x, y), left=(uv,), pre=(bS(u, v, w, 0),)),
-                E(i, pre=(aS(x, y, 2),)),
+                E(fA[w, x, y], left=one[uv], pre=(b0[u, v, w],)),
+                E(i, pre=(a2[x, y],)),
             )
         elif letter == "G":
             lhs = (
-                E(face("A", u, v, w), right=(xy,), post=(bS(w, x, y, 1),)),
-                E(i, pre=(aS(v, w, 1),)),
-                E(face("C", v, w, x, y), left=(u,), post=(bS(u, v, wx, 0),)),
+                E(fA[u, v, w], right=one[xy], post=(b1[w, x, y],)),
+                E(i, pre=(a1[v, w],)),
+                E(fC[v, w, x, y], left=one[u], post=(b0[u, v, wx],)),
             )
-            rhs = (E(face("A", u, v, wx), right=(y,), pre=(bS(w, x, y, 2),)),)
+            rhs = (E(fA[u, v, wx], right=one[y], pre=(b2[w, x, y],)),)
         elif letter == "H":
             lhs = (
-                E(face("A", u, v, w), right=(x,)),
-                E(face("A", u, vw, x), pre=(aS(v, w, 1),)),
-                E(face("A", v, w, x), left=(u,), post=(bS(u, vw, x, 0),)),
+                E(fA[u, v, w], right=one[x]),
+                E(fA[u, vw, x], pre=(a1[v, w],)),
+                E(fA[v, w, x], left=one[u], post=(b0[u, vw, x],)),
             )
             rhs = (
-                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
-                E(face("A", u, v, wx), pre=(aS(w, x, 2),), post=(bS(uv, w, x, 0),)),
-                E(i, pre=(aS(w, x, 2), aS(v, wx, 1))),
+                E(fA[uv, w, x], pre=(a0[u, v],)),
+                E(fA[u, v, wx], pre=(a2[w, x],), post=(b0[uv, w, x],)),
+                E(i, pre=(a2[w, x], a1[v, wx])),
             )
-        elif letter == "I":
-            u, v1, w1, v2, w2 = idx
+        else:  # I
             join = g.lcm(v1, v2)
             x1, x2 = g.complement(v1, join), g.complement(v2, join)
             y = g.complement(join, m(v1, w1))
-            X = W(u, m(v1, w1))
-            lhs = (E(i), E(face("H", u, v2, x2, y)))
-            rhs = (E(face("H", u, v1, x1, y)),)
-        else:
-            raise ClassificationError(f"unknown family {letter!r}")
+            lhs = (E(i), E(fH[u, v2, x2, y]))
+            rhs = (E(fH[u, v1, x1, y]),)
         source = face_path(lhs[0], cells[lhs[0].cell].src)
         target = face_path(lhs[-1], cells[lhs[-1].cell].tgt)
         yield SphereCollapse(Sphere3(source, target, lhs, rhs), i)

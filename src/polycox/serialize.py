@@ -22,7 +22,14 @@ from .tietze import (
 from .words import Polygraph2, Rule, Word
 
 
-def word_from_str(p: Polygraph2, s: str) -> Word:
+def word_from_str(p: Polygraph2, s: str, memo: dict | None = None) -> Word:
+    """The word a string spells; with ``memo``, a table local to one read,
+    each distinct string is parsed once and a failed parse is not kept."""
+    if memo is not None and type(s) is str:
+        w = memo.get(s)
+        if w is None:
+            w = memo[s] = word_from_str(p, s)
+        return w
     if not isinstance(s, str):
         raise InputError(f"a word must be a string, not {s!r}")
     if s == "":
@@ -98,9 +105,9 @@ def _step_dir(value) -> int:
     return value
 
 
-def path_from_dict(d: dict, p: Polygraph2) -> Path2:
+def path_from_dict(d: dict, p: Polygraph2, words: dict | None = None) -> Path2:
     try:
-        source = word_from_str(p, d["source"])
+        source = word_from_str(p, d["source"], words)
         steps = tuple(
             Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), _step_int(s["at"], "offset"))
             for s in d["steps"]
@@ -123,14 +130,14 @@ def polygraph31_to_dict(p31: Polygraph31, meta: dict | None = None) -> dict:
 
 def polygraph31_from_dict(d: dict) -> Polygraph31:
     base = polygraph2_from_dict(d)
-    cells = []
+    cells, words = [], {}
     try:
         for c in d.get("three_cells", ()):
             cells.append(
                 ThreeCell(
                     _name(c["id"]),
-                    path_from_dict(c["src"], base),
-                    path_from_dict(c["tgt"], base),
+                    path_from_dict(c["src"], base, words),
+                    path_from_dict(c["tgt"], base, words),
                 )
             )
     except (KeyError, TypeError) as exc:
@@ -169,23 +176,23 @@ def sphere_to_dict(sp: Sphere3, p31: Polygraph31, path_dict=path_to_dict) -> dic
     }
 
 
-def sphere_from_dict(d: dict, p31: Polygraph31) -> Sphere3:
+def sphere_from_dict(d: dict, p31: Polygraph31, words: dict | None = None) -> Sphere3:
     base = p31.base
 
     def entry(e: dict) -> SphereEntry:
         return SphereEntry(
             p31.cell_index(e["cell"]),
             _step_dir(e["dir"]),
-            word_from_str(base, e["left"]),
-            word_from_str(base, e["right"]),
-            path_from_dict(e["pre"], base),
-            path_from_dict(e["post"], base),
+            word_from_str(base, e["left"], words),
+            word_from_str(base, e["right"], words),
+            path_from_dict(e["pre"], base, words),
+            path_from_dict(e["post"], base, words),
         )
 
     try:
         return Sphere3(
-            path_from_dict(d["source"], base),
-            path_from_dict(d["target"], base),
+            path_from_dict(d["source"], base, words),
+            path_from_dict(d["target"], base, words),
             tuple(entry(e) for e in d["lhs"]),
             tuple(entry(e) for e in d["rhs"]),
         )
@@ -244,7 +251,7 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
 
 
 def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
-    base = p31.base
+    base, words = p31.base, {}  # each distinct word string parsed once
     if not isinstance(d, dict) or not isinstance(d.get("order", {}), dict):
         raise InputError("a collapsible part and its order must be JSON objects")
     try:
@@ -262,7 +269,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
             for tc in d.get("three_cells", ())
         )
         spheres = tuple(
-            SphereCollapse(sphere_from_dict(sc, p31), p31.cell_index(sc["redundant"]))
+            SphereCollapse(sphere_from_dict(sc, p31, words), p31.cell_index(sc["redundant"]))
             for sc in d.get("spheres", ())
         )
         order = d.get("order", {})

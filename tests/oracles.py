@@ -9,7 +9,9 @@ earlier, slower forms of the rewriting kernels (leftmost normalization
 through a separate automaton scan, the filler that re-slices its sides
 and whiskers each local cell, the exchange normal form that rescans to a
 fixed point), kept to check that the faster ones return the same paths,
-memo entries and spheres.  The builders (the standard coherent
+memo entries and spheres, and the Garside sphere generator that looked up
+each step, face and whisker word by a key built per use, kept to check
+the table-driven one sphere by sphere.  The builders (the standard coherent
 presentation of a finite monoid, Nielsen rule inversion, an adjoined
 definition) make (3,1)-polygraphs that the reduction and the round-trip
 tests start from.
@@ -22,6 +24,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from polycox import (
+    ClassificationError,
     CoherenceError,
     Gar3,
     InfiniteOrUnknown,
@@ -32,6 +35,7 @@ from polycox import (
     Polygraph31,
     Rule,
     Sphere3,
+    SphereCollapse,
     SphereEntry,
     Step2,
     ThreeCell,
@@ -882,3 +886,145 @@ def direct_gar3(g) -> Gar3:
             tgt = Path2(pg, word, ((alpha[(v, w)], 1, 1), (alpha[(u, vw)], 1, 0)))
             cells.append(ThreeCell(f"A({u},{v},{w})", src, tgt))
     return Gar3(g, Polygraph31(pg, cells), gp.elt_of_gen, gp.gen_of_elt, alpha)
+
+
+def _reference_step_makers(alpha: dict, beta: dict):
+    """The makers of forward steps of a rule, alpha(u, v) and beta(u, v, w)
+    at an offset, sharing one Step2 per (rule, offset) while they live."""
+    shared: dict[tuple[int, int], Step2] = {}
+
+    def step(rule: int, pos: int) -> Step2:
+        s = shared.get((rule, pos))
+        if s is None:
+            s = shared[(rule, pos)] = Step2(rule, 1, pos)
+        return s
+
+    def a(u: int, v: int, pos: int) -> Step2:
+        return step(alpha[(u, v)], pos)
+
+    def b(u: int, v: int, w: int, pos: int) -> Step2:
+        return step(beta[(u, v, w)], pos)
+
+    return step, a, b
+
+
+def reference_garside_spheres(gc):
+    """The spheres of the Garside part, one per cell of the families C
+    through I, in tag order: ``garside._garside_spheres`` with every step
+    made through ``_reference_step_makers``, every whisker and word through
+    a per-use element tuple, and every face through one lookup function."""
+    gp, g, pg, m = gc.gp, gc.gp.group, gc.p31.base, gc.gp.group.mult
+    gen = gp.gen_of_elt
+    face_letter = str.maketrans("BD", "AC")  # B-cells are A-faces, D-cells C-faces
+    cell_of: dict[str, dict[tuple[int, ...], int]] = {}
+    for i, tag in enumerate(gc.tags):
+        cell_of.setdefault(tag.letter.translate(face_letter), {})[tag.indices] = i
+    cells = gc.p31.cells
+    tgt = [c.src.target for c in cells]
+
+    def face(letter: str, *elts: int) -> int:
+        idx = cell_of.get(letter, {}).get(elts)
+        if idx is None:
+            raise CoherenceError(f"no {letter}-family 3-cell on elements {elts}")
+        return idx
+
+    words: dict[Word, Word] = {}
+    seqs: dict[tuple[Step2, ...], tuple[Step2, ...]] = {}
+    ids: dict[Word, Path2] = {}
+    step, aS, bS = _reference_step_makers(gp.alpha, gc.beta)
+
+    def W(*elts: int) -> Word:
+        w = tuple([gen[e] for e in elts])
+        return words.setdefault(w, w)
+
+    def P(word: Word, *steps: Step2) -> Path2:
+        if not steps:
+            path = ids.get(word)
+            if path is None:
+                path = ids[word] = Path2._make(pg, word, (), None)
+            return path
+        return Path2._make(pg, word, seqs.setdefault(steps, steps), None)
+
+    def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
+        lw, rw = W(*left), W(*right)
+        t = lw + tgt[cell] + rw
+        return SphereEntry(cell, 1, lw, rw, P(X, *pre), P(words.setdefault(t, t), *post))
+
+    def face_path(e: SphereEntry, side: Path2) -> Path2:
+        shifted = [step(r, pos + len(e.left)) for r, _, pos in side.steps]
+        return P(X, *e.pre.steps, *shifted, *e.post.steps)
+
+    for i, tag in enumerate(gc.tags):
+        letter, idx = tag.letter, tag.indices
+        if letter in ("A", "B"):
+            continue
+        if letter in ("C", "D", "E", "H"):
+            u, v, w, x = idx
+            X = W(u, v, w, x)
+            uv, vw, wx = m(u, v), m(v, w), m(w, x)
+        elif letter in ("F", "G"):
+            u, v, w, x, y = idx
+            uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
+            X = W(u, vw, x, y) if letter == "F" else W(u, v, w, xy)
+        if letter == "C":
+            lhs = (
+                E(face("A", u, v, w), right=(x,)),
+                E(face("A", v, w, x), left=(u,), post=(aS(u, vw, 0),)),
+            )
+            rhs = (
+                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
+                E(i, pre=(aS(w, x, 2),)),
+            )
+        elif letter == "D":
+            lhs = (
+                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, v, w, 0), aS(w, x, 1))),
+            )
+            rhs = (E(i, pre=(aS(w, x, 2),)),)
+        elif letter == "E":
+            lhs = (
+                E(face("A", u, v, w), right=(x,), post=(aS(w, x, 1),)),
+                E(i, pre=(aS(v, w, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, v, wx, 0),)),
+            )
+            rhs = (E(face("A", u, v, wx), pre=(aS(w, x, 2),)),)
+        elif letter == "F":
+            lhs = (
+                E(face("E", u, v, w, x), right=(y,), post=(aS(wx, y, 1),)),
+                E(face("A", vw, x, y), left=(u,), post=(bS(u, v, wx, 0), aS(wx, y, 1))),
+            )
+            rhs = (
+                E(face("A", w, x, y), left=(uv,), pre=(bS(u, v, w, 0),)),
+                E(i, pre=(aS(x, y, 2),)),
+            )
+        elif letter == "G":
+            lhs = (
+                E(face("A", u, v, w), right=(xy,), post=(bS(w, x, y, 1),)),
+                E(i, pre=(aS(v, w, 1),)),
+                E(face("C", v, w, x, y), left=(u,), post=(bS(u, v, wx, 0),)),
+            )
+            rhs = (E(face("A", u, v, wx), right=(y,), pre=(bS(w, x, y, 2),)),)
+        elif letter == "H":
+            lhs = (
+                E(face("A", u, v, w), right=(x,)),
+                E(face("A", u, vw, x), pre=(aS(v, w, 1),)),
+                E(face("A", v, w, x), left=(u,), post=(bS(u, vw, x, 0),)),
+            )
+            rhs = (
+                E(face("A", uv, w, x), pre=(aS(u, v, 0),)),
+                E(face("A", u, v, wx), pre=(aS(w, x, 2),), post=(bS(uv, w, x, 0),)),
+                E(i, pre=(aS(w, x, 2), aS(v, wx, 1))),
+            )
+        elif letter == "I":
+            u, v1, w1, v2, w2 = idx
+            join = g.lcm(v1, v2)
+            x1, x2 = g.complement(v1, join), g.complement(v2, join)
+            y = g.complement(join, m(v1, w1))
+            X = W(u, m(v1, w1))
+            lhs = (E(i), E(face("H", u, v2, x2, y)))
+            rhs = (E(face("H", u, v1, x1, y)),)
+        else:
+            raise ClassificationError(f"unknown family {letter!r}")
+        source = face_path(lhs[0], cells[lhs[0].cell].src)
+        target = face_path(lhs[-1], cells[lhs[-1].cell].tgt)
+        yield SphereCollapse(Sphere3(source, target, lhs, rhs), i)

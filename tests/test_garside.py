@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,47 @@ class TestGarsidePart:
             px.CoherenceError, match=r"^no A-family 3-cell on elements \(1, 2, 1\)$"
         ):
             px.garside_reduction_part(dataclasses.replace(gc, tags=tags))
+
+    @pytest.mark.parametrize("face, family", [("C", "G"), ("E", "F"), ("H", "I")])
+    def test_missing_face_of_each_family_raises(self, garside_parts, face, family):
+        # a G sphere has a C-family face, an F sphere an E one and an I
+        # sphere an H one; relabeling that face's tag out of its family
+        # leaves the face table without it
+        gc, part = garside_parts("A2xA1")
+        tags = list(gc.tags)
+        sc = next(sc for sc in part.spheres if tags[sc.redundant].letter == family)
+        cell = next(
+            e.cell
+            for e in sc.sphere.lhs + sc.sphere.rhs
+            if tags[e.cell].letter.translate(garside._FACE_LETTER) == face
+        )
+        elts = tags[cell].indices
+        tags[cell] = px.FamilyTag("A", elts)
+        with pytest.raises(
+            px.CoherenceError,
+            match=rf"^no {face}-family 3-cell on elements {re.escape(str(elts))}$",
+        ):
+            px.garside_reduction_part(dataclasses.replace(gc, tags=tags))
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "I5", "A1^3", "A2xA1", "I5xA1", "A3"])
+    def test_spheres_match_reference_generator(self, garside_parts, name):
+        # the table-driven generator builds the spheres of the generator that
+        # made every step, word and face through a key built per use
+        gc, part = garside_parts(name)
+        want = list(oracles.reference_garside_spheres(gc))
+        assert len(part.spheres) == len(want)
+
+        def path(p):
+            return p.source, p.steps
+
+        for got, ref in zip(part.spheres, want):
+            assert got.redundant == ref.redundant
+            sp, rp = got.sphere, ref.sphere
+            assert (path(sp.source), path(sp.target)) == (path(rp.source), path(rp.target))
+            assert (len(sp.lhs), len(sp.rhs)) == (len(rp.lhs), len(rp.rhs))
+            for e, f in zip(sp.lhs + sp.rhs, rp.lhs + rp.rhs):
+                assert (e.cell, e.dir, e.left, e.right) == (f.cell, f.dir, f.left, f.right)
+                assert (path(e.pre), path(e.post)) == (path(f.pre), path(f.post))
 
     def test_one_object_per_value(self, groups):
         # equal steps are one Step2, equal step sequences one tuple and equal

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -144,3 +146,55 @@ class TestGarsideDocuments:
         g3 = gar3("A1^3")
         back = ser.polygraph31_from_dict(ser.polygraph31_to_dict(g3.p31))
         assert back == g3.p31
+
+
+class TestWordMemo:
+    """A read parses each distinct word string once, through a table local
+    to the call; a failed parse is never kept."""
+
+    def test_part_round_trip(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
+        doc = ser.part_to_dict(part, gc.p31)
+        back = ser.part_from_dict(doc, gc.p31)
+        assert back.spheres == part.spheres
+        assert (back.two_cells, back.three_cells) == (part.two_cells, part.three_cells)
+        assert ser.part_to_dict(back, gc.p31) == doc
+
+    def test_equal_strings_give_one_tuple(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
+        back = ser.part_from_dict(ser.part_to_dict(part, gc.p31), gc.p31)
+        words = []
+        for sc in back.spheres:
+            sp = sc.sphere
+            words += [sp.source.source, sp.target.source]
+            for e in sp.lhs + sp.rhs:
+                words += [e.left, e.right, e.pre.source, e.post.source]
+        assert len({id(w) for w in words}) == len(set(words)) < len(words)
+        cells = ser.polygraph31_from_dict(ser.polygraph31_to_dict(gc.p31)).cells
+        sources = [p.source for c in cells for p in (c.src, c.tgt)]
+        assert len({id(w) for w in sources}) == len(set(sources)) < len(sources)
+
+    @pytest.mark.parametrize("bad", ["zz", ["r"]])
+    def test_bad_second_occurrence_raises_as_alone(self, garside_parts, bad):
+        gc, part = garside_parts("A2xA1")
+        doc = json.loads(json.dumps(ser.part_to_dict(part, gc.p31)))
+        sphere = doc["spheres"][0]
+        # a sphere's source and target both start at its source word, and
+        # the target is read second
+        assert sphere["source"]["source"] == sphere["target"]["source"]
+        sphere["target"]["source"] = bad
+        with pytest.raises(px.InputError) as alone:
+            ser.word_from_str(gc.p31.base, bad)
+        with pytest.raises(px.InputError) as read:
+            ser.part_from_dict(doc, gc.p31)
+        assert str(read.value) == str(alone.value)
+
+    def test_failed_parse_not_kept(self, b3plus):
+        p, _ = b3plus
+        memo = {}
+        first = ser.word_from_str(p, "sta", memo)
+        assert ser.word_from_str(p, "".join(["st", "a"]), memo) is first
+        for _ in range(2):
+            with pytest.raises(px.InputError, match="unknown generator in word 'sxta'"):
+                ser.word_from_str(p, "sxta", memo)
+        assert memo == {"sta": (0, 1, 2)}
