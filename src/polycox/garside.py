@@ -13,13 +13,15 @@ so that none outlives its check.  A second reduction, driven by
 the chain of smallest divisors, contracts that presentation onto Artin's
 presentation with one Zamolodchikov 3-cell per finite rank-3 parabolic
 subgroup; the engine computes each Z-cell through the projection's
-recursive formulas once per parabolic type, and relabels it into place.
+recursive formulas once per parabolic type, keeps it in a bounded
+per-process cache, and relabels it into place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -738,12 +740,13 @@ def artin_coherent(
     parabolic subgroup i < j < k.
 
     The Z-cell depends only on the parabolic's type (m_ij, m_ik, m_jk): it
-    is computed once per type, inside the parabolic's own presentation,
-    then relabeled into Art_2(W) for every parabolic of that type by
-    x -> (i, j, k)[x], the rule on (a, b) going to the one on the images.
-    The relabeling is monotone, so it keeps the braid orientation and the
-    rule lengths, hence the exchange normal form and every offset; each
-    relabeled side is replayed in Art_2(W) by ThreeCell.
+    is computed inside that type's own presentation by ``_z_template``,
+    whose per-process LRU cache of at most 128 entries is keyed by the type
+    and ``coset_cap``, then relabeled into Art_2(W) for every parabolic of
+    that type by x -> (i, j, k)[x], the rule on (a, b) going to the one on
+    the images.  The relabeling is monotone, so it keeps the braid
+    orientation and the rule lengths, hence the exchange normal form and
+    every offset; each relabeled side is replayed in Art_2(W) by ThreeCell.
 
     Raises InfiniteOrUnknown before building any braid relation when a
     dihedral parabolic has more than ``coset_cap`` elements.
@@ -751,26 +754,38 @@ def artin_coherent(
     check_dihedral_cap(mat, coset_cap)
     art, gamma = artin_presentation(mat)
     m, names = mat.m, mat.names
-    types: dict[tuple[int, int, int], tuple] = {}
     cells: list[ThreeCell] = []
     for i, j, k in combinations(range(mat.rank), 3):
         key = (m[i][j], m[i][k], m[j][k])
         if not rank3_finite(*key):
             continue
-        if key not in types:
-            sub = mat.submatrix((i, j, k))
-            g = enumerate_group(sub, coset_cap)
-            art3, gamma3 = artin_presentation(sub)
-            types[key] = gamma3, _zamolodchikov(g, ArtinProjection(g, art3, [0, 1, 2], gamma3))
-        gamma3, sides = types[key]
         letters = (i, j, k)
-        rule = {r: gamma[(letters[a], letters[b])] for (a, b), r in gamma3.items()}
         src, tgt = (
-            Path2(art, [letters[x] for x in p.source], [(rule[r], d, o) for r, d, o in p.steps])
-            for p in sides
+            Path2(
+                art,
+                [letters[x] for x in word],
+                [(gamma[(letters[a], letters[b])], d, o) for a, b, d, o in steps],
+            )
+            for word, steps in _z_template(*key, coset_cap)
         )
         cells.append(ThreeCell(f"Z({names[i]},{names[j]},{names[k]})", src, tgt))
     return Polygraph31(art, cells)
+
+
+@lru_cache(maxsize=128)
+def _z_template(m_ij: int, m_ik: int, m_jk: int, coset_cap: int) -> tuple:
+    """The Z-cell of the rank-3 type (m_ij, m_ik, m_jk) over the letters
+    0, 1, 2: for each side, its source word and its steps (a, b, dir, pos),
+    (a, b) the pair of the braid rule.  Plain tuples, so no caller can
+    alias cached state; a failing enumeration raises and is not cached."""
+    sub = CoxeterMatrix(tuple("rst"), ((1, m_ij, m_ik), (m_ij, 1, m_jk), (m_ik, m_jk, 1)))
+    g = enumerate_group(sub, coset_cap)
+    art3, gamma3 = artin_presentation(sub)
+    pair = {r: ab for ab, r in gamma3.items()}
+    return tuple(
+        (p.source, tuple(pair[r] + (d, o) for r, d, o in p.steps))
+        for p in _zamolodchikov(g, ArtinProjection(g, art3, [0, 1, 2], gamma3))
+    )
 
 
 def _zamolodchikov(g: CoxeterGroup, proj: ArtinProjection) -> tuple[Path2, Path2]:

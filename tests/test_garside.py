@@ -628,8 +628,10 @@ class TestZCellsByType:
         _cells_as_oracle(E8 if name == "E8" else MATRICES[name])
 
     def test_one_group_and_projection_per_type(self, monkeypatch):
-        from polycox import garside
-
+        # the Z-cell templates are cached per process: a cold E8 call makes
+        # one group and one projection per finite type, a warm one none, and
+        # so does E8 under other generator names
+        garside._z_template.cache_clear()
         calls = []
         for name in ("enumerate_group", "ArtinProjection"):
             real = getattr(garside, name)
@@ -641,11 +643,62 @@ class TestZCellsByType:
         finite = [t for t in types if px.rank3_finite(*t)]
         assert len(px.artin_coherent(E8).cells) == 56
         assert sorted(calls) == ["ArtinProjection"] * len(finite) + ["enumerate_group"] * len(finite)
+        calls.clear()
+        assert len(px.artin_coherent(E8).cells) == 56
+        assert calls == []
+        renamed = px.CoxeterMatrix(tuple("ABCDEFGH"), E8.m)
+        assert px.artin_coherent(renamed).cells[0].name == "Z(A,B,C)"
+        assert calls == []
 
     @given(_coxeter_matrices())
     @settings(max_examples=150, deadline=None)
     def test_random_matrices(self, mat):
         _cells_as_oracle(mat)
+
+
+class TestZTemplateCache:
+    # the per-process cache behind artin_coherent: bounded, keyed by the
+    # coset cap as well as the type, and invisible in every output
+
+    @staticmethod
+    def _doc(mat):
+        return serialize.polygraph31_to_dict(px.artin_coherent(mat))
+
+    def test_bounded_and_evicted_type_recomputed(self):
+        # I2(p) x A1 with the p at each of the three places: 130 types
+        garside._z_template.cache_clear()
+        keys = [(2, 2, 2)] + [k for p in range(3, 46) for k in ((p, 2, 2), (2, p, 2), (2, 2, p))]
+        mats = [px.CoxeterMatrix(tuple("rst"), ((1, a, b), (a, 1, c), (b, c, 1))) for a, b, c in keys]
+        assert len(set(keys)) == len(keys) > 128
+        first = self._doc(mats[0])
+        for mat in mats[1:]:
+            self._doc(mat)
+        info = garside._z_template.cache_info()
+        assert info.currsize <= 128
+        assert info.misses == len(keys)
+        # the first type was evicted: computed again, to the same cell
+        assert self._doc(mats[0]) == first
+        assert garside._z_template.cache_info().misses == len(keys) + 1
+
+    def test_warm_cache_keeps_the_coset_cap(self):
+        h3 = MATRICES["H3"]
+        assert len(px.artin_coherent(h3).cells) == 1
+        with pytest.raises(px.InfiniteOrUnknown) as exc:
+            px.artin_coherent(h3, coset_cap=60)
+        assert str(exc.value) == "coset enumeration did not close within 60 cosets"
+        assert len(px.artin_coherent(h3).cells) == 1
+
+    def test_cold_equals_warm(self):
+        mats = [mat for mat in MATRICES.values() if mat.rank == 3] + [E8]
+        cold = []
+        for mat in mats:
+            garside._z_template.cache_clear()
+            cold.append(self._doc(mat))
+        for mat in mats:
+            self._doc(mat)
+        misses = garside._z_template.cache_info().misses
+        assert [self._doc(mat) for mat in mats] == cold
+        assert garside._z_template.cache_info().misses == misses
 
 
 class TestArtinViaReduction:
