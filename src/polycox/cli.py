@@ -70,7 +70,6 @@ def _order_for(p, order_arg: str):
 def cmd_complete(args) -> int:
     p = serialize.polygraph2_from_dict(_load_json(args.input))
     order = _order_for(p, args.order)
-    before = len(p.rules)
     p31 = homotopical_complete(
         p,
         order,
@@ -78,13 +77,9 @@ def cmd_complete(args) -> int:
         branching_budget=args.budget_branchings,
         step_budget=args.budget_steps,
     )
-    doc = serialize.polygraph31_to_dict(p31)
-    _emit(doc, args.out)
-    print(
-        f"rules added: {len(p31.base.rules) - before}; "
-        f"3-cells: {len(p31.cells)}",
-        file=sys.stderr,
-    )
+    _emit(serialize.polygraph31_to_dict(p31), args.out)
+    added = len(p31.base.rules) - len(p.rules)  # the completion works on a copy of p
+    print(f"rules added: {added}; 3-cells: {len(p31.cells)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -119,51 +114,27 @@ def cmd_garside(args) -> int:
         group = enumerate_group(mat, args.budget_cosets)
     except InfiniteOrUnknown as exc:
         raise PreconditionError(f"W is not finite (or cap too small): {exc}") from exc
-    def element_meta(pg, elt_of_gen):
-        return {
-            "elements": {
-                pg.generators[i]: "".join(mat.names[s] for s in group.word[e])
-                for i, e in enumerate(elt_of_gen)
-            }
-        }
-
+    budgets = dict(rule_budget=args.budget_rules, branching_budget=args.budget_branchings)
+    extra = {}  # meta after the elements
     if args.stage == "raw":
-        gp = garside.garside_presentation(group)
-        doc = serialize.polygraph2_to_dict(gp.pg)
-        doc["meta"] = element_meta(gp.pg, gp.elt_of_gen)
-        _emit(doc, args.out)
-        print(f"generators: {gp.pg.n_generators}; rules: {len(gp.pg.rules)}", file=sys.stderr)
-        return EXIT_OK
-    if args.stage == "completed":
-        gc = garside.complete_garside(
-            group,
-            rule_budget=args.budget_rules,
-            branching_budget=args.budget_branchings,
-        )
-        meta = element_meta(gc.p31.base, gc.gp.elt_of_gen)
-        meta["families"] = {
-            gc.p31.cells[i].name: tag.letter for i, tag in enumerate(gc.tags)
-        }
-        _emit(serialize.polygraph31_to_dict(gc.p31, meta), args.out)
-        print(
-            f"rules: {len(gc.p31.base.rules)}; 3-cells: {len(gc.p31.cells)}",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    g3 = garside.garside_coherent(
-        group, rule_budget=args.budget_rules, branching_budget=args.budget_branchings
-    )
-    _emit(
-        serialize.polygraph31_to_dict(
-            g3.p31, element_meta(g3.p31.base, g3.elt_of_gen)
-        ),
-        args.out,
-    )
-    print(
-        f"generators: {g3.p31.base.n_generators}; rules: {len(g3.p31.base.rules)}; "
-        f"3-cells: {len(g3.p31.cells)}",
-        file=sys.stderr,
-    )
+        pg = garside.garside_presentation(group).pg
+        doc = serialize.polygraph2_to_dict(pg)
+        summary = f"generators: {pg.n_generators}; rules: {len(pg.rules)}"
+    else:
+        if args.stage == "completed":
+            gc = garside.complete_garside(group, **budgets)
+            p31 = gc.p31
+            extra["families"] = {c.name: t.letter for c, t in zip(p31.cells, gc.tags)}
+        else:
+            p31 = garside.garside_coherent(group, **budgets).p31
+        pg, doc = p31.base, serialize.polygraph31_to_dict(p31)
+        summary = f"rules: {len(pg.rules)}; 3-cells: {len(p31.cells)}"
+        if args.stage == "reduced":
+            summary = f"generators: {pg.n_generators}; {summary}"
+    # each generator is named by the word of its element, so the map is the identity
+    doc["meta"] = {"elements": {name: name for name in pg.generators}, **extra}
+    _emit(doc, args.out)
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 
@@ -210,11 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, **budgets: Optional[int]) -> None:
-        """Input, --out, -v and the --budget-NAME flags the subcommand honours."""
+        """Input, --out, -v and the --budget-NAME flags the subcommand honours;
+        a negative budget is a parse error."""
+
+        def budget(text: str) -> int:
+            n = int(text)
+            if n < 0:
+                raise argparse.ArgumentTypeError(f"a budget cannot be negative: {n}")
+            return n
+
         p.add_argument("input", help="input JSON file")
         p.add_argument("--out", help="output file (default: stdout)")
         for name, default in budgets.items():
-            p.add_argument(f"--budget-{name}", type=int, default=default)
+            p.add_argument(f"--budget-{name}", type=budget, default=default)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     rule_budgets = dict(rules=DEFAULT_RULE_BUDGET, branchings=DEFAULT_BRANCHING_BUDGET)
@@ -231,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("garside", help="Garside presentation stages for a Coxeter matrix")
     common(p, **rule_budgets, cosets=DEFAULT_COSET_CAP)
-    p.add_argument(
-        "--stage", choices=("raw", "completed", "reduced"), default="reduced"
-    )
+    p.add_argument("--stage", choices=("raw", "completed", "reduced"), default="reduced")
     p.set_defaults(fn=cmd_garside)
 
     p = sub.add_parser("artin", help="Artin's coherent presentation with Z-cells")

@@ -174,13 +174,16 @@ def critical_branchings(
     out: list[Branching] = []
     for br in _branchings(p):
         out.append(br)
-        if budget is not None and len(out) > budget:
-            raise DivergenceError(
-                f"branching budget {budget} exceeded: reached "
-                f"{budget + 1} critical branchings"
-            )
+        _check_branching_budget(budget, len(out))
     out.sort(key=_order)
     return out
+
+
+def _check_branching_budget(budget: Optional[int], found: int) -> None:
+    if budget is not None and found > budget:
+        raise DivergenceError(
+            f"branching budget {budget} exceeded: reached {found} critical branchings"
+        )
 
 
 def triple_critical_branchings(p: Polygraph2) -> list[TripleBranching]:
@@ -236,7 +239,9 @@ def homotopical_complete(
     after the last adjoined rule, and normalizes only the others.  If
     ``p`` is already confluent, phase one adds nothing and the result is
     exactly Squier's completion.  Raises PreconditionError unless
-    ``order`` orients every rule of ``p``.
+    ``order`` orients every rule of ``p``.  The branchings are counted
+    against ``branching_budget`` as they are found, so the queue never
+    outgrows it.
     """
     bad = check_termination(p, order)
     if bad:
@@ -245,16 +250,13 @@ def homotopical_complete(
         )
     work = Polygraph2(list(p.generators), list(p.rules))
     # sorted by _order, so already a heap
-    queue = [(_order(br), br) for br in critical_branchings(work)]
-    counter = 0
+    queue = [(_order(br), br) for br in critical_branchings(work, budget=branching_budget)]
+    found = len(queue)  # every branching queued so far; each is popped once
     n_initial = len(p.rules)
     # the sides of the confluent branchings examined since the last new rule
     kept: dict[Branching, tuple[Path2, Path2]] = {}
     while queue:
         _, br = heapq.heappop(queue)
-        counter += 1
-        if counter > branching_budget:
-            raise DivergenceError(f"branching budget {branching_budget} exceeded")
         src = _branch_side(work, br.source, br.left, budget=step_budget)
         tgt = _branch_side(work, br.source, br.right, budget=step_budget)
         nf_l, nf_r = src.target, tgt.target
@@ -275,6 +277,8 @@ def homotopical_complete(
         new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
         for a, b in [(new, a) for a in range(new)] + [(a, new) for a in range(new + 1)]:
             for br in _overlaps(work.rules, a, b):
+                found += 1
+                _check_branching_budget(branching_budget, found)
                 heapq.heappush(queue, (_order(br), br))
 
     # Squier pass: one 3-cell per critical branching of the final rules

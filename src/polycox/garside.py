@@ -128,13 +128,13 @@ class FamilyTag:
 
 @dataclass
 class GarsideCompletion:
-    """The completed (3,1)-polygraph over Gar_2(W) with family tags."""
+    """The completed (3,1)-polygraph over Gar_2(W) with family tags; the
+    beta rules follow the alpha rules, so rule i is beta iff i >= len(alpha)."""
 
     gp: GarsidePresentation
     p31: Polygraph31
     tags: list[FamilyTag]
     beta: dict[tuple[int, int, int], int]  # (u, v, w) -> rule index
-    beta_of_rule: dict[int, tuple[int, int, int]]
 
 
 def _step_makers(alpha: dict, beta: dict):
@@ -179,7 +179,6 @@ def complete_garside(
     label = {e: pg.generators[i] for e, i in gen.items()}  # an element's name
     alpha = gp.alpha
     beta: dict[tuple[int, int, int], int] = {}
-    beta_of_rule: dict[int, tuple[int, int, int]] = {}
     for u, v in alpha:
         uv = g.mult(u, v)
         for w in gp.elt_of_gen:
@@ -199,7 +198,6 @@ def complete_garside(
                 )
             )
             beta[(u, v, w)] = idx
-            beta_of_rule[idx] = (u, v, w)
     bad = check_termination(pg, garside_order(gp))
     if bad:
         raise ClassificationError(
@@ -208,6 +206,7 @@ def complete_garside(
 
     m = g.mult
     elt = gp.elt_of_gen
+    beta_of_rule = {r: k for k, r in beta.items()}
     _, (a0, a1, _), (b0, b1, _) = _step_makers(alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
@@ -226,9 +225,7 @@ def complete_garside(
                     (b0[u, v1, w1], b0[m(u, v1), x, w2]),
                     (b0[u, v2, w2],),
                 )
-            join = g.lcm(v1, v2)
-            x1, x2 = g.complement(v1, join), g.complement(v2, join)
-            y = g.complement(join, m(v1, w1))
+            x1, x2, y = _i_split(g, v1, w1, v2)
             return (
                 FamilyTag("I", (u, v1, w1, v2, w2)),
                 (b0[u, v1, w1], b0[m(u, v1), x1, y]),
@@ -309,7 +306,14 @@ def complete_garside(
                 Path2._make(pg, source, right_steps, None),
             )
         )
-    return GarsideCompletion(gp, Polygraph31(pg, cells), tags, beta, beta_of_rule)
+    return GarsideCompletion(gp, Polygraph31(pg, cells), tags, beta)
+
+
+def _i_split(g: CoxeterGroup, v1: int, w1: int, v2: int) -> tuple[int, int, int]:
+    """The I-branching of u|v1w1 and u|v2w2 split through j = lcm(v1, v2):
+    the complements x1 of v1 and x2 of v2 in j, and y of j in v1w1."""
+    join = g.lcm(v1, v2)
+    return g.complement(v1, join), g.complement(v2, join), g.complement(join, g.mult(v1, w1))
 
 
 _FAMILIES = "ABCDEFGHI"
@@ -335,14 +339,13 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
 def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
     """The Garside part without its spheres: the B-cells with their beta
     rules, and the order witness."""
-    g, pg = gc.gp.group, gc.p31.base
+    g = gc.gp.group
     three = tuple(
         ThreeCollapse(i, gc.beta[tag.indices])
         for i, tag in enumerate(gc.tags)
         if tag.letter == "B"
     )
-    rule_rank = {i: (0, i) for i in range(len(pg.rules)) if i not in gc.beta_of_rule}
-    rule_rank.update({i: (1, i) for i in gc.beta_of_rule})
+    rule_rank = {i: i for i in range(len(gc.p31.base.rules))}  # alpha before beta
     cell_rank = {i: (_FAMILIES.index(tag.letter), i) for i, tag in enumerate(gc.tags)}
     gen_rank = {i: (g.length[e], i) for i, e in enumerate(gc.gp.elt_of_gen)}
     return CollapsiblePart((), three, (), OrderWitness(gen_rank, rule_rank, cell_rank))
@@ -377,7 +380,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     sphere leaves no path behind.  The paths carry no target, so each is
     replayed when its sphere is checked, an identity path once.
     """
-    gp, g, pg, m = gc.gp, gc.gp.group, gc.p31.base, gc.gp.group.mult
+    gp, pg, m = gc.gp, gc.p31.base, gc.gp.group.mult
     gen = gp.gen_of_elt
     faces = {letter: _Faces(letter) for letter in "ACEH"}
     for i, tag in enumerate(gc.tags):
@@ -427,11 +430,9 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
             u, v, w, x, y = idx
             uv, vw, wx, xy = m(u, v), m(v, w), m(w, x), m(x, y)
             X = W(u, vw, x, y) if letter == "F" else W(u, v, w, xy)
-        elif letter == "I":
+        else:  # I
             u, v1, w1, v2, w2 = idx
             X = W(u, m(v1, w1))
-        else:
-            raise ClassificationError(f"unknown family {letter!r}")
         idX = identity(X)
         if letter == "C":
             lhs = (
@@ -483,9 +484,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
                 E(i, pre=(a2[w, x], a1[v, wx])),
             )
         else:  # I
-            join = g.lcm(v1, v2)
-            x1, x2 = g.complement(v1, join), g.complement(v2, join)
-            y = g.complement(join, m(v1, w1))
+            x1, x2, y = _i_split(gp.group, v1, w1, v2)
             lhs = (E(i), E(fH[u, v2, x2, y]))
             rhs = (E(fH[u, v1, x1, y]),)
         source = face_path(lhs[0], cells[lhs[0].cell].src)

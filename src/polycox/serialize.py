@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .completion import Polygraph31, Sphere3, SphereEntry, ThreeCell
 from .coxeter import CoxeterMatrix
-from .errors import InputError
+from .errors import CoherenceError, InputError, StepError
 from .paths import Path2, Step2
 from .tietze import (
     CollapsiblePart,
@@ -140,7 +140,8 @@ def polygraph31_from_dict(d: dict) -> Polygraph31:
                     path_from_dict(c["tgt"], base, words),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    # StepError: a side does not replay; CoherenceError: the sides are not parallel
+    except (KeyError, TypeError, StepError, CoherenceError) as exc:
         raise InputError(f"bad 3-cell entry: {exc}") from exc
     return Polygraph31(base, cells)
 

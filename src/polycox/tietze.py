@@ -198,6 +198,10 @@ def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
 
     The unique occurrence of rho is transposed to one side; the rest of the
     boundary, unwhiskered, is the replacement from lhs(rho) to rhs(rho).
+    That rest runs between the words on either side of the occurrence,
+    u.lhs(rho).v and u.rhs(rho).v, so once no step leaves the window
+    between u and v, its unwhiskering starts at lhs(rho) and ends at
+    rhs(rho).
     """
     rule = pg.rules[rho]
     src = normalize_path(cell.src)
@@ -220,8 +224,6 @@ def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
     q = normalize_path(q)
     u_len = step.pos
     v_len = len(q.source) - u_len - len(rule.lhs)
-    if q.source[u_len : u_len + len(rule.lhs)] != rule.lhs:
-        raise NielsenError(f"cannot read {rule.name!r} off 3-cell {cell.name!r}")
     # unwhisker: every step must stay inside the window
     for s, w in zip(q.steps, q.words()):
         a = len(pg.rules[s.rule].lhs if s.dir > 0 else pg.rules[s.rule].rhs)
@@ -231,10 +233,7 @@ def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
                 f"(step escapes the whisker window)"
             )
     steps = tuple(Step2(s.rule, s.dir, s.pos - u_len) for s in q.steps)
-    rep = Path2(pg, rule.lhs, steps)
-    if rep.target != rule.rhs:
-        raise NielsenError(f"replacement for {rule.name!r} has wrong target")
-    return rep
+    return Path2(pg, rule.lhs, steps)
 
 
 def homotopical_reduce(

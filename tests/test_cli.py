@@ -79,6 +79,17 @@ class TestComplete:
             == 4
         )
 
+    def test_branching_budget_bounds_the_overlap_search(self, tmp_path, capsys):
+        # 200 rules on one lhs overlap in about 60 000 branchings; the budget
+        # counts them as they are found, before any is examined
+        rules = [{"id": f"r{i}", "lhs": "a.a", "rhs": "a"} for i in range(200)]
+        f = tmp_path / "aa.json"
+        f.write_text(json.dumps({"generators": ["a"], "rules": rules}))
+        assert main(["complete", str(f), "--order", "deglex:a", "--budget-branchings", "10"]) == 4
+        assert "branching budget 10 exceeded: reached 11 critical branchings" in (
+            capsys.readouterr().err
+        )
+
     def test_step_budget_flag(self, b3_file, capsys):
         argv = ["complete", str(b3_file), "--order", "deglex:t,s,a"]
         assert main(argv + ["--budget-steps", "1000000"]) == 0
@@ -211,6 +222,27 @@ class TestBudgetFlags:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "cmd,flag",
+        [
+            ("complete", "--budget-rules"),
+            ("complete", "--budget-branchings"),
+            ("complete", "--budget-steps"),
+            ("garside", "--budget-rules"),
+            ("garside", "--budget-branchings"),
+            ("garside", "--budget-cosets"),
+            ("artin", "--budget-cosets"),
+            ("coxeter", "--budget-cosets"),
+        ],
+    )
+    def test_negative_budget_rejected(self, tmp_path, capsys, cmd, flag):
+        f = write_matrix(tmp_path, "A2")
+        extra = ["--order", "deglex:a"] if cmd == "complete" else []
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(f), flag, "-1"] + extra)
+        assert exc.value.code == 2
+        assert f"argument {flag}: a budget cannot be negative: -1" in capsys.readouterr().err
+
 
 class TestGarsideCmd:
     def test_stages(self, tmp_path, capsys):
@@ -225,6 +257,16 @@ class TestGarsideCmd:
         assert main(["garside", str(f), "--stage", "reduced"]) == 0
         reduced = json.loads(capsys.readouterr().out)
         assert len(reduced["three_cells"]) == 2  # the A-family cells of A2
+
+    @pytest.mark.parametrize("stage", ["raw", "completed", "reduced"])
+    def test_elements_named_by_their_words(self, tmp_path, capsys, stage):
+        # multi-letter names: each generator is its element's word, unseparated
+        f = tmp_path / "a2.json"
+        f.write_text(json.dumps({"generators": ["s1", "s2"], "m": [[1, 3], [3, 1]]}))
+        assert main(["garside", str(f), "--stage", stage]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["generators"] == ["s1", "s2", "s1s2", "s2s1", "s1s2s1"]
+        assert doc["meta"]["elements"] == {g: g for g in doc["generators"]}
 
     def test_infinite_group_rejected(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")
@@ -378,6 +420,16 @@ class TestMalformedInput:
         "step dir a bool": ("reduce", _cell_with_step(dir=True)),
         "step dir a string": ("reduce", _cell_with_step(dir="1")),
         "step offset a float": ("reduce", _cell_with_step(at=0.7)),
+        "3-cell side does not replay": ("reduce", _cell_with_step(at=1)),
+        "3-cell sides not parallel": (
+            "reduce",
+            {
+                "generators": ["a"],
+                "rules": [RULE],
+                "three_cells": [{"id": "c", "src": {"source": "aa", "steps": []},
+                                 "tgt": _cell_with_step()["three_cells"][0]["tgt"]}],
+            },
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import pytest
 
 import polycox as px
 import polycox.completion as completion
+import polycox.tietze as tietze
 from polycox.paths import paths_equal
 
 import oracles
@@ -52,6 +54,72 @@ class TestValidateCollapsible:
         )
         violations = px.validate_collapsible(p31, bad)
         assert any("redundant for a sphere" in v for v in violations)
+
+    # hand-built parts, each breaking one Nielsen condition: rules 0..3 are
+    # alpha, beta, kb2 and kb3; beta (st => a) is the one collapsible rule;
+    # cell c0 holds kb2 once and kb3 never, c2 holds kb2 twice
+    NIELSEN = {
+        "generator mismatch": (
+            (px.TwoCollapse(1, redundant=0),),
+            (),
+            "rule 'beta': redundant generator mismatch",
+        ),
+        "generator twice": (
+            (px.TwoCollapse(1), px.TwoCollapse(1)),
+            (),
+            "generator 'a' eliminated twice",
+        ),
+        "rule collapsible and redundant": (
+            (px.TwoCollapse(1),),
+            (px.ThreeCollapse(0, 1),),
+            "rule 'beta' is both collapsible and redundant",
+        ),
+        "cell twice": (
+            (),
+            (px.ThreeCollapse(0, 2), px.ThreeCollapse(0, 3)),
+            "three_cells: a 3-cell collapses twice",
+        ),
+        "rule twice": (
+            (),
+            (px.ThreeCollapse(0, 2), px.ThreeCollapse(1, 2)),
+            "three_cells: a rule is designated redundant twice",
+        ),
+        "rule absent": (
+            (),
+            (px.ThreeCollapse(0, 3),),
+            "3-cell 'c0': rule 'kb3' occurs 0 times, need exactly 1",
+        ),
+        "rule repeated": (
+            (),
+            (px.ThreeCollapse(2, 2),),
+            "3-cell 'c2': rule 'kb2' occurs 2 times, need exactly 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NIELSEN))
+    def test_nielsen_violation_reported(self, b3plus_completed, case):
+        p31, _ = b3plus_completed
+        two, three, text = self.NIELSEN[case]
+        part = px.CollapsiblePart(two, three, (), b3plus_part(p31).order)
+        violations = px.validate_collapsible(p31, part)
+        assert text in violations
+        with pytest.raises(px.NielsenError, match=re.escape(text)):
+            px.homotopical_reduce(p31, part)
+
+    def test_bare_replacement_runs_between_the_rule_sides(self, b3plus_completed, groups):
+        # every (cell, rule) pair: a replacement that passes the occurrence
+        # and window checks starts at lhs(rho) and replays to rhs(rho)
+        for p31 in (b3plus_completed[0], px.complete_garside(groups("A2")).p31):
+            pg, solved = p31.base, 0
+            for cell in p31.cells:
+                for rho, rule in enumerate(pg.rules):
+                    try:
+                        rep = tietze._solve_replacement(pg, cell, rho)
+                    except px.NielsenError:
+                        continue
+                    assert (rep.source, rep.target) == (rule.lhs, rule.rhs)
+                    solved += 1
+            assert solved
 
     def test_order_violation_reported(self, b3plus_completed):
         p31, _ = b3plus_completed

@@ -146,7 +146,7 @@ class TestOrders:
     def test_garside_wreath_beta_orientation(self, groups):
         gc = px.complete_garside(groups("A2"))
         order = px.garside_order(gc.gp)
-        for idx in gc.beta_of_rule:
+        for idx in gc.beta.values():
             rule = gc.p31.base.rules[idx]
             assert order.compare(rule.lhs, rule.rhs) is Ordering.GREATER
 
