@@ -210,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("garside", help="Garside presentation stages for a Coxeter matrix")
     common(p, **rule_budgets, cosets=DEFAULT_COSET_CAP)
-    p.add_argument("--stage", choices=("raw", "completed", "reduced"), default="reduced")
+    p.add_argument(
+        "--stage",
+        choices=("raw", "completed", "reduced"),
+        default="reduced",
+        help="--budget-rules and --budget-branchings bound only completed and reduced",
+    )
     p.set_defaults(fn=cmd_garside)
 
     p = sub.add_parser("artin", help="Artin's coherent presentation with Z-cells")

@@ -174,16 +174,15 @@ def critical_branchings(
     out: list[Branching] = []
     for br in _branchings(p):
         out.append(br)
-        _check_branching_budget(budget, len(out))
+        _check_budget("branching", budget, len(out), "critical branchings")
     out.sort(key=_order)
     return out
 
 
-def _check_branching_budget(budget: Optional[int], found: int) -> None:
-    if budget is not None and found > budget:
-        raise DivergenceError(
-            f"branching budget {budget} exceeded: reached {found} critical branchings"
-        )
+def _check_budget(kind: str, budget: Optional[int], reached: int, what: str) -> None:
+    """Raise DivergenceError once ``reached`` passes ``budget`` (None: unbounded)."""
+    if budget is not None and reached > budget:
+        raise DivergenceError(f"{kind} budget {budget} exceeded: reached {reached} {what}")
 
 
 def triple_critical_branchings(p: Polygraph2) -> list[TripleBranching]:
@@ -233,8 +232,9 @@ def homotopical_complete(
     branching adjoins a rule oriented by ``order``, and only the overlaps
     involving that new rule join the queue, so each critical branching is
     examined once.  Phase two runs Squier's completion against the final
-    rule set, so every 3-cell's endpoints are genuine normal forms and the
-    number of 3-cells equals the number of critical branchings; it reuses
+    rule set, so every 3-cell's endpoints are genuine normal forms; since
+    no rule is removed, the branchings phase one examined are exactly the
+    critical branchings of the final rules, one 3-cell each.  It reuses
     the two normalizing paths phase one found for each branching examined
     after the last adjoined rule, and normalizes only the others.  If
     ``p`` is already confluent, phase one adds nothing and the result is
@@ -251,12 +251,12 @@ def homotopical_complete(
     work = Polygraph2(list(p.generators), list(p.rules))
     # sorted by _order, so already a heap
     queue = [(_order(br), br) for br in critical_branchings(work, budget=branching_budget)]
-    found = len(queue)  # every branching queued so far; each is popped once
-    n_initial = len(p.rules)
     # the sides of the confluent branchings examined since the last new rule
     kept: dict[Branching, tuple[Path2, Path2]] = {}
+    examined: list[Branching] = []
     while queue:
         _, br = heapq.heappop(queue)
+        examined.append(br)
         src = _branch_side(work, br.source, br.left, budget=step_budget)
         tgt = _branch_side(work, br.source, br.right, budget=step_budget)
         nf_l, nf_r = src.target, tgt.target
@@ -270,20 +270,19 @@ def homotopical_complete(
             )
         # nf_l, nf_r are irreducible, so no rule has lhs big yet
         big, small = (nf_l, nf_r) if cmp is Ordering.GREATER else (nf_r, nf_l)
-        if len(work.rules) + 1 - n_initial > rule_budget:
-            raise DivergenceError(f"rule budget {rule_budget} exceeded")
+        _check_budget("rule", rule_budget, len(work.rules) + 1 - len(p.rules), "adjoined rules")
         # a new rule can change any leftmost reduction found before it
         kept.clear()
         new = work.add_rule(Rule(f"kb{len(work.rules)}", big, small))
         for a, b in [(new, a) for a in range(new)] + [(a, new) for a in range(new + 1)]:
             for br in _overlaps(work.rules, a, b):
-                found += 1
-                _check_branching_budget(branching_budget, found)
+                queued = len(examined) + len(queue) + 1  # every branching queued so far, br too
+                _check_budget("branching", branching_budget, queued, "critical branchings")
                 heapq.heappush(queue, (_order(br), br))
 
     # Squier pass: one 3-cell per critical branching of the final rules
     cells: list[ThreeCell] = []
-    for i, br in enumerate(critical_branchings(work)):
+    for i, br in enumerate(sorted(examined, key=_order)):
         src, tgt = kept.get(br) or (
             _branch_side(work, br.source, br.left, budget=step_budget),
             _branch_side(work, br.source, br.right, budget=step_budget),

@@ -32,6 +32,7 @@ from .completion import (
     SphereEntry,
     ThreeCell,
     TripleBranching,
+    _check_budget,
     cells_by_branching,
     critical_branchings,
     generating_triple_confluence,
@@ -46,7 +47,6 @@ from .coxeter import (
 from .errors import (
     ClassificationError,
     CoherenceError,
-    DivergenceError,
     PreconditionError,
 )
 from .paths import (
@@ -73,7 +73,6 @@ from .words import (
     Polygraph2,
     Rule,
     Word,
-    check_termination,
 )
 
 
@@ -184,11 +183,7 @@ def complete_garside(
         for w in gp.elt_of_gen:
             if (v, w) not in alpha or (uv, w) in alpha:
                 continue
-            if rule_budget is not None and len(beta) >= rule_budget:
-                raise DivergenceError(
-                    f"rule budget {rule_budget} exceeded: reached "
-                    f"{len(beta) + 1} adjoined rules"
-                )
+            _check_budget("rule", rule_budget, len(beta) + 1, "adjoined rules")
             vw = g.mult(v, w)
             idx = pg.add_rule(
                 Rule(
@@ -198,11 +193,6 @@ def complete_garside(
                 )
             )
             beta[(u, v, w)] = idx
-    bad = check_termination(pg, garside_order(gp))
-    if bad:
-        raise ClassificationError(
-            "wreath order does not orient: " + ", ".join(r.name for r in bad)
-        )
 
     m = g.mult
     elt = gp.elt_of_gen

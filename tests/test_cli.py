@@ -79,6 +79,12 @@ class TestComplete:
             == 4
         )
 
+    def test_rule_budget_reports_progress(self, b3_file, capsys):
+        # B3+ adjoins two rules; a budget of one stops at the second
+        argv = ["complete", str(b3_file), "--order", "deglex:t,s,a", "--budget-rules", "1"]
+        assert main(argv) == 4
+        assert "rule budget 1 exceeded: reached 2 adjoined rules" in capsys.readouterr().err
+
     def test_branching_budget_bounds_the_overlap_search(self, tmp_path, capsys):
         # 200 rules on one lhs overlap in about 60 000 branchings; the budget
         # counts them as they are found, before any is examined
@@ -289,6 +295,17 @@ class TestGarsideCmd:
         assert main(argv) == 4
         assert "rule budget 100 exceeded: reached 101" in capsys.readouterr().err
 
+    def test_raw_stage_bounds_no_completion(self, tmp_path, capsys):
+        # the raw stage adjoins no rule and searches no branching, so the
+        # rule and branching budgets bound only the completed and reduced
+        # stages; a zero budget leaves the raw document as it is
+        f = write_matrix(tmp_path, "A3")
+        assert main(["garside", str(f), "--stage", "raw"]) == 0
+        raw = capsys.readouterr().out
+        zero = ["--budget-rules", "0", "--budget-branchings", "0"]
+        assert main(["garside", str(f), "--stage", "raw"] + zero) == 0
+        assert capsys.readouterr().out == raw
+
     def test_branching_budget_exit(self, tmp_path, capsys):
         f = write_matrix(tmp_path, "A2")
         argv = ["garside", str(f), "--stage", "completed", "--budget-branchings", "3"]
@@ -448,6 +465,130 @@ class TestMalformedInput:
         }.get(cmd, [cmd, str(f)])
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+class TestParseErrorMessages:
+    """Each loader check that rejects a document exits 2 with its message;
+    a case's third field is the order of ``complete`` or the part of
+    ``reduce``."""
+
+    RULE = {"id": "r", "lhs": "aa", "rhs": "a"}
+    IDLE = {"source": "aa", "steps": []}
+    P31 = {
+        "generators": ["a"],
+        "rules": [RULE],
+        "three_cells": [{"id": "c", "src": IDLE, "tgt": IDLE}],
+    }
+    CASES = {
+        "rule entry without id": (
+            "complete",
+            {"generators": ["a"], "rules": [{"lhs": "aa", "rhs": "a"}]},
+            "deglex:a",
+            "bad rule entry",
+        ),
+        "path without steps": (
+            "reduce",
+            dict(P31, three_cells=[{"id": "c", "src": {"source": "aa"}, "tgt": IDLE}]),
+            {},
+            "bad path document: 'steps'",
+        ),
+        "matrix without m": (
+            "coxeter",
+            {"generators": ["s", "t"]},
+            None,
+            "bad Coxeter matrix document: 'm'",
+        ),
+        "sphere without lhs": (
+            "reduce",
+            P31,
+            {"spheres": [{"source": IDLE, "target": IDLE, "rhs": [], "redundant": "c"}]},
+            "bad sphere document: 'lhs'",
+        ),
+        "three_cells entry without cell": (
+            "reduce",
+            P31,
+            {"three_cells": [{"redundant": "r"}]},
+            "bad collapsible part document: 'cell'",
+        ),
+        "empty lhs": (
+            "complete",
+            {"generators": ["a"], "rules": [dict(RULE, lhs="")]},
+            "deglex:a",
+            "rule 'r': empty left-hand side",
+        ),
+        "duplicate generator names": (
+            "complete",
+            {"generators": ["a", "a"], "rules": []},
+            "deglex:a",
+            "generator names must be unique",
+        ),
+        "duplicate rule id": (
+            "complete",
+            {"generators": ["a"], "rules": [RULE, RULE]},
+            "deglex:a",
+            "duplicate rule name 'r'",
+        ),
+        "unknown rule in a path": (
+            "reduce",
+            dict(
+                P31,
+                three_cells=[
+                    {
+                        "id": "c",
+                        "src": {"source": "aa", "steps": [{"rule": "q", "dir": 1, "at": 0}]},
+                        "tgt": IDLE,
+                    }
+                ],
+            ),
+            {},
+            "no rule named 'q'",
+        ),
+        "diagonal not 1": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": [[2, 3], [3, 1]]},
+            None,
+            "diagonal entries must be 1",
+        ),
+        "asymmetric matrix": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": [[1, 3], [4, 1]]},
+            None,
+            "Coxeter matrix must be symmetric",
+        ),
+        "off-diagonal 1": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": [[1, 1], [1, 1]]},
+            None,
+            "off-diagonal entries must be >= 2 (or 0)",
+        ),
+        "negative entry": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": [[1, -3], [-3, 1]]},
+            None,
+            "entries must be non-negative",
+        ),
+        "shortlex order": (
+            "complete",
+            {"generators": ["a"], "rules": [RULE]},
+            "shortlex:a",
+            "unsupported order 'shortlex:a'; use deglex:<names>",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_message(self, tmp_path, capsys, case):
+        cmd, doc, extra, message = self.CASES[case]
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        argv = [cmd, str(f)]
+        if cmd == "complete":
+            argv += ["--order", extra]
+        elif cmd == "reduce":
+            part = tmp_path / "part.json"
+            part.write_text(json.dumps(extra))
+            argv += ["--part", str(part)]
+        assert main(argv) == 2
+        assert f"parse error: {message}" in capsys.readouterr().err
 
 
 class TestCoxeterCmd:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polycox as px
+from polycox import completion
 from polycox import serialize as ser
 from polycox.completion import _fill_parallel, _overlaps
 from polycox.paths import Path2, Step2
@@ -142,6 +143,26 @@ class TestHomotopicalComplete:
         )
         with pytest.raises(px.OrientationError):
             px.homotopical_complete(p, order)
+
+    @pytest.mark.parametrize("name", ["B3+", "H4"])
+    def test_overlaps_searched_once(self, b3plus, monkeypatch, name):
+        # the Squier pass reads the branchings Knuth-Bendix examined, so only
+        # the input's overlaps are searched, once
+        calls = []
+        search = completion.critical_branchings
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(completion, "critical_branchings", counted)
+        if name == "B3+":
+            p, order = b3plus
+        else:
+            p = ser.polygraph2_from_dict(coxeter_monoid("H4"))
+            order = px.Deglex(tuple(range(p.n_generators)))
+        px.homotopical_complete(p, order)
+        assert len(calls) == 1
 
     def test_every_branching_has_a_cell(self, b3plus_completed):
         p31, _ = b3plus_completed

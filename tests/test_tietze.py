@@ -5,6 +5,7 @@ import pytest
 
 import polycox as px
 import polycox.completion as completion
+import polycox.serialize as ser
 import polycox.tietze as tietze
 from polycox.paths import paths_equal
 
@@ -186,6 +187,24 @@ class TestHomotopicalReduce:
             assert px.validate_collapsible(p31, bad)
             with pytest.raises(px.NielsenError, match=message):
                 px.homotopical_reduce(p31, bad, validate=False)
+
+    def test_reversed_occurrence_gives_the_same_reduction(self, b3plus_completed):
+        # with kb2 inverted, c0 holds it as a reverse step, so its replacement
+        # is solved through the reverse branch; the reduction must not change
+        p31, _ = b3plus_completed
+        c0 = p31.cell_index("c0")
+        part = px.CollapsiblePart(
+            three_cells=(px.ThreeCollapse(c0, 2),),
+            order=px.OrderWitness({}, {r: r for r in range(4)}, {}),
+        )
+        flipped = oracles.nielsen_invert_rule(p31, 2)
+        cell = flipped.cells[c0]
+        assert [s.dir for s in cell.src.steps + cell.tgt.steps if s.rule == 2] == [-1]
+        assert px.validate_collapsible(p31, part) == []
+        assert px.validate_collapsible(flipped, part) == []
+        assert ser.polygraph31_to_dict(px.homotopical_reduce(flipped, part)) == (
+            ser.polygraph31_to_dict(px.homotopical_reduce(p31, part))
+        )
 
 
 class TestNielsenInvertRule:

@@ -143,12 +143,16 @@ class TestOrders:
         for rule in gp.pg.rules:
             assert order.compare(rule.lhs, rule.rhs) is Ordering.GREATER
 
-    def test_garside_wreath_beta_orientation(self, groups):
-        gc = px.complete_garside(groups("A2"))
-        order = px.garside_order(gc.gp)
-        for idx in gc.beta.values():
-            rule = gc.p31.base.rules[idx]
-            assert order.compare(rule.lhs, rule.rhs) is Ordering.GREATER
+    def test_garside_wreath_beta_orientation(self, groups, a3_completion):
+        # complete_garside builds its beta rules oriented, and checks none:
+        # every rule of S(Gar_2(W)) must decrease under the wreath order
+        for name in ["A2", "B2", "I5", "A1^3", "A2xA1", "I5xA1", "A3"]:
+            gc = a3_completion if name == "A3" else px.complete_garside(groups(name))
+            order = px.garside_order(gc.gp)
+            assert px.check_termination(gc.p31.base, order) == [], name
+            for idx in gc.beta.values():
+                rule = gc.p31.base.rules[idx]
+                assert order.compare(rule.lhs, rule.rhs) is Ordering.GREATER
 
     def test_user_table(self):
         order = px.UserTable(frozenset({((0,), (1,))}))
