@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -51,12 +52,25 @@ def _load_json(path: str) -> dict:
 
 def _emit(doc: dict, out: Optional[str]) -> None:
     """Stream ``doc`` as indented JSON to ``out`` or stdout, in batches of
-    chunks: a write per chunk is slow on a write-through stdout."""
+    chunks: a write per chunk is slow on a write-through stdout.  A write
+    that fails, into a missing directory or a closed pipe, is an
+    InputError."""
     chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while batch := "".join(itertools.islice(chunks, 4096)):
-            fh.write(batch)
-        fh.write("\n")
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            while batch := "".join(itertools.islice(chunks, 4096)):
+                fh.write(batch)
+            fh.write("\n")
+            fh.flush()
+    except OSError as exc:
+        if not out:
+            # the reader is gone: send what stdout still buffers to the null
+            # device, or the flush at exit reports the closed pipe again
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+        raise InputError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _order_for(p, order_arg: str):

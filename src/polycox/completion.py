@@ -43,6 +43,7 @@ from .paths import (
     Path2,
     Step2,
     _exchange_normal_form,
+    _replay,
     compose,
     normalize,
     shift_steps,
@@ -320,6 +321,26 @@ class SphereEntry:
     pre: Path2
     post: Path2
 
+    @classmethod
+    def _make(
+        cls, cell: int, dir: int, left: Word, right: Word, pre: Path2, post: Path2
+    ) -> "SphereEntry":
+        """Trusted constructor for generated entries: each field is set
+        through its slot, not through the frozen ``__init__``'s
+        ``object.__setattr__``, and nothing is converted or checked."""
+        entry = object.__new__(cls)
+        set_cell, set_dir, set_left, set_right, set_pre, set_post = _ENTRY_SLOTS
+        set_cell(entry, cell)
+        set_dir(entry, dir)
+        set_left(entry, left)
+        set_right(entry, right)
+        set_pre(entry, pre)
+        set_post(entry, post)
+        return entry
+
+
+_ENTRY_SLOTS = tuple(SphereEntry.__dict__[f].__set__ for f in SphereEntry.__slots__)
+
 
 @dataclass(frozen=True, slots=True)
 class Sphere3:
@@ -338,15 +359,23 @@ class Sphere3:
         runs from the source word to left + side source + right and ``post``
         from left + side target + right to the target word; along each
         side, consecutive faces are equal as step tuples or else have equal
-        exchange normal forms.  A path shared by several entries is
-        replayed once.
+        exchange normal forms.  A path that carries its target word is not
+        replayed; any other is replayed at each use, a path shared by
+        several entries too, and the word it reaches is compared and
+        dropped, so a checked sphere holds no more than an unchecked one.
         """
         nf = partial(_exchange_normal_form, p31.base.rule_lengths)
         same = lambda f, g: f == g or nf(f) == nf(g)  # noqa: E731
+
+        def end(path: Path2) -> Word:
+            # Path2.target without its cache: replayed, every step checked, kept by no one
+            t = path._target
+            return _replay(path.pg, path.source, path.steps, None) if t is None else t
+
         top = self.source.source
         try:
-            bottom = self.target.target
-            parallel = self.target.source == top and self.source.target == bottom
+            bottom = end(self.target)
+            parallel = self.target.source == top and end(self.source) == bottom
         except StepError:
             parallel = False
         if not parallel:
@@ -359,7 +388,7 @@ class Sphere3:
                 a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
                 u, v = tuple(e.left), tuple(e.right)
                 try:
-                    met = (e.pre.source, e.pre.target, e.post.source, e.post.target) == (
+                    met = (e.pre.source, end(e.pre), e.post.source, end(e.post)) == (
                         top, u + a.source + v, u + a.target + v, bottom
                     )  # fmt: skip
                 except StepError:
@@ -468,7 +497,7 @@ def _fill_parallel(
         w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
         stack.append((pre + (s2,), w2, c2 + n.steps, 0, b, j + 1))
         if entry is not None:
-            stack.append(SphereEntry(*entry, Path2._make(pg, pA.source, pre, w), n))
+            stack.append(SphereEntry._make(*entry, Path2._make(pg, pA.source, pre, w), n))
         stack.append((pre + (s1,), w1, a, i + 1, c1 + n.steps, 0))
     return out
 

@@ -336,7 +336,8 @@ def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
         if tag.letter == "B"
     )
     rule_rank = {i: i for i in range(len(gc.p31.base.rules))}  # alpha before beta
-    cell_rank = {i: (_FAMILIES.index(tag.letter), i) for i, tag in enumerate(gc.tags)}
+    # by family alone: every other face of a Garside sphere is of a lower family
+    cell_rank = {i: _FAMILIES.index(tag.letter) for i, tag in enumerate(gc.tags)}
     gen_rank = {i: (g.length[e], i) for i, e in enumerate(gc.gp.elt_of_gen)}
     return CollapsiblePart((), three, (), OrderWitness(gen_rank, rule_rank, cell_rank))
 
@@ -368,7 +369,8 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     steps belongs to its sphere alone: no sphere uses one twice (their
     offsets, lengths or rules differ by family shape), so a finished
     sphere leaves no path behind.  The paths carry no target, so each is
-    replayed when its sphere is checked, an identity path once.
+    replayed at each use when its sphere is checked, and the check keeps
+    no word.
     """
     gp, pg, m = gc.gp, gc.p31.base, gc.gp.group.mult
     gen = gp.gen_of_elt
@@ -397,7 +399,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
         t = left + tgt[cell] + right
         t = words.setdefault(t, t)
-        return SphereEntry(
+        return SphereEntry._make(
             cell, 1, left, right,
             Path2._make(pg, X, seqs.setdefault(pre, pre), None) if pre else idX,
             Path2._make(pg, t, seqs.setdefault(post, post), None) if post else identity(t),

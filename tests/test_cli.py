@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -627,3 +630,45 @@ class TestCoxeterCmd:
         f.write_text(json.dumps({"generators": ["s", "t"], "m": [[1, 600], [600, 1]]}))
         assert main(["coxeter", str(f), "--budget-cosets", "5000"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 1200
+
+
+class TestOutputErrors:
+    # a write that fails is exit 2 with one stderr line, like an unreadable input
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_out_not_writable(self, tmp_path, capsys, where):
+        f = write_matrix(tmp_path, "A3")
+        out = tmp_path / "missing" / "a3.json" if where == "missing directory" else tmp_path
+        assert main(["coxeter", str(f), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    def test_stdout_closed_early(self, tmp_path, capsys, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            flush = write
+
+        f = write_matrix(tmp_path, "A3")
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["coxeter", str(f)]) == 2
+        assert capsys.readouterr().err == "parse error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_closed_pipe_leaves_nothing_for_exit(self, tmp_path):
+        # a real pipe whose reader is gone, with stdout block-buffered as it
+        # is by default: the buffered rest must not be reported again when
+        # the interpreter flushes stdout at exit
+        f = write_matrix(tmp_path, "H3")
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(px.__file__))
+        with os.fdopen(write, "wb") as stdout:
+            run = subprocess.run(
+                [sys.executable, "-m", "polycox.cli", "coxeter", str(f)],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )  # fmt: skip
+        assert run.returncode == 2
+        assert run.stderr == "parse error: cannot write stdout: [Errno 32] Broken pipe\n"

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,27 @@ class TestGarsideReduction:
             assert c.name == d.name
             for p, q in ((c.src, d.src), (c.tgt, d.tgt)):
                 assert (p.source, p.steps, p.target) == (q.source, q.steps, q.target)
+
+    def test_validation_keeps_nothing(self, a3_completion):
+        # a fresh part, so no earlier check has touched it: validation
+        # replays every sphere path, and a checked part is no larger than an
+        # unchecked one
+        gc = a3_completion
+        part = px.garside_reduction_part(gc)
+        paths = []
+        for sc in part.spheres:
+            sp = sc.sphere
+            paths += [sp.source, sp.target] + [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+        found = [p._target for p in paths]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert px.validate_collapsible(gc.p31, part) == []
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained < 200_000
+        assert all(p._target is t for p, t in zip(paths, found))
 
     def test_reduction_must_leave_gar2(self, groups, monkeypatch):
         real = tietze._reduce
