@@ -306,12 +306,15 @@ def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo=None, budget=None) -
 # 3-spheres and the generating triple confluences
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SphereEntry:
     """One whiskered, signed 3-cell application inside a 3-path.
 
     Denotes pre *1 (left . cell^dir . right) *1 post; ``cell`` indexes the
-    ambient Polygraph31's cell list.
+    ambient Polygraph31's cell list.  One constructor; immutable by
+    convention, as Path2 is, since a frozen ``__init__`` is slow for the
+    builders' hundreds of thousands: entries compare by value and are
+    not hashable.
     """
 
     cell: int
@@ -320,26 +323,6 @@ class SphereEntry:
     right: Word
     pre: Path2
     post: Path2
-
-    @classmethod
-    def _make(
-        cls, cell: int, dir: int, left: Word, right: Word, pre: Path2, post: Path2
-    ) -> "SphereEntry":
-        """Trusted constructor for generated entries: each field is set
-        through its slot, not through the frozen ``__init__``'s
-        ``object.__setattr__``, and nothing is converted or checked."""
-        entry = object.__new__(cls)
-        set_cell, set_dir, set_left, set_right, set_pre, set_post = _ENTRY_SLOTS
-        set_cell(entry, cell)
-        set_dir(entry, dir)
-        set_left(entry, left)
-        set_right(entry, right)
-        set_pre(entry, pre)
-        set_post(entry, post)
-        return entry
-
-
-_ENTRY_SLOTS = tuple(SphereEntry.__dict__[f].__set__ for f in SphereEntry.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -497,7 +480,7 @@ def _fill_parallel(
         w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
         stack.append((pre + (s2,), w2, c2 + n.steps, 0, b, j + 1))
         if entry is not None:
-            stack.append(SphereEntry._make(*entry, Path2._make(pg, pA.source, pre, w), n))
+            stack.append(SphereEntry(*entry, Path2._make(pg, pA.source, pre, w), n))
         stack.append((pre + (s1,), w1, a, i + 1, c1 + n.steps, 0))
     return out
 

@@ -329,7 +329,6 @@ def garside_reduction_part(gc: GarsideCompletion) -> CollapsiblePart:
 def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
     """The Garside part without its spheres: the B-cells with their beta
     rules, and the order witness."""
-    g = gc.gp.group
     three = tuple(
         ThreeCollapse(i, gc.beta[tag.indices])
         for i, tag in enumerate(gc.tags)
@@ -338,7 +337,7 @@ def _garside_frame(gc: GarsideCompletion) -> CollapsiblePart:
     rule_rank = {i: i for i in range(len(gc.p31.base.rules))}  # alpha before beta
     # by family alone: every other face of a Garside sphere is of a lower family
     cell_rank = {i: _FAMILIES.index(tag.letter) for i, tag in enumerate(gc.tags)}
-    gen_rank = {i: (g.length[e], i) for i, e in enumerate(gc.gp.elt_of_gen)}
+    gen_rank = {i: i for i in range(len(gc.gp.elt_of_gen))}  # ids are in length order
     return CollapsiblePart((), three, (), OrderWitness(gen_rank, rule_rank, cell_rank))
 
 
@@ -363,14 +362,14 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     its first face, pre + the cell's src shifted by len(left) + post, and
     its target its last, through tgt.  Each step is a subscript into the
     rows of ``_step_makers`` and each whisker, empty or one letter, into
-    a table per element.  Words, step tuples and identity paths are shared
-    per value while the generator lives, in tables keyed by the values;
-    the one at the sphere's word is bound once per sphere.  A path with
-    steps belongs to its sphere alone: no sphere uses one twice (their
-    offsets, lengths or rules differ by family shape), so a finished
-    sphere leaves no path behind.  The paths carry no target, so each is
-    replayed at each use when its sphere is checked, and the check keeps
-    no word.
+    a table per element.  Words, the entries' pre and post step tuples and
+    identity paths are shared per value while the generator lives, in
+    tables keyed by the values; the sphere's source and target steps,
+    which rarely repeat, are built per sphere.  A path with steps belongs
+    to its sphere alone: no sphere uses one twice (their offsets, lengths
+    or rules differ by family shape), so a finished sphere leaves no path
+    behind.  The paths carry no target, so each is replayed at each use
+    when its sphere is checked, and the check keeps no word.
     """
     gp, pg, m = gc.gp, gc.p31.base, gc.gp.group.mult
     gen = gp.gen_of_elt
@@ -399,7 +398,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     def E(cell: int, left=(), right=(), pre=(), post=()) -> SphereEntry:
         t = left + tgt[cell] + right
         t = words.setdefault(t, t)
-        return SphereEntry._make(
+        return SphereEntry(
             cell, 1, left, right,
             Path2._make(pg, X, seqs.setdefault(pre, pre), None) if pre else idX,
             Path2._make(pg, t, seqs.setdefault(post, post), None) if post else identity(t),
@@ -408,7 +407,7 @@ def _garside_spheres(gc: GarsideCompletion) -> Iterator[SphereCollapse]:
     def face_path(e: SphereEntry, side: Path2) -> Path2:
         k = len(e.left)
         steps = e.pre.steps + tuple([rows[pos + k][r] for r, _, pos in side.steps]) + e.post.steps
-        return Path2._make(pg, X, seqs.setdefault(steps, steps), None)
+        return Path2._make(pg, X, steps, None)
 
     for i, tag in enumerate(gc.tags):
         letter, idx = tag.letter, tag.indices

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import CompositionError, NonterminationError, StepError
+from .errors import CompositionError, NonterminationError
 from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
@@ -280,7 +280,7 @@ def normalize(
         rule = rules[r]
         j = i + len(rule.lhs)
         if cur[i:j] != rule.lhs:
-            raise StepError(f"rule {rule.name!r} (forward) does not match {cur} at {i}")
+            apply_step(cur, p, r, i)  # raises
         steps.append(_new_tuple(Step2, (r, 1, i)))
         cur = cur[:i] + rule.rhs + cur[j:]
         del states[i + 1 :]

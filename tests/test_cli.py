@@ -1,9 +1,14 @@
+import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
@@ -468,6 +473,73 @@ class TestMalformedInput:
         }.get(cmd, [cmd, str(f)])
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+def _places(doc, at=()):
+    """The path to each dict value and list element of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield at + (k,)
+        yield from _places(v, at + (k,))
+
+
+class TestMutatedDocuments:
+    """A valid document with JSON atoms put at random places exits 0, 2, 3
+    or 4 under small budgets, never with a traceback."""
+
+    ATOMS = ["", "s", "t", "a", "alpha", "c0", 0, -1, 10**30, 1.5, True, None, [], {}]
+    A2 = ser.matrix_to_dict(MATRICES["A2"])
+    B3PLUS = {
+        "generators": ["s", "t", "a"],
+        "rules": [
+            {"id": "alpha", "lhs": "ta", "rhs": "as"},
+            {"id": "beta", "lhs": "st", "rhs": "a"},
+        ],
+    }
+    ARGS = {
+        "complete": ["--order", "deglex:t,s,a", "--budget-rules", "20",
+                     "--budget-branchings", "200", "--budget-steps", "1000"],
+        "garside": ["--budget-cosets", "8", "--budget-rules", "20", "--budget-branchings", "200"],
+        "artin": ["--budget-cosets", "8"],
+        "coxeter": ["--budget-cosets", "8"],
+    }  # fmt: skip
+
+    @pytest.fixture(scope="class")
+    def documents(self, b3plus_completed):
+        """Per subcommand, its valid input documents: ``reduce`` gets the
+        B3+ completion and the part of its first sphere alone."""
+        from test_tietze import b3plus_part
+
+        p31, _ = b3plus_completed
+        part = b3plus_part(p31)
+        one_sphere = dataclasses.replace(part, two_cells=(), three_cells=(), spheres=part.spheres[:1])
+        return {
+            "complete": [self.B3PLUS],
+            "reduce": [ser.polygraph31_to_dict(p31), ser.part_to_dict(one_sphere, p31)],
+            "garside": [self.A2],
+            "artin": [self.A2],
+            "coxeter": [self.A2],
+        }
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exits_cleanly(self, documents, data):
+        cmd = data.draw(st.sampled_from(sorted(documents)))
+        docs = copy.deepcopy(documents[cmd])
+        for _ in range(data.draw(st.integers(1, 3))):
+            *at, last = data.draw(st.sampled_from(list(_places(docs))))
+            parent = docs
+            for k in at:
+                parent = parent[k]
+            parent[last] = copy.deepcopy(data.draw(st.sampled_from(self.ATOMS)))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [os.path.join(tmp, f"doc{k}.json") for k in range(len(docs))]
+            for f, doc in zip(files, docs):
+                with open(f, "w") as fh:
+                    json.dump(doc, fh)
+            argv = [cmd, files[0], "--out", os.path.join(tmp, "out.json")]
+            argv += ["--part", files[1]] if cmd == "reduce" else self.ARGS[cmd]
+            assert main(argv) in (0, 2, 3, 4)
 
 
 class TestParseErrorMessages:
