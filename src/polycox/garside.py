@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .completion import (
     Branching,
@@ -47,6 +47,7 @@ from .coxeter import (
 from .errors import (
     ClassificationError,
     CoherenceError,
+    InputError,
     PreconditionError,
 )
 from .paths import (
@@ -65,7 +66,7 @@ from .tietze import (
     SphereCollapse,
     ThreeCollapse,
     TwoCollapse,
-    _reduce,
+    homotopical_reduce,
 )
 from .words import (
     DEFAULT_COSET_CAP,
@@ -88,13 +89,31 @@ class GarsidePresentation:
     alpha: dict[tuple[int, int], int]  # (u, v) element ids -> rule index
 
 
+def _distinct_names(kind: str, letters: Sequence[str], named: dict[tuple, str]) -> None:
+    """InputError if two letter sequences, tuples of ids into ``letters``,
+    run together into one name: no separator could tell them apart, since
+    a letter's name may hold any character but '.', which a name built from
+    it cannot hold either."""
+    seen: dict[str, tuple] = {}
+    for seq, name in named.items():
+        first = seen.setdefault(name, seq)
+        if first != seq:
+            raise InputError(
+                f"{kind} names run together: {[letters[x] for x in first]} and "
+                f"{[letters[x] for x in seq]} are both named {name!r}"
+            )
+
+
 def garside_presentation(g: CoxeterGroup) -> GarsidePresentation:
-    """Build Gar_2(W) for a finite Coxeter group."""
+    """Build Gar_2(W) for a finite Coxeter group; InputError if two
+    elements' words are spelled alike."""
     order = sorted(
         (e for e in range(g.size) if e != g.identity),
         key=lambda e: (g.length[e], g.word[e]),
     )
-    names = ["".join(g.matrix.names[s] for s in g.word[e]) for e in order]
+    named = {g.word[e]: "".join(g.matrix.names[s] for s in g.word[e]) for e in order}
+    _distinct_names("Garside generator", g.matrix.names, named)
+    names = list(named.values())
     pg = Polygraph2(names)
     gen_of_elt = {e: i for i, e in enumerate(order)}
     alpha: dict[tuple[int, int], int] = {}
@@ -502,17 +521,17 @@ def garside_coherent(
 ) -> Gar3:
     """Gar_3(W): complete, then homotopically reduce to the A-family cells.
 
-    The budgets bound the completion, as in ``complete_garside``.  The
-    Garside part is never materialized: its spheres stream from
-    ``_garside_spheres`` through the validation of the reduction, each
-    checked as it is built and dropped once checked, so only their
-    redundant cells are kept.  An invalid part raises NielsenError with
-    every violation, as ``homotopical_reduce`` does.
+    The budgets bound the completion, as in ``complete_garside``.  It
+    reduces through ``homotopical_reduce`` along the Garside part, whose
+    spheres are the ``_garside_spheres`` generator rather than a tuple:
+    validation checks each as it is built and keeps only its redundant
+    cell.  An invalid part raises NielsenError with every violation.
     """
     gc = complete_garside(
         g, rule_budget=rule_budget, branching_budget=branching_budget
     )
-    reduced = _reduce(gc.p31, _garside_frame(gc), _garside_spheres(gc))
+    part = replace(_garside_frame(gc), spheres=_garside_spheres(gc))
+    reduced = homotopical_reduce(gc.p31, part)
     gp = gc.gp
     if reduced.base != gp.pg:
         raise CoherenceError("Garside reduction did not leave Gar_2(W)")
@@ -707,19 +726,21 @@ class ArtinProjection:
 
 def artin_presentation(mat: CoxeterMatrix) -> tuple[Polygraph2, dict[tuple[int, int], int]]:
     """Art_2(W): one generator per element of S, one braid relation per
-    pair with finite order, oriented from the <ts..>-side (t > s)."""
+    pair with finite order, oriented from the <ts..>-side (t > s);
+    InputError if two pairs' rule names are spelled alike."""
     pg = Polygraph2(list(mat.names))
+    named = {
+        (i, j): f"g({mat.names[i]},{mat.names[j]})"
+        for i, j in combinations(range(mat.rank), 2)
+        if mat.m[i][j]
+    }
+    _distinct_names("braid rule", mat.names, named)
     gamma: dict[tuple[int, int], int] = {}
-    for i in range(mat.rank):
-        for j in range(i + 1, mat.rank):
-            m = mat.m[i][j]
-            if m == 0:
-                continue
-            lhs = tuple((j, i)[k % 2] for k in range(m))
-            rhs = tuple((i, j)[k % 2] for k in range(m))
-            gamma[(i, j)] = pg.add_rule(
-                Rule(f"g({mat.names[i]},{mat.names[j]})", lhs, rhs)
-            )
+    for (i, j), name in named.items():
+        m = mat.m[i][j]
+        lhs = tuple((j, i)[k % 2] for k in range(m))
+        rhs = tuple((i, j)[k % 2] for k in range(m))
+        gamma[(i, j)] = pg.add_rule(Rule(name, lhs, rhs))
     return pg, gamma
 
 
@@ -739,17 +760,22 @@ def artin_coherent(
     every offset; each relabeled side is replayed in Art_2(W) by ThreeCell.
 
     Raises InfiniteOrUnknown before building any braid relation when a
-    dihedral parabolic has more than ``coset_cap`` elements.
+    dihedral parabolic has more than ``coset_cap`` elements, and
+    InputError when two parabolics' Z-cell names are spelled alike.
     """
     check_dihedral_cap(mat, coset_cap)
-    art, gamma = artin_presentation(mat)
     m, names = mat.m, mat.names
+    named = {
+        (i, j, k): f"Z({names[i]},{names[j]},{names[k]})"
+        for i, j, k in combinations(range(mat.rank), 3)
+        if rank3_finite(m[i][j], m[i][k], m[j][k])
+    }
+    _distinct_names("Z-cell", names, named)
+    art, gamma = artin_presentation(mat)
     cells: list[ThreeCell] = []
-    for i, j, k in combinations(range(mat.rank), 3):
+    for letters, name in named.items():
+        i, j, k = letters
         key = (m[i][j], m[i][k], m[j][k])
-        if not rank3_finite(*key):
-            continue
-        letters = (i, j, k)
         src, tgt = (
             Path2(
                 art,
@@ -758,7 +784,7 @@ def artin_coherent(
             )
             for word, steps in _z_template(*key, coset_cap)
         )
-        cells.append(ThreeCell(f"Z({names[i]},{names[j]},{names[k]})", src, tgt))
+        cells.append(ThreeCell(name, src, tgt))
     return Polygraph31(art, cells)
 
 

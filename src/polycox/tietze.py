@@ -65,9 +65,12 @@ class OrderWitness:
 
 @dataclass(frozen=True, slots=True)
 class CollapsiblePart:
+    """The cells a reduction eliminates.  Validation and reduction each
+    consume ``spheres`` once: a tuple can be reused, a generator cannot."""
+
     two_cells: tuple[TwoCollapse, ...] = ()
     three_cells: tuple[ThreeCollapse, ...] = ()
-    spheres: tuple[SphereCollapse, ...] = ()
+    spheres: Iterable[SphereCollapse] = ()
     order: OrderWitness = field(
         default_factory=lambda: OrderWitness({}, {}, {})
     )
@@ -94,21 +97,19 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     ``Sphere3.check``; nothing is raised for it.  The spheres are consumed
     once, in order, each checked as it comes.
     """
-    return _validate(p31, part, part.spheres)[0]
+    return _validate(p31, part)[0]
 
 
 def _validate(
-    p31: Polygraph31, part: CollapsiblePart, spheres: Iterable[SphereCollapse]
+    p31: Polygraph31, part: CollapsiblePart
 ) -> tuple[list[str], dict[ThreeCollapse, Path2], set[int]]:
-    """The violations of ``validate_collapsible`` on ``part`` with its
-    spheres given as ``spheres``, the replacements it solved by collapsible
-    3-cell, so a reduction need not solve them again, and the 3-cells the
-    part makes redundant.
+    """The violations of ``validate_collapsible``, the replacements it
+    solved by collapsible 3-cell, so a reduction need not solve them again,
+    and the 3-cells the part makes redundant.
 
-    ``part.spheres`` is not read.  ``spheres`` is consumed once: each
-    sphere is checked as it arrives and only its redundant cell is kept, so
-    none outlives its check.  The whole-part checks over those cells are
-    reported first.
+    ``part.spheres`` is consumed once: each sphere is checked as it arrives
+    and only its redundant cell is kept, so none outlives its check.  The
+    whole-part checks over those cells are reported first.
     """
     out: list[str] = []
     solved: dict[ThreeCollapse, Path2] = {}
@@ -166,7 +167,7 @@ def _validate(
         rank_above(ow.rule_rank, "rule", rule_names, tc.redundant, others)
 
     redundant: list[int] = []
-    for sc in spheres:
+    for sc in part.spheres:
         bad = sc.sphere.check(p31)
         out.extend(f"sphere for {p31.cells[sc.redundant].name!r}: {b}" for b in bad)
         entries = sc.sphere.lhs + sc.sphere.rhs
@@ -253,25 +254,13 @@ def homotopical_reduce(
     empty part is the identity.  The spheres are consumed once, in order:
     validated as they come, or only read for their redundant cells.
     """
-    return _reduce(p31, part, part.spheres, validate=validate)
-
-
-def _reduce(
-    p31: Polygraph31,
-    part: CollapsiblePart,
-    spheres: Iterable[SphereCollapse],
-    *,
-    validate: bool = True,
-) -> Polygraph31:
-    """``homotopical_reduce`` along ``part`` with its spheres given as
-    ``spheres``, an iterable consumed once; ``part.spheres`` is not read."""
     if validate:
-        bad, solved, dead_cells = _validate(p31, part, spheres)
+        bad, solved, dead_cells = _validate(p31, part)
         if bad:
             raise NielsenError("; ".join(bad))
     else:
         solved = {}
-        dead_cells = {sc.redundant for sc in spheres} | {tc.cell for tc in part.three_cells}
+        dead_cells = {sc.redundant for sc in part.spheres} | {tc.cell for tc in part.three_cells}
     base = p31.base
     ow = part.order
 

@@ -9,7 +9,7 @@ Garside and Artin presentations do not).
 Termination orders live here too: the degree-lexicographic order with an
 explicit precedence on generators, the wreath-style order used for
 Garside presentations (component count first, then component lengths
-compared from the right), and explicit user tables.  Positions are
+compared from the right).  Positions are
 0-based letter offsets throughout, and ties between overlapping redexes
 are broken by (position, rule id).  Redexes are found through one
 Aho-Corasick automaton over the left-hand sides, ``LhsAutomaton``, which
@@ -261,23 +261,7 @@ class GarsideWreath(_KeyOrder):
         return (len(w), tuple(self.lengths[g] for g in reversed(w)))
 
 
-@dataclass(frozen=True)
-class UserTable:
-    """An explicit order: the table lists (greater, lesser) word pairs."""
-
-    greater: frozenset[tuple[Word, Word]]
-
-    def compare(self, a: Word, b: Word) -> Ordering:
-        if a == b:
-            return Ordering.EQUAL
-        if (a, b) in self.greater:
-            return Ordering.GREATER
-        if (b, a) in self.greater:
-            return Ordering.LESS
-        return Ordering.INCOMPARABLE
-
-
-TerminationOrder = Union[Deglex, GarsideWreath, UserTable]
+TerminationOrder = Union[Deglex, GarsideWreath]
 
 
 def deglex_from_names(p: Polygraph2, names_desc: list[str]) -> Deglex:

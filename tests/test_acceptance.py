@@ -34,23 +34,26 @@ def first_letter_index(rules):
     return index
 
 
-def fast_nf(word, rules, index, memo, pick):
+def fast_nf(word, rules, index, memo, pick, redexes=None):
     """Iterative normal form under a redex-picking strategy, memoized.
 
     ``index`` is ``first_letter_index(rules)``.  Redexes (position, rule)
     are listed sorted by (rule, position), so a random pick sees the same
-    list as a scan of every rule at every position would give.
+    list as a scan of every rule at every position would give.  Given
+    ``redexes``, the redexes of ``word`` in any order, the first step
+    picks from them instead.
     """
     trail = []
     w = word
     while w not in memo:
-        redexes = [
-            (i, k)
-            for i, g in enumerate(w)
-            for k in index.get(g, ())
-            if w[i : i + len(rules[k][0])] == rules[k][0]
-        ]
-        redexes.sort(key=lambda ik: (ik[1], ik[0]))
+        if redexes is None:
+            redexes = [
+                (i, k)
+                for i, g in enumerate(w)
+                for k in index.get(g, ())
+                if w[i : i + len(rules[k][0])] == rules[k][0]
+            ]
+            redexes.sort(key=lambda ik: (ik[1], ik[0]))
         if not redexes:
             memo[w] = w
             break
@@ -58,6 +61,7 @@ def fast_nf(word, rules, index, memo, pick):
         i, k = pick(redexes)
         lhs, rhs = rules[k]
         w = w[:i] + rhs + w[i + len(lhs) :]
+        redexes = None
     nf = memo[w]
     for t in trail:
         memo[t] = nf
@@ -72,7 +76,34 @@ def rightmost(redexes):
     return max(redexes, key=lambda ik: (ik[0], -ik[1]))
 
 
+def prefix_walk(n, max_len, rules, index):
+    """Every word over ``n`` letters of length at most ``max_len`` with its
+    redexes (position, rule), depth first: a word comes before its
+    extensions, and larger last letters come first.  A word's redexes are
+    its prefix's plus those ending at its last letter, found through
+    ``index``, ``first_letter_index(rules)``."""
+    longest = max((len(lhs) for lhs, _ in rules), default=0)
+    stack = [((), [])]
+    while stack:
+        w, redexes = stack.pop()
+        yield w, redexes
+        if len(w) < max_len:
+            end = len(w) + 1
+            for g in range(n):
+                v = w + (g,)
+                new = [
+                    (i, k)
+                    for i in range(max(0, end - longest), end)
+                    for k in index.get(v[i], ())
+                    if v[i:] == rules[k][0]
+                ]
+                stack.append((v, redexes + new))
+
+
 def strategies_agree(pg, max_len, exhaustive, sample=4000, seed=7):
+    """Leftmost, rightmost and random rewriting reach one normal form from
+    every word up to ``max_len`` (``exhaustive``, each first step picking
+    from ``prefix_walk``'s redexes), or from ``sample`` random words."""
     rules = [(r.lhs, r.rhs) for r in pg.rules]
     index = first_letter_index(rules)
     n = pg.n_generators
@@ -83,19 +114,17 @@ def strategies_agree(pg, max_len, exhaustive, sample=4000, seed=7):
         return rng.choice(redexes)
 
     if exhaustive:
-        words = itertools.chain.from_iterable(
-            itertools.product(range(n), repeat=k) for k in range(max_len + 1)
-        )
+        words = prefix_walk(n, max_len, rules, index)
     else:
         words = (
-            tuple(rng.randrange(n) for _ in range(rng.randint(0, max_len)))
+            (tuple(rng.randrange(n) for _ in range(rng.randint(0, max_len))), None)
             for _ in range(sample)
         )
-    for w in words:
-        a = fast_nf(w, rules, index, memo_l, leftmost)
-        b = fast_nf(w, rules, index, memo_r, rightmost)
+    for w, redexes in words:
+        a = fast_nf(w, rules, index, memo_l, leftmost, redexes)
+        b = fast_nf(w, rules, index, memo_r, rightmost, redexes)
         assert a == b, (w, a, b)
-        c = fast_nf(w, rules, index, memo_x, rand_pick)
+        c = fast_nf(w, rules, index, memo_x, rand_pick, redexes)
         assert a == c, (w, a, c)
 
 

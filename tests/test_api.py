@@ -81,7 +81,6 @@ PUBLIC = [
     "Ordering",
     "Polygraph2",
     "Rule",
-    "UserTable",
     "Word",
     "apply_step",
     "check_termination",

@@ -282,6 +282,18 @@ class TestGarsideCmd:
         assert doc["generators"] == ["s1", "s2", "s1s2", "s2s1", "s1s2s1"]
         assert doc["meta"]["elements"] == {g: g for g in doc["generators"]}
 
+    def test_element_names_that_run_together(self, tmp_path, capsys):
+        # W is fine, but a.aa and aa.a would both name a generator 'aaa'
+        f = tmp_path / "runs.json"
+        f.write_text(json.dumps({"generators": ["a", "aa"], "m": [[1, 3], [3, 1]]}))
+        assert main(["coxeter", str(f)]) == 0
+        capsys.readouterr()
+        assert main(["garside", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: Garside generator names run together: "
+            "['a', 'aa'] and ['aa', 'a'] are both named 'aaa'\n"
+        )
+
     def test_infinite_group_rejected(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")
         assert main(["garside", str(f), "--budget-cosets", "2000"]) == 3
@@ -357,6 +369,28 @@ class TestArtinCmd:
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"generators": ["r", "s"], "m": [[1, 2]]}))
         assert main(["artin", str(f)]) == 2
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (
+                ["a", "b,c", "a,b", "c"],
+                "braid rule names run together: ['a', 'b,c'] and ['a,b', 'c'] "
+                "are both named 'g(a,b,c)'",
+            ),
+            (
+                ["a", "b", "c,d", "a,b", "c", "d"],
+                "Z-cell names run together: ['a', 'b', 'c,d'] and ['a,b', 'c', 'd'] "
+                "are both named 'Z(a,b,c,d)'",
+            ),
+        ],
+    )
+    def test_names_that_run_together(self, tmp_path, capsys, names, message):
+        f = tmp_path / "runs.json"
+        m = [[1 if i == j else 2 for j in names] for i in names]
+        f.write_text(json.dumps({"generators": names, "m": m}))
+        assert main(["artin", str(f)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
     def test_long_braid_relation_bounded(self, tmp_path, capsys):
         # <s,t> has order 2 * 1001: over the coset cap, artin stops before

@@ -137,10 +137,9 @@ class TestHomotopicalComplete:
             ["a", "b", "c"],
             [px.Rule("r0", (0, 1), (2,)), px.Rule("r1", (1, 2), (0,))],
         )
-        # the overlap abc rewrites to cc and aa, incomparable by the table
-        order = px.UserTable(
-            frozenset({(((0, 1)), (2,)), (((1, 2)), (0,))})
-        )
+        # both rules decrease, but the overlap abc rewrites to cc and aa,
+        # whose equal profiles leave them incomparable
+        order = px.GarsideWreath((1, 1, 1))
         with pytest.raises(px.OrientationError):
             px.homotopical_complete(p, order)
 

@@ -203,14 +203,14 @@ class TestGarsideReduction:
         assert all(p._target is t for p, t in zip(paths, found))
 
     def test_reduction_must_leave_gar2(self, groups, monkeypatch):
-        real = tietze._reduce
+        real = tietze.homotopical_reduce
 
         def drop_last_rule(*args, **kwargs):
             red = real(*args, **kwargs)
             base = px.Polygraph2(red.base.generators, red.base.rules[:-1])
             return px.Polygraph31(base, red.cells)
 
-        monkeypatch.setattr("polycox.garside._reduce", drop_last_rule)
+        monkeypatch.setattr("polycox.garside.homotopical_reduce", drop_last_rule)
         with pytest.raises(px.CoherenceError):
             px.garside_coherent(groups("A2"))
 
@@ -267,6 +267,27 @@ class TestGarsideReduction:
             "order: 3-cell 'H(r,s,r,s)#0' not above 'H(r,t,s,rs)#6'",
             "order: 3-cell 'H(r,s,r,s)#0' not above 'H(r,s,t,rs)#3'",
             "3-cell 'G(srt,s,rt,s,rst)#767': no rank for 767",
+        ]
+
+    @pytest.mark.parametrize("fault", ["steps do not replay", "starts at another word"])
+    def test_boundary_not_parallel(self, garside_parts, fault):
+        # a sphere whose target 2-cell is not parallel to its source is
+        # reported once, before any face is read
+        gc, part = garside_parts("A2xA1")
+        sc = part.spheres[0]
+        t = sc.sphere.target
+        if fault == "steps do not replay":
+            target = Path2(t.pg, t.source, (t.steps[0]._replace(pos=len(t.source)),) + t.steps[1:])
+        else:
+            target = Path2(t.pg, t.source + (0,), t.steps)
+        sphere = dataclasses.replace(sc.sphere, target=target)
+        assert sphere.check(gc.p31) == ["boundary: source and target are not parallel"]
+        bad = dataclasses.replace(
+            part, spheres=(dataclasses.replace(sc, sphere=sphere),) + part.spheres[1:]
+        )
+        name = gc.p31.cells[sc.redundant].name
+        assert px.validate_collapsible(gc.p31, bad) == [
+            f"sphere for {name!r}: boundary: source and target are not parallel"
         ]
 
 

@@ -154,12 +154,6 @@ class TestOrders:
                 rule = gc.p31.base.rules[idx]
                 assert order.compare(rule.lhs, rule.rhs) is Ordering.GREATER
 
-    def test_user_table(self):
-        order = px.UserTable(frozenset({((0,), (1,))}))
-        assert order.compare((0,), (1,)) is Ordering.GREATER
-        assert order.compare((1,), (0,)) is Ordering.LESS
-        assert order.compare((0, 0), (1, 1)) is Ordering.INCOMPARABLE
-
     @given(
         st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), min_size=3, max_size=3)
     )
