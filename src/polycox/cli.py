@@ -77,7 +77,8 @@ def _order_for(p, order_arg: str):
     kind, _, rest = order_arg.partition(":")
     if kind != "deglex":
         raise InputError(f"unsupported order {order_arg!r}; use deglex:<names>")
-    names = [n for n in rest.split(",") if n]
+    sep = "." if "." in rest else ","  # as in words, when some name holds ","
+    names = [n for n in rest.split(sep) if n]
     return deglex_from_names(p, names)
 
 

@@ -98,6 +98,11 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
     adds one coset with one edge, back to the forward walk's end, and
     merges nothing, so a restarted scan would retrace both walks to where
     they stopped: the scan continues them, and the table is the same.
+    The table is written in pairs and never overwritten: a define or a
+    deduction fills a->b and b->a together into empty entries, and a
+    merge gives the surviving root each edge of the dying coset that it
+    lacks, so a root holds every edge merged into it.  Hence a merge never
+    meets an edge without its pair, and a deduction never finds one.
     The pass closes every relator at every live coset, which is checked
     on the renumbered table rather than rescanned (CoherenceError for a
     gap or an open relator).  Raises InfiniteOrUnknown if more than
@@ -151,12 +156,9 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
                 cur = table[x][g]
                 if cur is None:
                     table[x][g] = z
-                    if table[z][g] is None:
-                        table[z][g] = x
-                    else:
-                        queue.append((table[z][g], x))
+                    queue.append((table[z][g], x))
                 else:
-                    queue.append((find(cur), z))
+                    queue.append((cur, z))
 
     def scan(a: int, rel: tuple[int, ...]) -> None:
         # forward as far as defined, backward to meet it; fill the gap and go on
@@ -179,14 +181,9 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
             if j == i:
                 merge(f, b)
                 return
-            if j == i + 1:
-                g0 = rel[i]
-                c = table[b][g0]
-                if c is not None:
-                    merge(find(c), f)
-                else:
-                    table[f][g0] = b
-                    table[b][g0] = f
+            if j == i + 1:  # the backward walk broke on b's empty rel[i]-edge
+                table[f][rel[i]] = b
+                table[b][rel[i]] = f
                 return
             define(f, rel[i])
 

@@ -110,6 +110,22 @@ class TestComplete:
         assert main(argv + ["--budget-steps", "1"]) == 4
         assert "no normal form for saaa within 1 steps" in capsys.readouterr().err
 
+    def test_order_names_holding_a_comma(self, tmp_path, capsys):
+        # a precedence list that holds "." is split on ".", as words are
+        doc = {"generators": ["s", "b,c"], "rules": [{"id": "r", "lhs": "b,c.s", "rhs": "s.b,c"}]}
+        f = tmp_path / "comma.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["complete", str(f), "--order", "deglex:b,c.s", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rules"] == doc["rules"]
+        assert "rules added: 0" in capsys.readouterr().err
+
+    def test_order_must_name_every_generator(self, b3_file, capsys):
+        assert main(["complete", str(b3_file), "--order", "deglex:s,t"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: precedence list ['s', 't'] does not name the generators exactly once\n"
+        )
+
 
 class TestReduce:
     def test_b3plus_reduction(self, tmp_path, b3_file, b3plus_completed):
@@ -391,6 +407,14 @@ class TestArtinCmd:
         f.write_text(json.dumps({"generators": names, "m": m}))
         assert main(["artin", str(f)]) == 2
         assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_other_polycox_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def incoherent(*args, **kwargs):
+            raise px.CoherenceError("a relator does not close after the HLT pass")
+
+        monkeypatch.setattr("polycox.garside.artin_coherent", incoherent)
+        assert main(["artin", str(write_matrix(tmp_path, "A3"))]) == 3
+        assert capsys.readouterr().err == "error: a relator does not close after the HLT pass\n"
 
     def test_long_braid_relation_bounded(self, tmp_path, capsys):
         # <s,t> has order 2 * 1001: over the coset cap, artin stops before

@@ -80,6 +80,11 @@ class TestEnumeration:
             if e != g.identity:
                 assert w[0] == g.smallest_divisor(e)
 
+    def test_disconnected_cayley_graph_rejected(self):
+        # two copies of A1's Cayley graph: 0 - 1 and 2 - 3
+        with pytest.raises(px.PreconditionError, match="^Cayley graph is not connected$"):
+            px.CoxeterGroup(MATRICES["A1"], [[1], [0], [3], [2]])
+
 
 # the finite groups of the `groups` fixture, and a large dihedral group
 FINITE = sorted(name for name in MATRICES if name != "Atilde2")

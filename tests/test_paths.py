@@ -61,6 +61,13 @@ class TestCompose:
         with pytest.raises(px.CompositionError):
             px.compose(f, Path2(pg, (2, 2), [Step2(2, 1, 0)]))
 
+    def test_equal_but_distinct_polygraphs(self, pg):
+        twin = px.Polygraph2(pg.generators, pg.rules)
+        assert twin == pg and twin is not pg
+        f = Path2(pg, (0, 1), [Step2(0, 1, 0)])
+        with pytest.raises(px.CompositionError, match="^paths over different polygraphs$"):
+            px.compose(f, px.identity_path(twin, f.target))
+
     def test_inverse_cancels_to_identity(self, pg):
         f = Path2(pg, (0, 1, 2, 2), [Step2(1, 1, 1), Step2(2, 1, 1)])
         round_trip = px.compose(f, px.inverse(f))
