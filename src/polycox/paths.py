@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import CompositionError, NonterminationError
+from .errors import CompositionError, InputError, NonterminationError
 from .words import (
     DEFAULT_STEP_BUDGET,
     Polygraph2,
@@ -51,17 +51,21 @@ class Path2:
     """A composite 2-cell: a source word and a chain of steps.
 
     Instances are immutable by convention; besides its steps a path stores
-    only its target word, once known.
+    only its target word, once known.  The constructor checks the letters,
+    rule ids and directions (InputError); offsets are checked on replay.
     """
 
     __slots__ = ("pg", "source", "steps", "_target")
 
     def __init__(self, pg: Polygraph2, source, steps=()):
         self.pg = pg
-        self.source: Word = tuple(source)
+        self.source: Word = pg.check_word(source)
         self.steps: tuple[Step2, ...] = tuple(
             [s if type(s) is Step2 else Step2(*s) for s in steps]
         )
+        for r, d, _ in self.steps:
+            if not (0 <= r < len(pg.rules) and d in (1, -1)):
+                raise InputError(f"bad step: rule {r} of {len(pg.rules)}, direction {d} (1 or -1)")
         self._target: Optional[Word] = None
 
     @classmethod
@@ -97,9 +101,6 @@ class Path2:
         if t is None:
             t = self._target = _replay(self.pg, self.source, self.steps, None)
         return t
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -167,7 +168,7 @@ def shift_steps(steps: tuple[Step2, ...], shift: int) -> tuple[Step2, ...]:
 
 def whisker(u, f: Path2, v) -> Path2:
     """The 0-composite u.f.v: every step shifts right by len(u)."""
-    u, v = tuple(u), tuple(v)
+    u, v = f.pg.check_word(u), f.pg.check_word(v)
     t = f._target
     steps = shift_steps(f.steps, len(u))
     return Path2._make(f.pg, u + f.source + v, steps, None if t is None else u + t + v)

@@ -290,7 +290,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
 
 
 def render_path(path: Path2) -> str:
-    """The steps joined by " ⋆ ", each whiskered, e.g. "sa.b(st).a" with a
+    """The steps joined by " ⋆ ", each whiskered, e.g. "sa·b(st)·a" with a
     trailing - for reverses; the chain of words is replayed once."""
     pg = path.pg
     if not path.steps:

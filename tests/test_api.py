@@ -93,6 +93,16 @@ def test_public_names_pinned():
     assert sorted(polycox.__all__) == sorted(PUBLIC)
 
 
+def test_reprs_name_the_contents():
+    pg = polycox.Polygraph2(["s", "t"], [polycox.Rule("a", (0, 1), (1, 0))])
+    path = polycox.Path2(pg, (0, 1), [(0, 1, 0)])
+    assert repr(pg) == "Polygraph2(['s', 't'], 1 rules)"
+    assert repr(path) == "Path2('st', [Step2(rule=0, dir=1, pos=0)])"
+    assert repr(polycox.Polygraph31(pg, [polycox.ThreeCell("c", path, path)])) == (
+        "Polygraph31(Polygraph2(['s', 't'], 1 rules), 1 cells)"
+    )
+
+
 def test_star_import_binds_no_module():
     ns: dict = {}
     exec("from polycox import *", ns)

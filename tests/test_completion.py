@@ -333,6 +333,27 @@ class TestTripleBranchings:
         got = px.triple_critical_branchings(p)
         assert [t.source for t in got] == [(0, 0, 0, 0)]
 
+    def test_diverging_sides_raise(self):
+        # aa -> b and aa -> c: the sides of the first triple, at aaa, end at
+        # distinct normal forms, so no sphere fills it
+        rules = [px.Rule("b", (0, 0), (1,)), px.Rule("c", (0, 0), (2,))]
+        p = px.Polygraph2(["a", "b", "c"], rules)
+        first = px.triple_critical_branchings(p)[0]
+        with pytest.raises(px.CoherenceError, match="^triple branching does not converge$"):
+            px.generating_triple_confluence(px.Polygraph31(p), first)
+
+
+class TestCellsByBranching:
+    def test_cell_with_an_identity_side_is_skipped(self):
+        # "loop" is p then its reverse against the identity of ab
+        pg = px.Polygraph2(["a", "b"], [px.Rule("p", (0, 1), (1, 0))])
+        p = Path2(pg, (0, 1), [Step2(0, 1, 0)])
+        loop = Path2(pg, (0, 1), [Step2(0, 1, 0), Step2(0, -1, 0)])
+        p31 = px.Polygraph31(
+            pg, [px.ThreeCell("loop", loop, px.identity_path(pg, (0, 1))), px.ThreeCell("c", p, p)]
+        )
+        assert px.cells_by_branching(p31) == {((0, 1), (0, 0), (0, 0)): 1}
+
 
 class TestTripleSearch:
     """The bucketed triple search against the cubic scan in oracles.py, and

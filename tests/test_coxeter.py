@@ -85,6 +85,25 @@ class TestEnumeration:
         with pytest.raises(px.PreconditionError, match="^Cayley graph is not connected$"):
             px.CoxeterGroup(MATRICES["A1"], [[1], [0], [3], [2]])
 
+    def test_lcm_failure_on_a_table_that_is_no_coxeter_group(self):
+        # the 12-element group of three involutions of 6 points, handed over
+        # as if it were A3's Cayley graph: the w0-duality of lcm breaks
+        gens = [(4, 3, 5, 1, 0, 2), (2, 4, 0, 5, 1, 3), (0, 5, 3, 2, 4, 1)]
+        perms = [tuple(range(6))]
+        right = []
+        for e in perms:
+            right.append([])
+            for s in gens:
+                f = tuple(e[s[i]] for i in range(6))
+                if f not in perms:
+                    perms.append(f)
+                right[-1].append(perms.index(f))
+        g = px.CoxeterGroup(MATRICES["A3"], right)
+        assert g.size == 12
+        with pytest.raises(px.PreconditionError, match="^lcm failure$"):
+            for a, b in itertools.product(range(g.size), repeat=2):
+                g.lcm(a, b)
+
 
 # the finite groups of the `groups` fixture, and a large dihedral group
 FINITE = sorted(name for name in MATRICES if name != "Atilde2")

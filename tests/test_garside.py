@@ -500,6 +500,9 @@ class TestClassifyTuple:
     def test_empty_tuple_raises(self, groups):
         with pytest.raises(px.PreconditionError):
             px.classify_tuple(groups("A2"), ())
+        s = groups("A2").generator(0)
+        with pytest.raises(px.PreconditionError, match="^tuple is not length-additive$"):
+            px.classify_tuple(groups("A2"), (s, s))
 
     def test_partition(self, groups):
         for name in ("A2", "A1^3", "B2"):
@@ -583,6 +586,12 @@ class TestProjection:
         for u, v in pairs:
             got, want = proj.alpha_path(u, v), pi(u, v)
             assert (got.source, got.steps, got.target) == (want.source, want.steps, want.target)
+
+    def test_non_additive_pair_raises(self, groups):
+        g, proj = self._projection(groups, "A2")
+        s = g.generator(0)
+        with pytest.raises(px.PreconditionError, match="^pair is not length-additive$"):
+            proj.alpha_path(s, s)
 
     def test_missing_table_entry_raises(self, groups):
         g, proj = self._projection(groups, "A2")

@@ -376,6 +376,28 @@ class TestCarriedTargets:
         # "aa" -u-> "", whose only offset is 0
         self.same_error(unit, (0, 0), [Step2(0, 1, 0), Step2(0, -1, at)], ())
 
+    # each would pass unchecked: letter -1 reads as the last generator (and is
+    # written as one), rule -2 as rule q, direction 0 replays as a reverse
+    @pytest.mark.parametrize(
+        "source, steps, match",
+        [
+            ((-1, 0, 1), [Step2(0, 1, 1)], "^letter -1 out of range in word"),
+            ((7,), [], "^letter 7 out of range in word"),
+            ((1, 2), [Step2(-2, 1, 0)], "^bad step: rule -2 of 3"),
+            ((0, 1), [Step2(5, 1, 0)], "^bad step: rule 5 of 3"),
+            ((1, 0), [Step2(0, 0, 0)], "^bad step: rule 0 of 3, direction 0"),
+        ],
+    )
+    def test_constructor_refuses_what_no_document_holds(self, pg, source, steps, match):
+        with pytest.raises(px.InputError, match=match):
+            Path2(pg, source, steps)
+
+    @pytest.mark.parametrize("u, v", [((3,), ()), ((), (-1,))])
+    def test_whisker_refuses_letters_out_of_range(self, pg, u, v):
+        f = Path2(pg, (0, 1), [Step2(0, 1, 0)])
+        with pytest.raises(px.InputError, match="out of range in word"):
+            px.whisker(u, f, v)
+
     def test_compose_mismatch_with_carried_target(self, pg):
         f = px.whisker((2,), Path2(pg, (0, 1), [Step2(0, 1, 0)]), ())
         assert f.target == (2, 1, 0)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -133,6 +134,14 @@ class TestRendering:
             "ts·g(r,t)·st ⋆ tsr·g(s,t) ⋆ t·g(r,s)·ts ⋆ g(r,t)·srts ⋆ "
             "rts·g(r,t)-·s ⋆ r·g(s,t)·rs ⋆ rst·g(r,s) ⋆ rs·g(r,t)·sr"
         )
+
+    def test_readme_artin_example(self):
+        # the README quotes the start of `polycox artin a3.json`'s rendering
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        quoted = readme.split("rendered in the meta block as\n#")[1].splitlines()[0].strip()
+        assert quoted.endswith(" ⋆ …")
+        (z,) = px.artin_coherent(MATRICES["A3"]).cells
+        assert ser.render_path(z.src).startswith(quoted.removesuffix("…"))
 
 
 class TestGarsideDocuments:
