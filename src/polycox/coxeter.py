@@ -93,21 +93,21 @@ def check_dihedral_cap(mat: CoxeterMatrix, cap: int) -> None:
 def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
     """Coset table of the trivial subgroup; generators are involutions.
 
-    One HLT pass: each live coset in turn scans every relator, defining
-    cosets to fill the gaps and handling coincidences at once.  A define
-    adds one coset with one edge, back to the forward walk's end, and
-    merges nothing, so a restarted scan would retrace both walks to where
-    they stopped: the scan continues them, and the table is the same.
-    The table is written in pairs and never overwritten: a define or a
-    deduction fills a->b and b->a together into empty entries, and a
-    merge gives the surviving root each edge of the dying coset that it
-    lacks, so a root holds every edge merged into it.  Hence a merge never
-    meets an edge without its pair, and a deduction never finds one.
-    The pass closes every relator at every live coset, which is checked
-    on the renumbered table rather than rescanned (CoherenceError for a
-    gap or an open relator).  Raises InfiniteOrUnknown if more than
-    ``cap`` cosets get defined, or before any relator is built if a
-    dihedral subgroup alone exceeds ``cap``.
+    One HLT pass: each coset in turn scans every relator while it is live (a
+    dead coset never revives), defining cosets to fill the gaps and handling
+    coincidences at once.  A define adds one coset with one edge, back to the
+    forward walk's end, and merges nothing, so a restarted scan would retrace
+    both walks to where they stopped: the scan continues them, and the table
+    is the same.  The forward walk stops at the backward one, so a walk that
+    closes is a meet at b = a.  The table is written in pairs and never
+    overwritten: a define or a deduction fills a->b and b->a together into
+    empty entries, and a merge gives the surviving root each edge of the dying
+    coset that it lacks, so a root holds every edge merged into it.  Hence a
+    merge never meets an edge without its pair, nor a deduction one.  The
+    renumbered table is checked, not rescanned, for every relator closing at
+    every live coset (CoherenceError for a gap or an open relator).  Raises
+    InfiniteOrUnknown past ``cap`` defined cosets, or before any relator is
+    built if a dihedral subgroup alone exceeds ``cap``.
     """
     check_dihedral_cap(mat, cap)
     n = mat.rank
@@ -164,22 +164,19 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
         # forward as far as defined, backward to meet it; fill the gap and go on
         f, i, b, j = a, 0, a, len(rel)
         while True:
-            while i < len(rel):
+            while i < j:
                 nxt = table[f][rel[i]]
                 if nxt is None:
                     break
                 f, i = nxt if parent[nxt] == nxt else find(nxt), i + 1
-            if i == len(rel):
-                if f != a:
-                    merge(f, a)
-                return
             while j > i:
                 prv = table[b][rel[j - 1]]
                 if prv is None:
                     break
                 b, j = prv if parent[prv] == prv else find(prv), j - 1
-            if j == i:
-                merge(f, b)
+            if j == i:  # the walks meet; a full forward walk meets b = a
+                if f != b:
+                    merge(f, b)
                 return
             if j == i + 1:  # the backward walk broke on b's empty rel[i]-edge
                 table[f][rel[i]] = b
@@ -189,11 +186,9 @@ def _todd_coxeter(mat: CoxeterMatrix, cap: int) -> list[list[int]]:
 
     a = 0
     while a < len(table):
-        if parent[a] == a:
-            for rel in relators:
+        for rel in relators:
+            if parent[a] == a:
                 scan(a, rel)
-                if parent[a] != a:
-                    break
         a += 1
     live = [c for c in range(len(table)) if parent[c] == c]
     if any(None in table[c] for c in live):

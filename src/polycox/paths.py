@@ -51,8 +51,9 @@ class Path2:
     """A composite 2-cell: a source word and a chain of steps.
 
     Instances are immutable by convention; besides its steps a path stores
-    only its target word, once known.  The constructor checks the letters,
-    rule ids and directions (InputError); offsets are checked on replay.
+    only its target word, once known.  The constructor checks that letters,
+    rule ids, directions and offsets are ints, and all but the offsets by
+    value (InputError); offsets are checked on replay.
     """
 
     __slots__ = ("pg", "source", "steps", "_target")
@@ -63,9 +64,12 @@ class Path2:
         self.steps: tuple[Step2, ...] = tuple(
             [s if type(s) is Step2 else Step2(*s) for s in steps]
         )
-        for r, d, _ in self.steps:
-            if not (0 <= r < len(pg.rules) and d in (1, -1)):
-                raise InputError(f"bad step: rule {r} of {len(pg.rules)}, direction {d} (1 or -1)")
+        n = len(pg.rules)
+        for r, d, i in self.steps:
+            if not (type(r) is type(d) is type(i) is int and 0 <= r < n and d in (1, -1)):
+                raise InputError(
+                    f"bad step: rule {r!r} of {n}, direction {d!r} (1 or -1), offset {i!r}"
+                )
         self._target: Optional[Word] = None
 
     @classmethod
@@ -76,9 +80,9 @@ class Path2:
         steps: tuple[Step2, ...],
         target: Optional[Word],
     ) -> "Path2":
-        """Trusted constructor for derived paths: ``source`` is a word tuple,
-        ``steps`` a tuple of Step2, and ``target`` either None or the word
-        the steps provably lead to."""
+        """Trusted constructor for derived and checked-read paths: ``source``
+        is a word tuple, ``steps`` a tuple of Step2 of int fields, and
+        ``target`` either None or the word the steps provably lead to."""
         path = _new_object(cls)
         path.pg = pg
         path.source = source

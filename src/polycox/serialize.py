@@ -114,7 +114,7 @@ def path_from_dict(d: dict, p: Polygraph2, words: dict | None = None) -> Path2:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad path document: {exc}") from exc
-    return Path2(p, source, steps)
+    return Path2._make(p, source, steps, None)  # every field checked above
 
 
 def polygraph31_to_dict(p31: Polygraph31, meta: dict | None = None) -> dict:

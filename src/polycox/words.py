@@ -102,10 +102,10 @@ class Polygraph2:
         return len(self.generators)
 
     def check_word(self, w: Iterable[int]) -> Word:
-        w = tuple(w)
+        w, n = tuple(w), len(self.generators)
         for g in w:
-            if not (0 <= g < len(self.generators)):
-                raise InputError(f"letter {g} out of range in word {w}")
+            if type(g) is not int or not 0 <= g < n:  # a bool or a float is no letter
+                raise InputError(f"letter {g!r} out of range in word {w}")
         return w
 
     def add_rule(self, rule: Rule) -> int:

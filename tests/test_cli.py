@@ -146,6 +146,20 @@ class TestReduce:
         assert [(r["lhs"], r["rhs"]) for r in surviving["rules"]] == [("tst", "sts")]
         assert surviving["three_cells"] == []
 
+    def test_artin_part_naming_its_redundant_generators(self, tmp_path, gar3):
+        # A3's Artin part: each of its two-cells names its redundant generator
+        g3 = gar3("A3")
+        part = px.artin_reduction_part(g3)
+        completed = tmp_path / "completed.json"
+        completed.write_text(json.dumps(ser.polygraph31_to_dict(g3.p31)))
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps(ser.part_to_dict(part, g3.p31)))
+        out = tmp_path / "reduced.json"
+        rc = main(["reduce", str(completed), "--part", str(part_file), "--out", str(out)])
+        assert rc == 0
+        want = ser.polygraph31_to_dict(px.homotopical_reduce(g3.p31, part))
+        assert json.loads(out.read_text())["surviving"] == want
+
     def test_empty_part_identity(self, tmp_path, b3plus_completed, capsys):
         p31, _ = b3plus_completed
         completed = tmp_path / "completed.json"

@@ -272,8 +272,10 @@ class TestRank3Finite:
         assert not px.rank3_finite(*triple)
 
     def test_agrees_with_enumeration_oracle(self):
-        # cross-check against Todd-Coxeter closure under a generous cap
-        for m_rs, m_rt, m_st in [(3, 2, 3), (2, 2, 2), (3, 3, 3), (4, 2, 4), (5, 2, 3)]:
+        # cross-check against Todd-Coxeter closure under a generous cap; the
+        # last two have an infinite entry (0), which adds no relator
+        triples = [(3, 2, 3), (2, 2, 2), (3, 3, 3), (4, 2, 4), (5, 2, 3), (0, 2, 2), (3, 0, 2)]
+        for m_rs, m_rt, m_st in triples:
             mat = px.CoxeterMatrix(
                 ("r", "s", "t"),
                 ((1, m_rs, m_rt), (m_rs, 1, m_st), (m_rt, m_st, 1)),

@@ -386,11 +386,25 @@ class TestCarriedTargets:
             ((1, 2), [Step2(-2, 1, 0)], "^bad step: rule -2 of 3"),
             ((0, 1), [Step2(5, 1, 0)], "^bad step: rule 5 of 3"),
             ((1, 0), [Step2(0, 0, 0)], "^bad step: rule 0 of 3, direction 0"),
+            # a float, a string or a bool where an int belongs: a float or a
+            # string ends the replay in a bare TypeError, a bool replays as 0
+            # or 1, and a direction True is written as "dir": true
+            ((0, 1), [(0.0, 1, 0)], r"^bad step: rule 0\.0 of 3"),
+            ((0, 1), [(0, 1, "x")], r"^bad step: rule 0 of 3, .* offset 'x'$"),
+            ((0, 1), [(0, 1, 0.0)], r"^bad step: rule 0 of 3, .* offset 0\.0$"),
+            ((0, 1), [(0, True, 0)], "^bad step: rule 0 of 3, direction True"),
+            ((0, 1), [(False, 1, 0)], "^bad step: rule False of 3"),
+            ((True, 1), [], "^letter True out of range in word"),
         ],
     )
     def test_constructor_refuses_what_no_document_holds(self, pg, source, steps, match):
         with pytest.raises(px.InputError, match=match):
             Path2(pg, source, steps)
+
+    def test_normalize_refuses_a_float_letter(self, pg):
+        # its normal form would be a word of floats, whose repr raises TypeError
+        with pytest.raises(px.InputError, match=r"^letter 0\.0 out of range in word"):
+            px.normalize((0.0, 1), pg)
 
     @pytest.mark.parametrize("u, v", [((3,), ()), ((), (-1,))])
     def test_whisker_refuses_letters_out_of_range(self, pg, u, v):

@@ -161,13 +161,19 @@ class TestWordMemo:
     """A read parses each distinct word string once, through a table local
     to the call; a failed parse is never kept."""
 
-    def test_part_round_trip(self, garside_parts):
-        gc, part = garside_parts("A2xA1")
-        doc = ser.part_to_dict(part, gc.p31)
-        back = ser.part_from_dict(doc, gc.p31)
-        assert back.spheres == part.spheres
-        assert (back.two_cells, back.three_cells) == (part.two_cells, part.three_cells)
-        assert ser.part_to_dict(back, gc.p31) == doc
+    def test_part_round_trip(self, garside_parts, gar3):
+        # a Garside part, which has no two-cells, and A3's Artin part, whose
+        # 20 two-cells each name their redundant generator
+        gc, garside_part = garside_parts("A2xA1")
+        g3 = gar3("A3")
+        cases = [(gc.p31, garside_part, 0), (g3.p31, px.artin_reduction_part(g3), 20)]
+        for p31, part, named in cases:
+            doc = ser.part_to_dict(part, p31)
+            assert sum("redundant" in tc for tc in doc["two_cells"]) == named
+            back = ser.part_from_dict(doc, p31)
+            assert back.spheres == part.spheres
+            assert (back.two_cells, back.three_cells) == (part.two_cells, part.three_cells)
+            assert ser.part_to_dict(back, p31) == doc
 
     def test_equal_strings_give_one_tuple(self, garside_parts):
         gc, part = garside_parts("A2xA1")
