@@ -244,8 +244,10 @@ def normalize(
     """Reduce ``w`` to a normal form, returning (normal form, path).
 
     Every step rewrites the leftmost redex, the lowest rule id on ties,
-    which is the first redex ``find_redexes`` would list.  ``states[k]`` is
-    the lhs automaton's state after ``cur[:k]``; no redex ends before the
+    which is the first redex ``find_redexes`` would list.  The current word
+    ``cur`` is one list, rewritten in place; only tuples leave the loop (the
+    memo keys, the normal form, the path's target).  ``states[k]`` is the
+    lhs automaton's state after ``cur[:k]``; no redex ends before the
     offset i of a rewrite, so the next scan resumes at i, and it stops once
     no lhs prefix read so far starts at or before the best position.  The
     step budget turns nontermination into a diagnosable error; the caller
@@ -261,21 +263,22 @@ def normalize(
         seen = [w]
     limit = DEFAULT_STEP_BUDGET if budget is None else budget
     ac = p.automaton()
-    delta, depth, out, rules = ac.delta, ac.depth, ac.out, p.rules
+    rows, depth, leftmost, rules = ac.rows, ac.depth, ac.leftmost, p.rules
     steps: list[Step2] = []
-    cur = w
+    cur = list(w)
     states = [0]
     while True:
         s, i, r = states[-1], len(cur) + 1, -1  # the best redex: position i, rule r
         for k in range(len(states), len(cur) + 1):
-            s = delta[s].get(cur[k - 1], 0)
+            s = rows[s][cur[k - 1]]
             states.append(s)
             if k - depth[s] > i:
                 break
-            if out[s]:
-                n, ids = out[s][0]  # the longest lhs ending here starts first
-                if (k - n, ids[0]) < (i, r):
-                    i, r = k - n, ids[0]
+            m = leftmost[s]  # the longest lhs ending here starts first
+            if m is not None:
+                n, q = m
+                if k - n < i or k - n == i and q < r:
+                    i, r = k - n, q
         if r < 0:
             break
         if len(steps) >= limit:
@@ -284,18 +287,19 @@ def normalize(
             )
         rule = rules[r]
         j = i + len(rule.lhs)
-        if cur[i:j] != rule.lhs:
-            apply_step(cur, p, r, i)  # raises
+        if tuple(cur[i:j]) != rule.lhs:
+            apply_step(tuple(cur), p, r, i)  # raises
         steps.append(_new_tuple(Step2, (r, 1, i)))
-        cur = cur[:i] + rule.rhs + cur[j:]
+        cur[i:j] = rule.rhs
         del states[i + 1 :]
         if memo is not None:
-            seen.append(cur)
-            tail = memo.get(cur)
+            seen.append(tuple(cur))
+            tail = memo.get(seen[-1])
             if tail is not None:
                 steps.extend(tail.steps)
                 cur = tail.target
                 break
+    cur = tuple(cur)
     path = Path2._make(p, w, tuple(steps), cur)
     if memo is not None:
         memo[w] = path

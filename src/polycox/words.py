@@ -12,9 +12,9 @@ Garside presentations (component count first, then component lengths
 compared from the right).  Positions are
 0-based letter offsets throughout, and ties between overlapping redexes
 are broken by (position, rule id).  Redexes are found through one
-Aho-Corasick automaton over the left-hand sides, ``LhsAutomaton``, which
-holds tables and no search method: ``find_redexes`` lists every match,
-and ``paths.normalize`` scans for the leftmost one as it rewrites.
+Aho-Corasick automaton over the left-hand sides, ``LhsAutomaton``: tables
+of rows indexed by letter, no search method.  ``find_redexes`` lists every
+match, and ``paths.normalize`` scans for the leftmost one as it rewrites.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ class Polygraph2:
         return r
 
     def automaton(self) -> "LhsAutomaton":
-        """The automaton of the current left-hand sides."""
+        """The automaton of the current left-hand sides, its rows indexed
+        by the letters 0..n_generators-1."""
         if self._automaton is None:
-            self._automaton = LhsAutomaton(self.rules)
+            self._automaton = LhsAutomaton(self.rules, len(self.generators))
         return self._automaton
 
     def rule_index(self, name: str) -> int:
@@ -151,15 +152,16 @@ class LhsAutomaton:
     """Aho-Corasick automaton over the left-hand sides of a rule list.
 
     State 0 is the empty prefix and ``depth[s]`` the length of the lhs
-    prefix state ``s`` has read.  ``delta[s]`` is the transition row of
-    ``s`` with the failure links folded in; a letter missing from it leads
-    to 0.  ``out[s]`` lists the lhs ending at ``s``, longest first, as
-    (lhs length, rule ids in increasing order).
+    prefix state ``s`` has read.  ``rows[s][g]`` is the state that letter
+    ``g < n_letters`` leads ``s`` to, failure links folded in.  ``out[s]``
+    lists the lhs ending at ``s``, longest first, as (lhs length, rule ids
+    in increasing order), and ``leftmost[s]`` is (length, least id) of the
+    first, or None.
     """
 
-    __slots__ = ("delta", "depth", "out")
+    __slots__ = ("rows", "depth", "out", "leftmost")
 
-    def __init__(self, rules: list[Rule]):
+    def __init__(self, rules: list[Rule], n_letters: int):
         goto: list[dict[int, int]] = [{}]
         self.depth = depth = [0]
         ends: dict[int, list[int]] = {}
@@ -172,16 +174,18 @@ class LhsAutomaton:
                     depth.append(d)
             ends.setdefault(s, []).append(r)
         fail = [0] * len(goto)
-        self.delta = delta = [goto[0]] * len(goto)
+        self.rows = rows = [[0] * n_letters] * len(goto)
         self.out = out = [()] * len(goto)
-        order = list(goto[0].values())
-        for s in order:  # breadth first: fail[s] is done before s
+        order = [0]  # breadth first: fail[s] is done before s, whose row
+        for s in order:  # starts as a copy of the row of fail[s]
             f = fail[s]
+            rows[s] = row = rows[f].copy()
             for g, t in goto[s].items():
-                fail[t] = delta[f].get(g, 0)
+                fail[t] = row[g]
+                row[g] = t
                 order.append(t)
-            delta[s] = {**delta[f], **goto[s]}
             out[s] = ((depth[s], tuple(ends[s])),) + out[f] if s in ends else out[f]
+        self.leftmost = [(o[0][0], o[0][1][0]) if o else None for o in out]
 
 
 def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:
@@ -190,10 +194,10 @@ def find_redexes(w: Word, p: Polygraph2) -> list[tuple[int, int]]:
     Sorted by (position, rule id); one pass of the lhs automaton.
     """
     ac = p.automaton()
-    delta, out = ac.delta, ac.out
+    rows, out = ac.rows, ac.out
     found, s = [], 0
     for k, g in enumerate(p.check_word(w), 1):
-        s = delta[s].get(g, 0)
+        s = rows[s][g]
         for n, ids in out[s]:
             found.extend((r, k - n) for r in ids)
     return sorted(found, key=lambda ri: (ri[1], ri[0]))

@@ -5,22 +5,23 @@ The oracles recompute expected values by brute force (exhaustive
 reduction, naive overlap scans, congruence closure, braid-move
 enumeration, a Todd-Coxeter pass that restarts every scan) without going
 through the code paths under test.  The ``reference_*`` kernels are the
-earlier, slower forms of the rewriting kernels (leftmost normalization
-through a separate automaton scan, the filler that re-slices its sides
-and whiskers each local cell, the exchange normal form that rescans to a
-fixed point), kept to check that the faster ones return the same paths,
-memo entries and spheres, and the Garside sphere generator that looked up
-each step, face and whisker word by a key built per use, kept to check
-the table-driven one sphere by sphere.  The builders (the standard coherent
-presentation of a finite monoid, Nielsen rule inversion, an adjoined
-definition) make (3,1)-polygraphs that the reduction and the round-trip
-tests start from.
+earlier, slower forms of the rewriting kernels (the lhs automaton built
+with dict rows, leftmost normalization through a separate scan of it,
+the filler that re-slices its sides and whiskers each local cell, the
+exchange normal form that rescans to a fixed point), kept to check that
+the faster ones return the same paths, memo entries and spheres, and the
+Garside sphere generator that looked up each step, face and whisker word
+by a key built per use, kept to check the table-driven one sphere by
+sphere.  The builders (the standard coherent presentation of a finite
+monoid, Nielsen rule inversion, an adjoined definition) make
+(3,1)-polygraphs that the reduction and the round-trip tests start from.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from polycox import (
@@ -47,7 +48,7 @@ from polycox import (
     whisker,
 )
 from polycox.coxeter import check_dihedral_cap
-from polycox.words import DEFAULT_STEP_BUDGET, LhsAutomaton
+from polycox.words import DEFAULT_STEP_BUDGET
 
 
 def one_step_reducts(word, rules):
@@ -214,13 +215,48 @@ def cubic_triple_branchings(lhss):
 # -- the earlier rewriting kernels ---------------------------------------------
 
 
-def reference_leftmost(ac: LhsAutomaton, w: Word, states: list[int]):
+def reference_automaton(rules: Sequence[Rule]) -> SimpleNamespace:
+    """The Aho-Corasick automaton of the rules' left-hand sides as dict rows.
+
+    State 0 is the empty prefix and ``depth[s]`` the length of the lhs
+    prefix state ``s`` has read.  ``delta[s]`` is the transition row of
+    ``s`` with the failure links folded in; a letter missing from it leads
+    to 0.  ``out[s]`` lists the lhs ending at ``s``, longest first, as
+    (lhs length, rule ids in increasing order).
+    """
+    goto: list[dict[int, int]] = [{}]
+    depth = [0]
+    ends: dict[int, list[int]] = {}
+    for r, rule in enumerate(rules):
+        s = 0
+        for d, g in enumerate(rule.lhs, 1):
+            s = goto[s].setdefault(g, len(goto))
+            if s == len(goto):
+                goto.append({})
+                depth.append(d)
+        ends.setdefault(s, []).append(r)
+    fail = [0] * len(goto)
+    delta = [goto[0]] * len(goto)
+    out = [()] * len(goto)
+    order = list(goto[0].values())
+    for s in order:  # breadth first: fail[s] is done before s
+        f = fail[s]
+        for g, t in goto[s].items():
+            fail[t] = delta[f].get(g, 0)
+            order.append(t)
+        delta[s] = {**delta[f], **goto[s]}
+        out[s] = ((depth[s], tuple(ends[s])),) + out[f] if s in ends else out[f]
+    return SimpleNamespace(delta=delta, depth=depth, out=out)
+
+
+def reference_leftmost(ac: SimpleNamespace, w: Word, states: list[int]):
     """The leftmost redex of ``w``, lowest rule id on ties, as
     (rule id, position); None when ``w`` is irreducible.
 
-    ``states[k]`` is the state after ``w[:k]``; the scan resumes after
-    the last one and appends the states it reaches.  It stops once no
-    lhs prefix read so far starts at or before the best position.
+    ``ac`` is a ``reference_automaton`` and ``states[k]`` the state after
+    ``w[:k]``; the scan resumes after the last one and appends the states
+    it reaches.  It stops once no lhs prefix read so far starts at or
+    before the best position.
     """
     delta, depth, out = ac.delta, ac.depth, ac.out
     s = states[-1]
@@ -237,9 +273,10 @@ def reference_leftmost(ac: LhsAutomaton, w: Word, states: list[int]):
     return best and (best[1], best[0])
 
 
-def reference_normalize(w, p: Polygraph2, *, budget=None, memo=None):
+def reference_normalize(w, p: Polygraph2, *, budget=None, memo=None, ac=None):
     """``normalize`` as a loop over ``reference_leftmost`` and ``apply_step``,
-    testing the memo with ``in`` before reading it."""
+    testing the memo with ``in`` before reading it.  ``ac`` is the
+    ``reference_automaton`` to scan, built from ``p.rules`` by default."""
     w = p.check_word(w)
     if memo is not None and w in memo:
         path = memo[w]
@@ -248,7 +285,8 @@ def reference_normalize(w, p: Polygraph2, *, budget=None, memo=None):
     steps: list[Step2] = []
     seen: list[Word] = [w]
     cur = w
-    ac = p.automaton()
+    if ac is None:
+        ac = reference_automaton(p.rules)
     states = [0]
     while True:
         if memo is not None and cur in memo and cur is not w:
@@ -360,10 +398,13 @@ def _reference_local_cell(p31: Polygraph31, lookup: dict, w: Word, s1: Step2, s2
     return (idx, direction, lw, rw), c1, c2, z
 
 
-def reference_fill_parallel(p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict):
+def reference_fill_parallel(
+    p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict, memo: dict, ac=None
+):
     """The filler on re-sliced step tuples: each equal step re-slices both
     sides and extends ``pre``, and each local branching is resolved by
-    ``_reference_local_cell``, then normalized by ``reference_normalize``."""
+    ``_reference_local_cell``, then normalized by ``reference_normalize``
+    (over ``ac`` when given)."""
     pg = p31.base
     out: list[SphereEntry] = []
     stack: list = [((), pA.source, pA.steps, pB.steps)]
@@ -384,7 +425,7 @@ def reference_fill_parallel(p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict
         else:
             continue
         entry, c1, c2, z = _reference_local_cell(p31, lookup, w, s1, s2)
-        _, n = reference_normalize(z, pg, memo=memo)
+        _, n = reference_normalize(z, pg, memo=memo, ac=ac)
         w2 = apply_step(w, pg, s2.rule, s2.pos, s2.dir)
         stack.append((pre + (s2,), w2, c2 + n.steps, b[1:]))
         if entry is not None:
@@ -394,20 +435,22 @@ def reference_fill_parallel(p31: Polygraph31, pA: Path2, pB: Path2, lookup: dict
 
 
 
-def reference_triple_confluence(p31: Polygraph31, steps, source, lookup: dict, memo: dict):
+def reference_triple_confluence(
+    p31: Polygraph31, steps, source, lookup: dict, memo: dict, ac=None
+):
     """The sphere ``generating_triple_confluence`` builds for the triple
     branching (source, steps), from ``reference_normalize`` and
-    ``reference_fill_parallel``."""
+    ``reference_fill_parallel`` (over ``ac`` when given)."""
     pg = p31.base
     sides = []
     for s in steps:
         first = Path2(pg, source, (s,))
-        _, rest = reference_normalize(first.target, pg, memo=memo)
+        _, rest = reference_normalize(first.target, pg, memo=memo, ac=ac)
         sides.append(compose(first, rest))
     F, G, H = sides
-    lhs = reference_fill_parallel(p31, F, G, lookup, memo)
-    lhs += reference_fill_parallel(p31, G, H, lookup, memo)
-    rhs = reference_fill_parallel(p31, F, H, lookup, memo)
+    lhs = reference_fill_parallel(p31, F, G, lookup, memo, ac)
+    lhs += reference_fill_parallel(p31, G, H, lookup, memo, ac)
+    rhs = reference_fill_parallel(p31, F, H, lookup, memo, ac)
     return Sphere3(F, H, tuple(lhs), tuple(rhs))
 
 def words_up_to(n_letters, max_len):

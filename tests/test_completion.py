@@ -280,9 +280,10 @@ class TestReferenceFiller:
     @staticmethod
     def check(p31, triples, spheres, memo):
         lookup, ref_memo = px.cells_by_branching(p31), {}
+        ac = oracles.reference_automaton(p31.base.rules)
         assert len(triples) == len(spheres) > 0
         for (source, steps), sp in zip(triples, spheres):
-            ref = oracles.reference_triple_confluence(p31, steps, source, lookup, ref_memo)
+            ref = oracles.reference_triple_confluence(p31, steps, source, lookup, ref_memo, ac)
             assert _sphere_fields(sp) == _sphere_fields(ref)
         if memo is not None:
             assert memo == ref_memo and list(memo) == list(ref_memo)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -440,8 +441,53 @@ def shortlex_systems():
     return out
 
 
+@st.composite
+def weight_lowering_rules(draw):
+    """Rules over a, b, c, each of which lowers the weight of a word with
+    a = 1, b = 2, c = 16, so every reduction ends.  At least one rhs is
+    empty, one shorter than its lhs (letters no heavier than the lhs's
+    lightest) and one longer (letters a and b, with a c in the lhs)."""
+    word = lambda lo, hi, top=2: st.lists(st.integers(0, top), min_size=lo, max_size=hi)  # noqa: E731
+    kinds = ["empty", "shorter", "longer"]
+    kinds += draw(st.lists(st.sampled_from(kinds), max_size=3))
+    rules = []
+    for kind in draw(st.permutations(kinds)):
+        if kind == "empty":
+            lhs, rhs = draw(word(1, 3)), []
+        elif kind == "shorter":
+            lhs = draw(word(2, 4))
+            rhs = draw(word(1, len(lhs) - 1, min(lhs)))
+        else:
+            lhs = draw(word(0, 2))
+            lhs.insert(draw(st.integers(0, len(lhs))), 2)
+            rhs = draw(word(len(lhs) + 1, len(lhs) + 2, 1))
+        rules.append(px.Rule(f"r{len(rules)}", lhs, rhs))
+    return px.Polygraph2("abc", rules)
+
+
 class TestReferenceKernels:
     """The rewriting kernels against their earlier forms in oracles.py."""
+
+    @given(weight_lowering_rules(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_normalize_long_words(self, pg, data):
+        # the word is rewritten in place as a list: only tuples may leave
+        letters = st.integers(0, 2)
+        long_word = st.lists(letters, min_size=60, max_size=90).map(tuple)
+        memo, ref_memo = {}, {}
+        for w in (data.draw(long_word), data.draw(st.lists(letters, max_size=90).map(tuple))):
+            ref_nf, ref_path = oracles.reference_normalize(w, pg)
+            n = len(ref_path.steps)
+            for kwargs in ({}, {"memo": memo}, {"budget": n}):
+                nf, path = px.normalize(w, pg, **kwargs)
+                assert (nf, path.steps) == (ref_nf, ref_path.steps)
+                assert type(nf) is tuple and type(path.target) is tuple and path.target == nf
+            oracles.reference_normalize(w, pg, memo=ref_memo)
+            if n:
+                with pytest.raises(px.NonterminationError, match=f"within {n - 1} steps"):
+                    px.normalize(w, pg, budget=n - 1)
+        assert list(memo) == list(ref_memo) and memo == ref_memo
+        assert all(type(k) is type(f.source) is type(f.target) is tuple for k, f in memo.items())
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -460,8 +506,11 @@ class TestReferenceKernels:
         # a stale automaton reports rule 0 on "b"; the rewrite, not the scan,
         # decides, so normalize raises as it did through apply_step
         p = px.Polygraph2(["a", "b"], [px.Rule("r", (0,), ())])
-        p._automaton = LhsAutomaton([px.Rule("z", (1,), ())])
-        for normalize in (px.normalize, oracles.reference_normalize):
+        stale = [px.Rule("z", (1,), ())]
+        p._automaton = LhsAutomaton(stale, 2)
+        stale_ac = oracles.reference_automaton(stale)
+        reference = functools.partial(oracles.reference_normalize, ac=stale_ac)
+        for normalize in (px.normalize, reference):
             with pytest.raises(px.StepError, match=r"rule 'r' \(forward\) does not match"):
                 normalize((1,), p)
 

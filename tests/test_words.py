@@ -95,6 +95,24 @@ class TestRedexOracle:
                     with pytest.raises(px.NonterminationError):
                         px.normalize(w, p, budget=len(steps) - 1)
 
+    @given(growing_rules())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_dict_build(self, gen_rules):
+        n, rules = gen_rules
+        p = px.Polygraph2("abc"[:n])
+        for k, (lhs, rhs) in enumerate(rules):
+            p.add_rule(px.Rule(f"r{k}", lhs, rhs))
+            ac, ref = p.automaton(), oracles.reference_automaton(p.rules)
+            assert len(ac.rows) == len(ref.delta)
+            for s, row in enumerate(ac.rows):
+                assert row == [ref.delta[s].get(g, 0) for g in range(n)]
+            assert (ac.depth, ac.out) == (ref.depth, ref.out)
+            # the longest lhs ending at each state, with its least rule id
+            for m, out in zip(ac.leftmost, ref.out):
+                longest = max([n_lhs for n_lhs, _ in out], default=None)
+                ids = [r for n_lhs, rs in out if n_lhs == longest for r in rs]
+                assert m == (None if longest is None else (longest, min(ids)))
+
 
 class TestApplyStep:
     def test_beta_on_sta(self, b3plus):
