@@ -332,9 +332,10 @@ class Sphere3:
 
     def check(self, p31: Polygraph31) -> list[str]:
         """Well-formedness violations; a malformed sphere is reported, never
-        raised.  Each entry's faces are step tuples, pre.steps + the cell
-        side's steps shifted by len(left) + post.steps, built once; no
-        whiskered path is made.  Word equality checks that ``pre``, replayed,
+        raised, an entry whose cell indexes no 3-cell or whose ``dir`` is not
+        1 or -1 included.  Each entry's faces are step tuples, pre.steps +
+        the cell side's steps shifted by len(left) + post.steps, built once;
+        no whiskered path is made.  Word equality checks that ``pre``, replayed,
         runs from the source word to left + side source + right and ``post``
         from left + side target + right to the target word; along each
         side, consecutive faces are equal as step tuples or else have equal
@@ -359,10 +360,14 @@ class Sphere3:
             parallel = False
         if not parallel:
             return ["boundary: source and target are not parallel"]
-        out = []
+        out, n = [], len(p31.cells)
         for label, side in (("lhs", self.lhs), ("rhs", self.rhs)):
             cur = self.source.steps
             for k, e in enumerate(side):
+                if not (type(e.cell) is type(e.dir) is int and 0 <= e.cell < n and abs(e.dir) == 1):
+                    out.append(f"{label}[{k}]: cell {e.cell!r} or dir {e.dir!r} out of range")
+                    cur = None
+                    continue
                 c = p31.cells[e.cell]
                 a, b = (c.src, c.tgt) if e.dir > 0 else (c.tgt, c.src)
                 u, v = tuple(e.left), tuple(e.right)

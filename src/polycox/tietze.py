@@ -15,8 +15,9 @@ here: the designated redundant cell must occur exactly once across the
 boundary (after exchange/inverse normalization) and, for rules, the solved
 replacement must unwhisker to a bare path between the rule's sides.
 Recipes are supplied by callers; only the bare shapes are inferred.
-Validation and reduction consume the spheres once, from any iterable,
-keeping only the redundant cell of each.
+Validation is the reduction's one check, and ``validate=False`` skips only
+the sphere checks; the spheres are consumed once, from any iterable, and
+only the redundant cell of each is kept.
 """
 
 from __future__ import annotations
@@ -91,17 +92,18 @@ def _collapse_sides(rule: Rule) -> Optional[tuple[int, Word]]:
 def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
     """Check the three collapsibility conditions mechanically.
 
-    Returns a list of violations; empty means the part is collapsible.  A
-    malformed sphere entry, such as a ``pre`` or ``post`` whose steps do not
-    replay or do not meet its whiskered cell, is a violation too, through
-    ``Sphere3.check``; nothing is raised for it.  The spheres are consumed
-    once, in order, each checked as it comes.
+    Returns a list of violations; empty means the part is collapsible.  An
+    index that names no rule, generator or 3-cell, or a malformed sphere
+    entry, such as a ``pre`` or ``post`` whose steps do not replay or do not
+    meet its whiskered cell (through ``Sphere3.check``), is a violation too;
+    nothing is raised for it.  The spheres are consumed once, in order, each
+    checked as it comes; ``homotopical_reduce`` runs the same checks.
     """
     return _validate(p31, part)[0]
 
 
 def _validate(
-    p31: Polygraph31, part: CollapsiblePart
+    p31: Polygraph31, part: CollapsiblePart, check_spheres: bool = True
 ) -> tuple[list[str], dict[ThreeCollapse, Path2], set[int]]:
     """The violations of ``validate_collapsible``, the replacements it
     solved by collapsible 3-cell, so a reduction need not solve them again,
@@ -109,37 +111,42 @@ def _validate(
 
     ``part.spheres`` is consumed once: each sphere is checked as it arrives
     and only its redundant cell is kept, so none outlives its check.  The
-    whole-part checks over those cells are reported first.
+    whole-part checks over those cells are reported first.  Without
+    ``check_spheres`` only a sphere's redundant cell is read and checked;
+    every other check runs either way.
     """
     out: list[str] = []
     solved: dict[ThreeCollapse, Path2] = {}
     pg = p31.base
     ow = part.order
 
+    def valid(kind: str, i, names: Sequence[str]) -> bool:
+        if type(i) is int and 0 <= i < len(names):  # a bool or -1 indexes nothing
+            return True
+        out.append(f"no {kind} with index {i!r}")
+        return False
+
     def rank_above(
         table: dict, kind: str, names: Sequence[str], top: int, others: Iterable[int]
     ) -> None:
         """Report unless ``top`` is ranked above every key of ``others``."""
-
-        def ranked(key: int):
-            if key not in table:
-                out.append(f"{kind} {names[key]!r}: no rank for {key!r}")
-                return None
-            return table[key]
-
-        rt = ranked(top)
-        for o in others:
-            ro = ranked(o)
-            if rt is not None and ro is not None and not rt > ro:
+        for o in (top, *others):
+            if o not in table:
+                out.append(f"{kind} {names[o]!r}: no rank for {o!r}")
+            elif o != top and top in table and not table[top] > table[o]:
                 out.append(f"order: {kind} {names[top]!r} not above {names[o]!r}")
 
     rule_names = [r.name for r in pg.rules]
     cell_names = [c.name for c in p31.cells]
+    cells = range(len(cell_names))
     cell_dead = {tc.cell for tc in part.three_cells}
     rule_dead = {tc.redundant for tc in part.three_cells}
     gen_dead = set()
 
     for tc in part.two_cells:
+        gen_ok = tc.redundant is None or valid("generator", tc.redundant, pg.generators)
+        if not (valid("rule", tc.rule, rule_names) and gen_ok):
+            continue
         rule = pg.rules[tc.rule]
         sides = _collapse_sides(rule)
         if sides is None:
@@ -157,6 +164,8 @@ def _validate(
         rank_above(ow.gen_rank, "generator", pg.generators, x, set(word))
 
     for tc in part.three_cells:
+        if not (valid("3-cell", tc.cell, cell_names) and valid("rule", tc.redundant, rule_names)):
+            continue
         cell = p31.cells[tc.cell]
         try:
             solved[tc] = _solve_replacement(pg, cell, tc.redundant)
@@ -168,18 +177,21 @@ def _validate(
 
     redundant: list[int] = []
     for sc in part.spheres:
-        bad = sc.sphere.check(p31)
-        out.extend(f"sphere for {p31.cells[sc.redundant].name!r}: {b}" for b in bad)
+        if not valid("3-cell", sc.redundant, cell_names):
+            continue
+        redundant.append(sc.redundant)
+        if not check_spheres:
+            continue
+        name = cell_names[sc.redundant]
+        out.extend(f"sphere for {name!r}: {b}" for b in sc.sphere.check(p31))
+        # Sphere3.check reports an entry whose cell is out of range
         entries = sc.sphere.lhs + sc.sphere.rhs
+        entries = [e for e in entries if type(e.cell) is int and e.cell in cells]
         occ = [e for e in entries if e.cell == sc.redundant]
         if len(occ) != 1:
-            out.append(
-                f"sphere: 3-cell {p31.cells[sc.redundant].name!r} occurs "
-                f"{len(occ)} times, need exactly 1"
-            )
+            out.append(f"sphere: 3-cell {name!r} occurs {len(occ)} times, need exactly 1")
         others = [e.cell for e in entries if e.cell != sc.redundant]
         rank_above(ow.cell_rank, "3-cell", cell_names, sc.redundant, others)
-        redundant.append(sc.redundant)
 
     sphere_dead = set(redundant)
     head = []
@@ -242,34 +254,26 @@ def homotopical_reduce(
 ) -> Polygraph31:
     """Coherently eliminate a collapsible part; presents the same monoid.
 
-    One pass, lowest cells first.  A redundant generator's image is its
-    defining word with the lower images substituted, in increasing order
-    of the generator.  A redundant rule's image is its replacement, solved
-    from its collapsible 3-cell, with the lower images spliced in, in
-    increasing order of the rule; validation hands over the replacements
-    it solved, so each is solved once.  A surviving rule's image is its
-    own step and a collapsible rule's is empty.  Redundant 3-cells vanish
-    with their spheres, and each surviving boundary is rewritten once
-    through the images into the final polygraph, which replays it.  An
-    empty part is the identity.  The spheres are consumed once, in order:
-    validated as they come, or only read for their redundant cells.
+    The part is validated first and its violations raise one NielsenError;
+    ``validate=False`` skips only the sphere checks.  Then one pass, lowest
+    cells first.  A redundant generator's image is its defining word with
+    the lower images substituted, in increasing order of the generator.  A
+    redundant rule's image is its replacement, solved by validation from
+    its collapsible 3-cell, with the lower images spliced in, in increasing
+    order of the rule.  A surviving rule's image is its own step and a
+    collapsible rule's is empty.  Redundant 3-cells vanish with their
+    spheres, and each surviving boundary is rewritten once through the
+    images into the final polygraph, which replays it.  An empty part is
+    the identity.
     """
-    if validate:
-        bad, solved, dead_cells = _validate(p31, part)
-        if bad:
-            raise NielsenError("; ".join(bad))
-    else:
-        solved = {}
-        dead_cells = {sc.redundant for sc in part.spheres} | {tc.cell for tc in part.three_cells}
+    bad, solved, dead_cells = _validate(p31, part, validate)
+    if bad:
+        raise NielsenError("; ".join(bad))
     base = p31.base
     ow = part.order
 
-    defs: list[tuple[int, int, Word]] = []  # (rule, generator, defining word)
-    for tc in part.two_cells:
-        sides = _collapse_sides(base.rules[tc.rule])
-        if sides is None:
-            raise NielsenError(f"rule {base.rules[tc.rule].name!r} is not collapsible")
-        defs.append((tc.rule, *sides))
+    # (rule, generator, defining word); validation found each rule collapsible
+    defs = [(tc.rule, *_collapse_sides(base.rules[tc.rule])) for tc in part.two_cells]
     dead_gens = {x for _, x, _ in defs}
     # generator -> its image, a word over the surviving generators
     image: list[Optional[Word]] = [None] * base.n_generators
@@ -278,12 +282,8 @@ def homotopical_reduce(
         if g not in dead_gens:
             image[g] = (len(gen_names),)
             gen_names.append(name)
-    for _, x, word in sorted(defs, key=lambda d: ow.gen_rank.get(d[1], 0)):
-        if any(image[g] is None for g in word):
-            raise NielsenError(
-                f"generator {base.generators[x]!r} is defined through "
-                f"an eliminated generator not ranked below it"
-            )
+    # each letter of a defining word survives or is ranked below, so has its image
+    for _, x, word in sorted(defs, key=lambda d: ow.gen_rank[d[1]]):
         image[x] = tuple(h for g in word for h in image[g])
 
     def expand(w: Word) -> Word:
@@ -303,24 +303,16 @@ def homotopical_reduce(
     def rewrite(path: Path2) -> list[Step2]:
         out: list[Step2] = []
         for (r, d, pos), w in zip(path.steps, path.words()):
-            body = rule_image.get(r)
-            if body is None:
-                raise NielsenError(
-                    f"rule {base.rules[r].name!r} is needed before its "
-                    f"replacement is solved"
-                )
+            body = rule_image[r]
             if d < 0:
                 body = [Step2(t.rule, -t.dir, t.pos) for t in reversed(body)]
             shift = sum([len(image[g]) for g in w[:pos]])
             out.extend(Step2(t.rule, t.dir, t.pos + shift) for t in body)
         return out
 
-    by_rank = sorted(part.three_cells, key=lambda tc: ow.rule_rank.get(tc.redundant, 0))
-    for tc in by_rank:
-        rep = solved.get(tc)
-        if rep is None:
-            rep = _solve_replacement(base, p31.cells[tc.cell], tc.redundant)
-        rule_image[tc.redundant] = tuple(rewrite(rep))
+    # a replacement's other rules survive, collapse or are ranked below, so have their images
+    for tc in sorted(part.three_cells, key=lambda tc: ow.rule_rank[tc.redundant]):
+        rule_image[tc.redundant] = tuple(rewrite(solved[tc]))
 
     def move(path: Path2) -> Path2:
         return Path2(final, expand(path.source), rewrite(path))

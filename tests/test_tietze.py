@@ -107,6 +107,58 @@ class TestValidateCollapsible:
         with pytest.raises(px.NielsenError, match=re.escape(text)):
             px.homotopical_reduce(p31, part)
 
+    # parts whose index or first sphere entry is out of range, each made
+    # from the b3plus part: rule 1 (beta) collapses generator 2 (a), c2 is
+    # the first sphere's redundant cell and c1 its first entry's cell
+    BAD_INDEX = {
+        "rule 10**6": (dict(two_cells=(px.TwoCollapse(10**6),)), "no rule with index 1000000"),
+        "rule -1": (dict(two_cells=(px.TwoCollapse(-1),)), "no rule with index -1"),
+        "generator True": (
+            dict(two_cells=(px.TwoCollapse(1, redundant=True),)),
+            "no generator with index True",
+        ),
+        "3-cell 10**6": (
+            dict(three_cells=(px.ThreeCollapse(10**6, 2),)),
+            "no 3-cell with index 1000000",
+        ),
+        "replaced rule -1": (dict(three_cells=(px.ThreeCollapse(0, -1),)), "no rule with index -1"),
+        "sphere cell 10**6": (dict(redundant=10**6), "no 3-cell with index 1000000"),
+        "sphere cell -1": (dict(redundant=-1), "no 3-cell with index -1"),
+        "entry cell 10**6": (dict(cell=10**6), "lhs[0]: cell 1000000 or dir 1 out of range"),
+        "entry cell -1": (dict(cell=-1), "lhs[0]: cell -1 or dir 1 out of range"),
+        "entry cell 1.0": (dict(cell=1.0), "lhs[0]: cell 1.0 or dir 1 out of range"),
+        "entry dir 2": (dict(dir=2), "lhs[0]: cell 1 or dir 2 out of range"),
+        "entry dir True": (dict(dir=True), "lhs[0]: cell 1 or dir True out of range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDEX))
+    def test_bad_index_reported(self, b3plus_completed, case):
+        p31, _ = b3plus_completed
+        part = b3plus_part(p31)
+        fields, text = self.BAD_INDEX[case]
+        first, *rest = part.spheres
+        if "redundant" in fields:
+            first = dataclasses.replace(first, **fields)
+        elif "cell" in fields or "dir" in fields:
+            sphere = first.sphere
+            entry = dataclasses.replace(sphere.lhs[0], **fields)
+            first = dataclasses.replace(
+                first, sphere=dataclasses.replace(sphere, lhs=(entry, *sphere.lhs[1:]))
+            )
+            text = f"sphere for 'c2': {text}"
+        else:
+            part = dataclasses.replace(part, **fields)
+        bad = dataclasses.replace(part, spheres=(first, *rest))
+        assert text in px.validate_collapsible(p31, bad)
+        if text.startswith("sphere"):
+            # unvalidated, the spheres are trusted and their entries never read
+            assert ser.polygraph31_to_dict(px.homotopical_reduce(p31, bad, validate=False)) == (
+                ser.polygraph31_to_dict(px.homotopical_reduce(p31, part))
+            )
+        else:
+            with pytest.raises(px.NielsenError, match=re.escape(text)):
+                px.homotopical_reduce(p31, bad, validate=False)
+
     def test_bare_replacement_runs_between_the_rule_sides(self, b3plus_completed, groups):
         # every (cell, rule) pair: a replacement that passes the occurrence
         # and window checks starts at lhs(rho) and replays to rhs(rho)
@@ -172,21 +224,48 @@ class TestHomotopicalReduce:
         assert len(set(mapping)) == len(set(mapping.values()))  # injective
 
     def test_ungrounded_part_raises(self, b3plus_completed):
-        # unvalidated, a part the one pass cannot ground is still refused
+        # with its spheres trusted, a part the one pass cannot ground is still
+        # refused, with validation's message
         p31, _ = b3plus_completed
         part = b3plus_part(p31)
+        order = part.order
+
+        def reranked(**ranks):
+            return dataclasses.replace(part, order=dataclasses.replace(order, **ranks))
+
         alpha_collapses = dataclasses.replace(part, two_cells=(px.TwoCollapse(0),))
-        rule_rank = {**part.order.rule_rank, 2: 3, 3: 2}  # kb2 above kb3
-        swapped = dataclasses.replace(
-            part, order=dataclasses.replace(part.order, rule_rank=rule_rank)
-        )
+        swapped = reranked(rule_rank={**order.rule_rank, 2: 3, 3: 2})  # kb2 above kb3
+        no_kb2_rank = reranked(rule_rank={r: k for r, k in order.rule_rank.items() if r != 2})
+        no_a_rank = reranked(gen_rank={g: k for g, k in order.gen_rank.items() if g != 2})
         for bad, message in (
             (alpha_collapses, "rule 'alpha' is not collapsible"),
-            (swapped, "rule 'kb2' is needed before its replacement is solved"),
+            (swapped, "order: rule 'kb3' not above 'kb2'"),
+            (no_kb2_rank, "rule 'kb2': no rank for 2"),
+            (no_a_rank, "generator 'a': no rank for 2"),
         ):
-            assert px.validate_collapsible(p31, bad)
-            with pytest.raises(px.NielsenError, match=message):
+            assert message in px.validate_collapsible(p31, bad)
+            with pytest.raises(px.NielsenError, match=re.escape(message)):
                 px.homotopical_reduce(p31, bad, validate=False)
+
+    def test_unvalidated_reduce_skips_only_the_sphere_checks(self, b3plus_completed, monkeypatch):
+        p31, _ = b3plus_completed
+        part = b3plus_part(p31)
+        check, checked = completion.Sphere3.check, []
+
+        def counted(sphere, p):
+            checked.append(sphere)
+            return check(sphere, p)
+
+        monkeypatch.setattr(completion.Sphere3, "check", counted)
+        validated = px.homotopical_reduce(p31, part)
+        assert [id(s) for s in checked] == [id(sc.sphere) for sc in part.spheres]
+
+        def refused(sphere, p):
+            raise AssertionError("Sphere3.check ran")
+
+        monkeypatch.setattr(completion.Sphere3, "check", refused)
+        trusted = px.homotopical_reduce(p31, part, validate=False)
+        assert ser.polygraph31_to_dict(trusted) == ser.polygraph31_to_dict(validated)
 
     def test_reversed_occurrence_gives_the_same_reduction(self, b3plus_completed):
         # with kb2 inverted, c0 holds it as a reverse step, so its replacement
@@ -389,5 +468,5 @@ class TestAdjoinDefinition:
         p31, _ = b3plus_completed
         with_y, part = self.nested(p31, 8)
         assert px.validate_collapsible(with_y, part) == ["order: generator 'y' not above 'z'"]
-        with pytest.raises(px.NielsenError, match="generator 'y' is defined through"):
+        with pytest.raises(px.NielsenError, match="order: generator 'y' not above 'z'"):
             px.homotopical_reduce(with_y, part, validate=False)
