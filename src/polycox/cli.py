@@ -101,12 +101,12 @@ def cmd_complete(args) -> int:
 def cmd_reduce(args) -> int:
     p31 = serialize.polygraph31_from_dict(_load_json(args.input))
     part = serialize.part_from_dict(_load_json(args.part), p31)
-    violations = tietze.validate_collapsible(p31, part)
-    if violations:
-        for k, v in enumerate(violations):
+    try:
+        reduced = tietze.homotopical_reduce(p31, part)
+    except NielsenError as exc:
+        for k, v in enumerate(exc.violations):
             print(f"violation[{k}]: {v}", file=sys.stderr)
-        raise PreconditionError("collapsible part does not validate")
-    reduced = tietze.homotopical_reduce(p31, part, validate=False)
+        raise PreconditionError("collapsible part does not validate") from exc
     names = lambda rules: [r.name for r in rules]  # noqa: E731
     report = {
         "removed": {

@@ -35,7 +35,12 @@ class ClassificationError(PolycoxError):
 
 
 class NielsenError(PolycoxError):
-    """A cell is not collapsible the way a collapsible part claims."""
+    """A cell is not collapsible the way a collapsible part claims; each
+    violation found is kept in ``violations``."""
+
+    def __init__(self, *violations: str):
+        super().__init__("; ".join(violations))
+        self.violations = violations
 
 
 class PreconditionError(PolycoxError):

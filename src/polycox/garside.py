@@ -639,27 +639,19 @@ def phi_key(g: CoxeterGroup, tup: Iterable[int]) -> tuple:
 
 
 class ArtinProjection:
-    """The projection of Garside data onto Artin's presentation.
-
-    ``letters[i]`` is the ambient Artin generator for the i-th generator of
-    the (parabolic) group; ``gamma[(i, j)]`` with i < j is the ambient rule
-    index of the braid relation on that pair.  pi(s|x), for s a generator,
-    is tabulated in increasing order of (l(x), s): the identity when s is
-    the smallest divisor r of sx, the braid relation when sx = w0(r, s),
-    and otherwise x split across that braid relation (case (b)), which
-    reads only entries of a shorter x, or of the same x with r < s.
+    """The projection of a group's Garside data onto its own Artin
+    presentation ``art``, whose braid relation on a pair i < j of
+    generators is rule ``gamma[(i, j)]``.  pi(s|x), for s a generator, is
+    tabulated in increasing order of (l(x), s): the identity when s is the
+    smallest divisor r of sx, the braid relation when sx = w0(r, s), and
+    otherwise x split across that braid relation (case (b)), which reads
+    entries of a shorter x and one entry pi(r|x') with l(x') = l(x) and
+    r < s, where x' = complement(r, w0) v2 is not x.
     """
 
-    def __init__(
-        self,
-        group: CoxeterGroup,
-        art: Polygraph2,
-        letters: list[int],
-        gamma: dict[tuple[int, int], int],
-    ):
+    def __init__(self, group: CoxeterGroup):
         self.group = g = group
-        self.art = art
-        self._words = [tuple([letters[s] for s in w]) for w in g.word]
+        self.art, self.gamma = artin_presentation(g.matrix)
         w0s = {(r, s): g.longest_element((r, s)) for s in range(g.rank) for r in range(s)}
         self._table: dict[tuple[int, int], Path2] = {}
         for _, s, x in sorted(
@@ -668,25 +660,25 @@ class ArtinProjection:
             for s in range(g.rank)
             if g.length[g.left[x][s]] > g.length[x]
         ):
-            sx, source = g.left[x][s], (letters[s],) + self._words[x]
+            sx, source = g.left[x][s], (s,) + g.word[x]
             r = g.smallest_divisor(sx)
             w0 = w0s.get((r, s))  # None when r = s
             if r == s:
-                path = identity_path(art, source)
+                path = identity_path(self.art, source)
             elif sx == w0:
-                path = Path2(art, source, ((gamma[(letters[r], letters[s])], 1, 0),))
+                path = Path2(self.art, source, ((self.gamma[(r, s)], 1, 0),))
             else:
                 u2 = g.complement(g.generator(s), w0)
                 v2 = g.complement(u2, x)
                 down = inverse(whisker(source[:1], self.alpha_path(u2, v2), ()))
-                across = whisker((), self._entry(s, u2), self._words[v2])
+                across = whisker((), self._entry(s, u2), g.word[v2])
                 path = compose(compose(down, across), self.alpha_path(w0, v2))
-            if path.source != source or path.target != self._words[sx]:
+            if path.source != source or path.target != g.word[sx]:
                 raise CoherenceError("projection produced a misbounded path")
             self._table[(s, x)] = path
 
     def word(self, u: int) -> Word:
-        return self._words[u]
+        return self.group.word[u]
 
     def _entry(self, s: int, x: int) -> Path2:
         if (s, x) not in self._table:
@@ -707,7 +699,7 @@ class ArtinProjection:
             s = g.word[u][i]
             steps += shift_steps(self._entry(s, x).steps, i)
             x = g.left[x][s]
-        return Path2._make(self.art, self._words[u] + self._words[v], tuple(steps), self._words[x])
+        return Path2._make(self.art, g.word[u] + g.word[v], tuple(steps), g.word[x])
 
     def acell(self, t: int, u: int, v: int) -> tuple[Path2, Path2]:
         """pi of the 3-cell A_{t,u,v}: the parallel pair of projected sides,
@@ -795,18 +787,16 @@ def _z_template(m_ij: int, m_ik: int, m_jk: int, coset_cap: int) -> tuple:
     (a, b) the pair of the braid rule.  Plain tuples, so no caller can
     alias cached state; a failing enumeration raises and is not cached."""
     sub = CoxeterMatrix(tuple("rst"), ((1, m_ij, m_ik), (m_ij, 1, m_jk), (m_ik, m_jk, 1)))
-    g = enumerate_group(sub, coset_cap)
-    art3, gamma3 = artin_presentation(sub)
-    pair = {r: ab for ab, r in gamma3.items()}
+    proj = ArtinProjection(enumerate_group(sub, coset_cap))
+    pair = {r: ab for ab, r in proj.gamma.items()}
     return tuple(
-        (p.source, tuple(pair[r] + (d, o) for r, d, o in p.steps))
-        for p in _zamolodchikov(g, ArtinProjection(g, art3, [0, 1, 2], gamma3))
+        (p.source, tuple(pair[r] + (d, o) for r, d, o in p.steps)) for p in _zamolodchikov(proj)
     )
 
 
-def _zamolodchikov(g: CoxeterGroup, proj: ArtinProjection) -> tuple[Path2, Path2]:
+def _zamolodchikov(proj: ArtinProjection) -> tuple[Path2, Path2]:
     """The essential 3-cell A_{t,u,v} of the rank-3 group, projected."""
-    r, s, t = 0, 1, 2
+    g, (r, s, t) = proj.group, (0, 1, 2)
     t_elt = g.generator(t)
     w0_st = g.longest_element((s, t))
     u = g.complement(t_elt, w0_st)

@@ -254,21 +254,21 @@ def homotopical_reduce(
 ) -> Polygraph31:
     """Coherently eliminate a collapsible part; presents the same monoid.
 
-    The part is validated first and its violations raise one NielsenError;
-    ``validate=False`` skips only the sphere checks.  Then one pass, lowest
-    cells first.  A redundant generator's image is its defining word with
-    the lower images substituted, in increasing order of the generator.  A
-    redundant rule's image is its replacement, solved by validation from
-    its collapsible 3-cell, with the lower images spliced in, in increasing
-    order of the rule.  A surviving rule's image is its own step and a
-    collapsible rule's is empty.  Redundant 3-cells vanish with their
-    spheres, and each surviving boundary is rewritten once through the
-    images into the final polygraph, which replays it.  An empty part is
-    the identity.
+    The part is validated first and its violations raise one NielsenError,
+    kept in its ``violations``; ``validate=False`` skips only the sphere
+    checks.  Then one pass, lowest cells first.  A redundant generator's
+    image is its defining word with the lower images substituted, in
+    increasing order of the generator.  A redundant rule's image is its
+    replacement, solved by validation from its collapsible 3-cell, with the
+    lower images spliced in, in increasing order of the rule.  A surviving
+    rule's image is its own step and a collapsible rule's is empty.
+    Redundant 3-cells vanish with their spheres, and each surviving
+    boundary is rewritten once through the images into the final
+    polygraph, which replays it.  An empty part is the identity.
     """
     bad, solved, dead_cells = _validate(p31, part, validate)
     if bad:
-        raise NielsenError("; ".join(bad))
+        raise NielsenError(*bad)
     base = p31.base
     ow = part.order
 

@@ -801,8 +801,10 @@ def recursive_projection(g, art, letters, gamma):
 def unshared_z_cells(mat):
     """Art_3(W)'s Z-cells as (name, src, tgt), each computed in place: one
     Todd-Coxeter run and one projection per finite rank-3 parabolic
-    i < j < k, with ambient letters [i, j, k] and the ambient braid rules,
-    sharing nothing between parabolics of the same type."""
+    i < j < k, sharing nothing between parabolics of the same type.  Each
+    cell is relabeled from the parabolic's own presentation into the
+    ambient one: letter x to (i, j, k)[x], and the parabolic's braid rule
+    on (a, b) to the ambient rule on the images of a and b."""
     from polycox.coxeter import enumerate_group, rank3_finite
     from polycox.garside import ArtinProjection, _zamolodchikov, artin_presentation
 
@@ -811,8 +813,13 @@ def unshared_z_cells(mat):
     for i, j, k in itertools.combinations(range(mat.rank), 3):
         if not rank3_finite(mat.m[i][j], mat.m[i][k], mat.m[j][k]):
             continue
-        g = enumerate_group(mat.submatrix((i, j, k)))
-        src, tgt = _zamolodchikov(g, ArtinProjection(g, art, [i, j, k], gamma))
+        proj = ArtinProjection(enumerate_group(mat.submatrix((i, j, k))))
+        letters = (i, j, k)
+        rule = {r: gamma[(letters[a], letters[b])] for (a, b), r in proj.gamma.items()}
+        src, tgt = (
+            Path2(art, [letters[x] for x in p.source], [(rule[r], d, o) for r, d, o in p.steps])
+            for p in _zamolodchikov(proj)
+        )
         out.append((f"Z({mat.names[i]},{mat.names[j]},{mat.names[k]})", src, tgt))
     return out
 

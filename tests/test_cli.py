@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
+from polycox import tietze
 from polycox.cli import main
 
 from conftest import MATRICES
@@ -204,6 +205,35 @@ class TestReduce:
         assert main(["reduce", str(completed), "--part", str(part_file)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("violation[0]: sphere for 'H(s,t,s,t)#0': ")
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_validates_once(self, tmp_path, groups, monkeypatch, capsys, flip):
+        # the reduction's own validation is the only one: A2's Garside part,
+        # valid or with one sphere face broken, is checked in one pass
+        gc = px.complete_garside(groups("A2"))
+        part = ser.part_to_dict(px.garside_reduction_part(gc), gc.p31)
+        if flip:
+            sphere = part["spheres"][0]
+            sphere["lhs"][0]["pre"] = sphere["source"]
+        completed = tmp_path / "completed.json"
+        completed.write_text(json.dumps(ser.polygraph31_to_dict(gc.p31)))
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps(part))
+        p31 = ser.polygraph31_from_dict(json.loads(completed.read_text()))
+        want = px.validate_collapsible(p31, ser.part_from_dict(part, p31))
+        assert bool(want) == flip
+        calls = []
+        real = tietze._validate
+        monkeypatch.setattr(
+            tietze, "_validate", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        rc = main(["reduce", str(completed), "--part", str(part_file)])
+        assert (rc, len(calls)) == ((3, 1) if flip else (0, 1))
+        err = capsys.readouterr().err.splitlines()
+        assert err[: len(want)] == [f"violation[{k}]: {v}" for k, v in enumerate(want)]
+        assert err[len(want) :] == (
+            ["precondition failed: collapsible part does not validate"] if flip else []
+        )
 
     @pytest.mark.parametrize("bad_dir", [0, 7])
     @pytest.mark.parametrize("where", ["presentation", "part path", "sphere entry"])

@@ -548,8 +548,7 @@ class TestPhiKey:
 class TestProjection:
     def _projection(self, groups, name):
         g = groups(name)
-        art, gamma = px.artin_presentation(MATRICES[name])
-        return g, px.ArtinProjection(g, art, list(range(g.rank)), gamma)
+        return g, px.ArtinProjection(g)
 
     def test_essential_pair_maps_to_braid_rule(self, groups):
         g, proj = self._projection(groups, "A2")
@@ -576,9 +575,8 @@ class TestProjection:
     def test_matches_recursive_reference(self, groups, name):
         # every alpha pair, step for step against GGM's recursive cases
         g = groups(name)
-        art, gamma = px.artin_presentation(MATRICES[name])
-        proj = px.ArtinProjection(g, art, list(range(g.rank)), gamma)
-        pi = oracles.recursive_projection(g, art, list(range(g.rank)), gamma)
+        proj = px.ArtinProjection(g)
+        pi = oracles.recursive_projection(g, proj.art, list(range(g.rank)), proj.gamma)
         pairs = [
             (u, v) for u in range(1, g.size) for v in range(1, g.size) if oracles.additive(g, u, v)
         ]
@@ -600,11 +598,18 @@ class TestProjection:
         with pytest.raises(px.CoherenceError):
             proj.alpha_path(g.mult(s, t), s)
 
+    @pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I5xA1"])
+    def test_projects_onto_its_groups_artin_presentation(self, groups, name):
+        g = groups(name)
+        proj = px.ArtinProjection(g)
+        art, gamma = px.artin_presentation(g.matrix)
+        assert (proj.art.generators, proj.art.rules) == (art.generators, art.rules)
+        assert proj.gamma == gamma
+
     def test_words_are_reduced_expressions(self, groups):
         for name in ("A3", "B3", "H3"):
             g = groups(name)
-            art, gamma = px.artin_presentation(MATRICES[name])
-            proj = px.ArtinProjection(g, art, list(range(g.rank)), gamma)
+            proj = px.ArtinProjection(g)
             for e in range(1, g.size):
                 w = proj.word(e)
                 assert len(w) == g.length[e]

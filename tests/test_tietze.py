@@ -189,6 +189,12 @@ class TestValidateCollapsible:
 
 
 class TestHomotopicalReduce:
+    def test_error_keeps_each_violation(self):
+        exc = px.NielsenError("a", "b")
+        assert exc.violations == ("a", "b")
+        assert str(exc) == "a; b"
+        assert px.NielsenError("x").violations == ("x",)
+
     def test_b3plus_reduction(self, b3plus_completed):
         p31, _ = b3plus_completed
         red = px.homotopical_reduce(p31, b3plus_part(p31))
