@@ -3,7 +3,11 @@
 Words serialize as strings of generator names, "."-separated whenever any
 generator name of the presentation exceeds one character; both forms are
 accepted on input.  Output dictionaries keep ids sorted so golden files
-stay diff-stable.
+stay diff-stable.  Within one document the writers keep one string per
+distinct word and one dict per distinct step (and, in a part, per distinct
+path), shared by every use, so treat a document as read-only.  Within one
+read, each distinct word, step and path is parsed once and gives one
+value, shared by every use; a failed parse is never kept.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .words import Polygraph2, Rule, Word
 
 def word_from_str(p: Polygraph2, s: str, memo: dict | None = None) -> Word:
     """The word a string spells; with ``memo``, a table local to one read,
-    each distinct string is parsed once and a failed parse is not kept."""
+    each distinct string is parsed once and a failed parse is not kept.
+    The same table holds the read's steps, keyed by (rule, dir, at), and
+    its paths, keyed by (source word, steps)."""
     if memo is not None and type(s) is str:
         w = memo.get(s)
         if w is None:
@@ -47,6 +53,35 @@ def word_from_str(p: Polygraph2, s: str, memo: dict | None = None) -> Word:
         raise InputError(f"unknown generator in word {s!r}") from exc
 
 
+def _array(value, field: str):
+    """A JSON array read from a document: a list, or a tuple from Python."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{field} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+class _Table(dict):
+    """A table of one document: a missing key is filled with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _writer(p: Polygraph2):
+    """The word and path renderers of one document: one string per distinct
+    word and one dict per distinct step, shared by every use."""
+    words = _Table(p.word_str)
+    steps = _Table(lambda s: {"rule": p.rules[s.rule].name, "dir": s.dir, "at": s.pos})
+    return words.__getitem__, lambda path: {
+        "source": words[path.source],
+        "steps": [steps[s] for s in path.steps],
+    }
+
+
 def polygraph2_to_dict(p: Polygraph2) -> dict:
     return {
         "generators": list(p.generators),
@@ -66,8 +101,8 @@ def _name(value) -> str:
 
 def polygraph2_from_dict(d: dict) -> Polygraph2:
     try:
-        gens = [_name(g) for g in d["generators"]]
-        rules = list(d["rules"])
+        gens = [_name(g) for g in _array(d["generators"], "generators")]
+        rules = _array(d["rules"], "rules")
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad polygraph document: {exc}") from exc
     p = Polygraph2(gens)
@@ -81,14 +116,7 @@ def polygraph2_from_dict(d: dict) -> Polygraph2:
 
 
 def path_to_dict(path: Path2) -> dict:
-    p = path.pg
-    return {
-        "source": p.word_str(path.source),
-        "steps": [
-            {"rule": p.rules[s.rule].name, "dir": s.dir, "at": s.pos}
-            for s in path.steps
-        ],
-    }
+    return _writer(path.pg)[1](path)
 
 
 def _step_int(value, field: str) -> int:
@@ -105,22 +133,41 @@ def _step_dir(value) -> int:
     return value
 
 
-def path_from_dict(d: dict, p: Polygraph2, words: dict | None = None) -> Path2:
+def _step_from_dict(s: dict, p: Polygraph2, memo: dict | None) -> Step2:
+    """One step; with ``memo``, a step whose rule is a string and whose
+    direction and offset are ints by type is checked once per value, so a
+    bool or float never reuses a cached int."""
+    if memo is not None and type(s) is dict:
+        key = r, d, i = s.get("rule"), s.get("dir"), s.get("at")
+        if type(r) is str and type(d) is int and type(i) is int:
+            step = memo.get(key)
+            if step is None:
+                step = memo[key] = Step2(p.rule_index(r), _step_dir(d), i)
+            return step
+    return Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), _step_int(s["at"], "offset"))
+
+
+def path_from_dict(d: dict, p: Polygraph2, memo: dict | None = None) -> Path2:
+    """A path read unreplayed; with ``memo`` (see ``word_from_str``), one
+    Path2 per distinct source word and steps."""
     try:
-        source = word_from_str(p, d["source"], words)
-        steps = tuple(
-            Step2(p.rule_index(s["rule"]), _step_dir(s["dir"]), _step_int(s["at"], "offset"))
-            for s in d["steps"]
-        )
+        source = word_from_str(p, d["source"], memo)
+        steps = tuple([_step_from_dict(s, p, memo) for s in _array(d["steps"], "steps")])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad path document: {exc}") from exc
-    return Path2._make(p, source, steps, None)  # every field checked above
+    if memo is None:
+        return Path2._make(p, source, steps, None)  # every field checked above
+    path = memo.get((source, steps))
+    if path is None:
+        path = memo[source, steps] = Path2._make(p, source, steps, None)
+    return path
 
 
 def polygraph31_to_dict(p31: Polygraph31, meta: dict | None = None) -> dict:
     d = polygraph2_to_dict(p31.base)
+    path_dict = _writer(p31.base)[1]
     d["three_cells"] = [
-        {"id": c.name, "src": path_to_dict(c.src), "tgt": path_to_dict(c.tgt)}
+        {"id": c.name, "src": path_dict(c.src), "tgt": path_dict(c.tgt)}
         for c in p31.cells
     ]
     if meta is not None:
@@ -130,14 +177,14 @@ def polygraph31_to_dict(p31: Polygraph31, meta: dict | None = None) -> dict:
 
 def polygraph31_from_dict(d: dict) -> Polygraph31:
     base = polygraph2_from_dict(d)
-    cells, words = [], {}
+    cells, memo = [], {}
     try:
-        for c in d.get("three_cells", ()):
+        for c in _array(d.get("three_cells", ()), "three_cells"):
             cells.append(
                 ThreeCell(
                     _name(c["id"]),
-                    path_from_dict(c["src"], base, words),
-                    path_from_dict(c["tgt"], base, words),
+                    path_from_dict(c["src"], base, memo),
+                    path_from_dict(c["tgt"], base, memo),
                 )
             )
     # StepError: a side does not replay; CoherenceError: the sides are not parallel
@@ -152,19 +199,22 @@ def matrix_to_dict(m: CoxeterMatrix) -> dict:
 
 def matrix_from_dict(d: dict) -> CoxeterMatrix:
     try:
-        names = tuple(_name(g) for g in d["generators"])
+        names = tuple(_name(g) for g in _array(d["generators"], "generators"))
         return CoxeterMatrix(names, tuple(map(tuple, d["m"])))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad Coxeter matrix document: {exc}") from exc
 
 
-def sphere_to_dict(sp: Sphere3, p31: Polygraph31, path_dict=path_to_dict) -> dict:
+def sphere_to_dict(sp: Sphere3, p31: Polygraph31, writer=None) -> dict:
+    """The sphere as JSON; ``writer`` is a document's (word, path) renderers."""
+    word, path_dict = writer or _writer(p31.base)
+
     def entry(e: SphereEntry) -> dict:
         return {
             "cell": p31.cells[e.cell].name,
             "dir": e.dir,
-            "left": p31.base.word_str(e.left),
-            "right": p31.base.word_str(e.right),
+            "left": word(e.left),
+            "right": word(e.right),
             "pre": path_dict(e.pre),
             "post": path_dict(e.post),
         }
@@ -177,25 +227,25 @@ def sphere_to_dict(sp: Sphere3, p31: Polygraph31, path_dict=path_to_dict) -> dic
     }
 
 
-def sphere_from_dict(d: dict, p31: Polygraph31, words: dict | None = None) -> Sphere3:
+def sphere_from_dict(d: dict, p31: Polygraph31, memo: dict | None = None) -> Sphere3:
     base = p31.base
 
     def entry(e: dict) -> SphereEntry:
         return SphereEntry(
             p31.cell_index(e["cell"]),
             _step_dir(e["dir"]),
-            word_from_str(base, e["left"], words),
-            word_from_str(base, e["right"], words),
-            path_from_dict(e["pre"], base, words),
-            path_from_dict(e["post"], base, words),
+            word_from_str(base, e["left"], memo),
+            word_from_str(base, e["right"], memo),
+            path_from_dict(e["pre"], base, memo),
+            path_from_dict(e["post"], base, memo),
         )
 
     try:
         return Sphere3(
-            path_from_dict(d["source"], base, words),
-            path_from_dict(d["target"], base, words),
-            tuple(entry(e) for e in d["lhs"]),
-            tuple(entry(e) for e in d["rhs"]),
+            path_from_dict(d["source"], base, memo),
+            path_from_dict(d["target"], base, memo),
+            tuple(entry(e) for e in _array(d["lhs"], "lhs")),
+            tuple(entry(e) for e in _array(d["rhs"], "rhs")),
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad sphere document: {exc}") from exc
@@ -209,13 +259,8 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
     """The part as JSON; each distinct path is rendered once, and its dict
     shared by every use."""
     base = p31.base
-    rendered: dict[Path2, dict] = {}
-
-    def path_dict(path: Path2) -> dict:
-        d = rendered.get(path)
-        if d is None:
-            d = rendered[path] = path_to_dict(path)
-        return d
+    word, path_dict = _writer(base)
+    rendered = _Table(path_dict)
 
     return {
         "two_cells": [
@@ -238,7 +283,7 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
         ],
         "spheres": [
             {
-                **sphere_to_dict(sc.sphere, p31, path_dict),
+                **sphere_to_dict(sc.sphere, p31, (word, rendered.__getitem__)),
                 "redundant": p31.cells[sc.redundant].name,
             }
             for sc in part.spheres
@@ -252,7 +297,7 @@ def part_to_dict(part: CollapsiblePart, p31: Polygraph31) -> dict:
 
 
 def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
-    base, words = p31.base, {}  # each distinct word string parsed once
+    base, memo = p31.base, {}  # each distinct word, step and path parsed once
     if not isinstance(d, dict) or not isinstance(d.get("order", {}), dict):
         raise InputError("a collapsible part and its order must be JSON objects")
     try:
@@ -261,29 +306,26 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
                 base.rule_index(tc["rule"]),
                 base.generator_ids[tc["redundant"]] if "redundant" in tc else None,
             )
-            for tc in d.get("two_cells", ())
+            for tc in _array(d.get("two_cells", ()), "two_cells")
         )
         three = tuple(
             ThreeCollapse(
                 p31.cell_index(tc["cell"]), base.rule_index(tc["redundant"])
             )
-            for tc in d.get("three_cells", ())
+            for tc in _array(d.get("three_cells", ()), "three_cells")
         )
         spheres = tuple(
-            SphereCollapse(sphere_from_dict(sc, p31, words), p31.cell_index(sc["redundant"]))
-            for sc in d.get("spheres", ())
+            SphereCollapse(sphere_from_dict(sc, p31, memo), p31.cell_index(sc["redundant"]))
+            for sc in _array(d.get("spheres", ()), "spheres")
         )
         order = d.get("order", {})
-        gen_rank = {
-            base.generator_ids[n]: i
-            for i, n in enumerate(order.get("generators", ()))
-        }
-        rule_rank = {
-            base.rule_index(n): i for i, n in enumerate(order.get("rules", ()))
-        }
-        cell_rank = {
-            p31.cell_index(n): i for i, n in enumerate(order.get("cells", ()))
-        }
+
+        def rank(field: str, index) -> dict[int, int]:
+            names = _array(order.get(field, ()), f"order {field}")
+            return {index(n): i for i, n in enumerate(names)}
+
+        gen_rank = rank("generators", base.generator_ids.__getitem__)
+        rule_rank, cell_rank = rank("rules", base.rule_index), rank("cells", p31.cell_index)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad collapsible part document: {exc}") from exc
     return CollapsiblePart(two, three, spheres, OrderWitness(gen_rank, rule_rank, cell_rank))

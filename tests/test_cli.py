@@ -241,8 +241,9 @@ class TestReduce:
         from test_tietze import b3plus_part
 
         p31, _ = b3plus_completed
-        doc = ser.polygraph31_to_dict(p31)
-        part = ser.part_to_dict(b3plus_part(p31), p31)
+        # through JSON: a written document shares its step dicts among their uses
+        doc = json.loads(json.dumps(ser.polygraph31_to_dict(p31)))
+        part = json.loads(json.dumps(ser.part_to_dict(b3plus_part(p31), p31)))
         if where == "presentation":
             doc["three_cells"][0]["src"]["steps"][0]["dir"] = bad_dir
         elif where == "part path":
@@ -615,9 +616,12 @@ class TestMutatedDocuments:
         p31, _ = b3plus_completed
         part = b3plus_part(p31)
         one_sphere = dataclasses.replace(part, two_cells=(), three_cells=(), spheres=part.spheres[:1])
+        # through JSON, so that each place is its own: a written document
+        # shares its step dicts, word strings and a part's path dicts
+        reduce_docs = [ser.polygraph31_to_dict(p31), ser.part_to_dict(one_sphere, p31)]
         return {
             "complete": [self.B3PLUS],
-            "reduce": [ser.polygraph31_to_dict(p31), ser.part_to_dict(one_sphere, p31)],
+            "reduce": json.loads(json.dumps(reduce_docs)),
             "garside": [self.A2],
             "artin": [self.A2],
             "coxeter": [self.A2],
@@ -743,6 +747,18 @@ class TestParseErrorMessages:
             {"generators": ["s", "t"], "m": [[1, -3], [-3, 1]]},
             None,
             "entries must be non-negative",
+        ),
+        "generators a string": (
+            "complete",
+            {"generators": "ab", "rules": []},
+            "deglex:a",
+            "generators must be a JSON array, not str",
+        ),
+        "part spheres an object": (
+            "reduce",
+            P31,
+            {"spheres": {}},
+            "spheres must be a JSON array, not dict",
         ),
         "shortlex order": (
             "complete",

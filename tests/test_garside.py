@@ -395,9 +395,8 @@ class TestGarsidePart:
         stepped = [p for p in entry_paths if p.steps]
         assert len({id(p.steps) for p in stepped}) < len(stepped)
 
-    def test_each_part_path_rendered_once(self, groups, monkeypatch):
-        gc = px.complete_garside(groups("A2xA1"))
-        part = px.garside_reduction_part(gc)
+    def test_each_part_path_rendered_once(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
         uses = []
         for sc in part.spheres:
             sp = sc.sphere
@@ -409,17 +408,15 @@ class TestGarsidePart:
             {**serialize.sphere_to_dict(sc.sphere, gc.p31), "redundant": d["redundant"]}
             for sc, d in zip(part.spheres, per_use["spheres"])
         ]
-        rendered = []
-        real = serialize.path_to_dict
-
-        def counted(path):
-            rendered.append(path)
-            return real(path)
-
-        monkeypatch.setattr(serialize, "path_to_dict", counted)
         doc = serialize.part_to_dict(part, gc.p31)
         assert json.dumps(doc) == json.dumps(per_use)
-        assert len(rendered) == len(set(uses)) < len(uses)
+        # one path dict per distinct path, shared by every use
+        rendered = []
+        for d in doc["spheres"]:
+            rendered += [d["source"], d["target"]]
+            rendered += [q for e in d["lhs"] + d["rhs"] for q in (e["pre"], e["post"])]
+        assert len(rendered) == len(uses)
+        assert len({id(d) for d in rendered}) == len(set(uses)) < len(uses)
 
     def test_sphere_check_builds_no_whiskered_path(self, groups, monkeypatch):
         gc = px.complete_garside(groups("A2xA1"))

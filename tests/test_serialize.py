@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -158,8 +159,9 @@ class TestGarsideDocuments:
 
 
 class TestWordMemo:
-    """A read parses each distinct word string once, through a table local
-    to the call; a failed parse is never kept."""
+    """A read parses each distinct word string, step and path once, through
+    a table local to the call, and gives one value for each; a failed parse
+    is never kept."""
 
     def test_part_round_trip(self, garside_parts, gar3):
         # a Garside part, which has no two-cells, and A3's Artin part, whose
@@ -213,3 +215,154 @@ class TestWordMemo:
             with pytest.raises(px.InputError, match="unknown generator in word 'sxta'"):
                 ser.word_from_str(p, "sxta", memo)
         assert memo == {"sta": (0, 1, 2)}
+
+    def test_one_step_and_one_path_per_value(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
+        p31 = ser.polygraph31_from_dict(json.loads(json.dumps(ser.polygraph31_to_dict(gc.p31))))
+        back = ser.part_from_dict(json.loads(json.dumps(ser.part_to_dict(part, gc.p31))), p31)
+        paths = []
+        for sc in back.spheres:
+            sp = sc.sphere
+            paths += [sp.source, sp.target]
+            paths += [q for e in sp.lhs + sp.rhs for q in (e.pre, e.post)]
+        steps = [s for path in paths for s in path.steps]
+        assert len({id(q) for q in paths}) == len(set(paths)) < len(paths)
+        assert len({id(s) for s in steps}) == len(set(steps)) < len(steps)
+        sides = [q for c in p31.cells for q in (c.src, c.tgt)]
+        steps = [s for q in sides for s in q.steps]
+        assert len({id(q) for q in sides}) == len(set(sides))
+        assert len({id(s) for s in steps}) == len(set(steps)) < len(steps)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("dir", True), ("dir", 1.0), ("at", True), ("at", 1.0), ("rule", ["x"]), ("rule", "zz")],
+    )
+    def test_bad_second_step_raises_as_alone(self, garside_parts, field, bad):
+        # a valid step read first, then one that equals it as a value (True
+        # == 1 == 1.0) or cannot be a table key; a read never replays paths
+        gc, part = garside_parts("A2xA1")
+        doc = json.loads(json.dumps(ser.part_to_dict(part, gc.p31)))
+        sphere = doc["spheres"][0]
+        valid = {"rule": gc.p31.base.rules[0].name, "dir": 1, "at": 1}
+        sphere["source"]["steps"].insert(0, valid)
+        sphere["target"]["steps"].insert(0, dict(valid, **{field: bad}))
+        alone_doc = {"source": "", "steps": [dict(valid, **{field: bad})]}
+        with pytest.raises(px.InputError) as alone:
+            ser.path_from_dict(alone_doc, gc.p31.base)
+        with pytest.raises(px.InputError) as read:
+            ser.part_from_dict(doc, gc.p31)
+        assert str(read.value) == str(alone.value)
+
+    def test_failed_step_parse_not_kept(self, b3plus):
+        p, _ = b3plus
+        memo = {}
+        good = {"source": "st", "steps": [{"rule": "beta", "dir": 1, "at": 0}]}
+        first = ser.path_from_dict(good, p, memo)
+        assert ser.path_from_dict(json.loads(json.dumps(good)), p, memo) is first
+        for step in ({"rule": "gamma", "dir": 1, "at": 0}, {"rule": "beta", "dir": 2, "at": 0}):
+            for _ in range(2):
+                with pytest.raises(px.InputError):
+                    ser.path_from_dict({"source": "st", "steps": [step]}, p, memo)
+        assert memo == {"st": (0, 1), ("beta", 1, 0): first.steps[0], ((0, 1), first.steps): first}
+
+    def test_read_part_reduces_as_in_memory(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
+        p31 = ser.polygraph31_from_dict(json.loads(json.dumps(ser.polygraph31_to_dict(gc.p31))))
+        back = ser.part_from_dict(json.loads(json.dumps(ser.part_to_dict(part, gc.p31))), p31)
+        assert px.validate_collapsible(p31, back) == []
+        want = ser.polygraph31_to_dict(px.homotopical_reduce(gc.p31, part, validate=False))
+        assert ser.polygraph31_to_dict(px.homotopical_reduce(p31, back)) == want
+
+
+class TestWriterSharing:
+    """A document keeps one string per distinct word and one dict per
+    distinct step, shared by every use, and its bytes are unchanged."""
+
+    # SHA-256 of json.dumps(polygraph31_to_dict(p31)) for S(Gar_2(B2xA1)),
+    # the completed presentation the reduce_json benchmark writes (unrelabelled)
+    B2XA1_DIGEST = "e1a37acfe57eff6c1751d5f74dcec3071dc4a1e5b5bd815ec307f40b0eea0d55"
+
+    def test_b2xa1_completed_digest(self):
+        m = px.CoxeterMatrix(tuple("rst"), ((1, 4, 2), (4, 1, 2), (2, 2, 1)))
+        doc = json.dumps(ser.polygraph31_to_dict(px.complete_garside(px.enumerate_group(m)).p31))
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.B2XA1_DIGEST
+
+    @staticmethod
+    def assert_shared(paths, words):
+        steps = [s for q in paths for s in q["steps"]]
+        values = {(s["rule"], s["dir"], s["at"]) for s in steps}
+        assert len({id(s) for s in steps}) == len(values) < len(steps)
+        words = words + [q["source"] for q in paths]
+        assert len({id(w) for w in words}) == len(set(words)) < len(words)
+
+    def test_presentation(self, garside_parts):
+        gc, _ = garside_parts("A2xA1")
+        doc = ser.polygraph31_to_dict(gc.p31)
+        self.assert_shared([q for c in doc["three_cells"] for q in (c["src"], c["tgt"])], [])
+
+    def test_part(self, garside_parts):
+        gc, part = garside_parts("A2xA1")
+        paths, words = [], []
+        for d in ser.part_to_dict(part, gc.p31)["spheres"]:
+            entries = d["lhs"] + d["rhs"]
+            paths += [d["source"], d["target"]]
+            paths += [q for e in entries for q in (e["pre"], e["post"])]
+            words += [w for e in entries for w in (e["left"], e["right"])]
+        self.assert_shared(paths, words)
+
+
+_RULE = {"id": "r", "lhs": "aa", "rhs": "a"}
+_IDLE = {"source": "aa", "steps": []}
+_P31 = {
+    "generators": ["a"],
+    "rules": [_RULE],
+    "three_cells": [{"id": "c", "src": _IDLE, "tgt": _IDLE}],
+}
+_SPHERE = {"source": _IDLE, "target": _IDLE, "lhs": [], "rhs": [], "redundant": "c"}
+
+
+def _read_presentation(**fields):
+    return ser.polygraph31_from_dict(dict(_P31, **fields))
+
+
+def _read_part(part: dict):
+    return ser.part_from_dict(part, _read_presentation())
+
+
+class TestArraySites:
+    """Where the schema has an array, a reader refuses a string or an
+    object, which it would otherwise iterate as letters or keys."""
+
+    # site -> (the field the error names, a read with ``bad`` at the site)
+    SITES = {
+        "generators": ("generators", lambda bad: _read_presentation(generators=bad)),
+        "rules": ("rules", lambda bad: _read_presentation(rules=bad)),
+        "matrix generators": (
+            "generators",
+            lambda bad: ser.matrix_from_dict({"generators": bad, "m": [[1]]}),
+        ),
+        "three_cells": ("three_cells", lambda bad: _read_presentation(three_cells=bad)),
+        "steps": (
+            "steps",
+            lambda bad: ser.path_from_dict(dict(_IDLE, steps=bad), _read_presentation().base),
+        ),
+        "sphere lhs": ("lhs", lambda bad: _read_part({"spheres": [dict(_SPHERE, lhs=bad)]})),
+        "sphere rhs": ("rhs", lambda bad: _read_part({"spheres": [dict(_SPHERE, rhs=bad)]})),
+        "part two_cells": ("two_cells", lambda bad: _read_part({"two_cells": bad})),
+        "part three_cells": ("three_cells", lambda bad: _read_part({"three_cells": bad})),
+        "part spheres": ("spheres", lambda bad: _read_part({"spheres": bad})),
+        "order generators": (
+            "order generators",
+            lambda bad: _read_part({"order": {"generators": bad}}),
+        ),
+        "order rules": ("order rules", lambda bad: _read_part({"order": {"rules": bad}})),
+        "order cells": ("order cells", lambda bad: _read_part({"order": {"cells": bad}})),
+    }
+
+    @pytest.mark.parametrize("bad", ["", "ab", {}, {"a": "a"}])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_refused(self, site, bad):
+        field, read = self.SITES[site]
+        kind = type(bad).__name__
+        with pytest.raises(px.InputError, match=f"^{field} must be a JSON array, not {kind}$"):
+            read(bad)
