@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Optional
 
 from . import garside, serialize, tietze
@@ -42,23 +43,94 @@ EXIT_BUDGET = 4
 
 
 def _load_json(path: str) -> dict:
+    """The document at ``path``, with one dict per distinct step of exact
+    types ``{"rule": str, "dir": int, "at": int}`` (``true`` or ``1.0``
+    never stands for ``1``), shared by every use: treat it as read-only."""
+    steps = {}
+
+    def share(d: dict) -> dict:
+        if len(d) == 3:
+            key = r, s, i = d.get("rule"), d.get("dir"), d.get("at")
+            if type(r) is str and type(s) is int and type(i) is int:
+                return steps.setdefault(key, d)
+        return d
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=share)
     # ValueError: bad JSON or bytes; RecursionError: nesting past the parser's limit
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+_BIG = 1000  # a container with more items is written one item at a time
+
+
+def _indented(doc):
+    """The text of ``json.JSONEncoder(indent=2).encode(doc)`` in chunks: the
+    document, its members and any container of more than _BIG items one
+    item at a time, any other value whole.  A dict of strings and ints is
+    rendered once per object and depth (a document shares its step dicts);
+    a bool, null, float or non-string key goes through the stdlib encoder."""
+    std, flat = json.JSONEncoder(indent=2).encode, {}
+
+    def whole(o, nl: str) -> str:  # nl: a newline and o's indentation
+        t, inner = type(o), nl + "  "
+        if t is str or t is int:
+            return _ascii(o) if t is str else repr(o)
+        if t is list:
+            items = [whole(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
+        if t is dict:
+            s = flat.get((id(o), nl)) if o else "{}"
+            if s is not None:
+                return s
+            items, leaf = [], True
+            try:
+                for k, v in o.items():
+                    tv = type(v)
+                    if tv is str or tv is int:
+                        v = _ascii(v) if tv is str else repr(v)
+                    else:
+                        v, leaf = whole(v, inner), False
+                    items.append(_ascii(k) + ": " + v)
+            except TypeError:  # a key that is not a string
+                return std(o).replace("\n", nl)
+            s = "{" + inner + ("," + inner).join(items) + nl + "}"
+            if leaf:
+                flat[id(o), nl] = s
+            return s
+        return std(o).replace("\n", nl)
+
+    def stream(o, nl: str):
+        t, inner = type(o), nl + "  "
+        if not o or not (t is list or t is dict and all(type(k) is str for k in o)):
+            yield whole(o, nl)
+            return
+        sep, close = ("[", "]") if t is list else ("{", "}")
+        keys = (_ascii(k) + ": " for k in o) if t is dict else itertools.repeat("")
+        for k, v in zip(keys, o.values() if t is dict else o):
+            head, sep = sep + inner + k, ","
+            if type(v) in (list, dict) and (nl == "\n" or len(v) > _BIG):
+                yield head
+                yield from stream(v, inner)
+            else:
+                yield head + whole(v, inner)
+        yield nl + close
+
+    return stream(doc, "\n")
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
-    """Stream ``doc`` as indented JSON to ``out`` or stdout, in batches of
-    chunks: a write per chunk is slow on a write-through stdout.  A write
-    that fails, into a missing directory or a closed pipe, is an
-    InputError."""
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    """Write ``doc`` to ``out`` or stdout as the bytes of
+    ``json.JSONEncoder(indent=2)`` and a newline.  The chunks of _indented
+    go out in batches: a write per chunk is slow on a write-through stdout,
+    and a large container is never one string.  A write that fails, into a
+    missing directory or a closed pipe, is an InputError."""
+    chunks = _indented(doc)
     try:
         with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-            while batch := "".join(itertools.islice(chunks, 4096)):
+            while batch := "".join(itertools.islice(chunks, 256)):
                 fh.write(batch)
             fh.write("\n")
             fh.flush()

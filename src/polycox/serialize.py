@@ -200,7 +200,8 @@ def matrix_to_dict(m: CoxeterMatrix) -> dict:
 def matrix_from_dict(d: dict) -> CoxeterMatrix:
     try:
         names = tuple(_name(g) for g in _array(d["generators"], "generators"))
-        return CoxeterMatrix(names, tuple(map(tuple, d["m"])))
+        rows = _array(d["m"], "m")
+        return CoxeterMatrix(names, tuple(tuple(_array(r, "a row of m")) for r in rows))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad Coxeter matrix document: {exc}") from exc
 

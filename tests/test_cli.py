@@ -7,12 +7,12 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycox as px
 from polycox import serialize as ser
-from polycox import tietze
+from polycox import cli, tietze
 from polycox.cli import main
 
 from conftest import MATRICES
@@ -724,6 +724,24 @@ class TestParseErrorMessages:
             {},
             "no rule named 'q'",
         ),
+        "matrix m a string": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": "ab"},
+            None,
+            "m must be a JSON array, not str",
+        ),
+        "matrix m an object": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": {"a": 1}},
+            None,
+            "m must be a JSON array, not dict",
+        ),
+        "matrix row a string": (
+            "coxeter",
+            {"generators": ["s", "t"], "m": [[1, 3], "31"]},
+            None,
+            "a row of m must be a JSON array, not str",
+        ),
         "diagonal not 1": (
             "coxeter",
             {"generators": ["s", "t"], "m": [[2, 3], [3, 1]]},
@@ -862,3 +880,100 @@ class TestOutputErrors:
             )  # fmt: skip
         assert run.returncode == 2
         assert run.stderr == "parse error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def _emitted(doc) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        cli._emit(doc, out)
+        with open(out, "rb") as fh:
+            return fh.read()
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()  # non-ASCII and control characters included
+)
+_KEYS = st.text(max_size=3) | st.integers() | st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestIndentedWriter:
+    """``_emit`` writes the bytes of ``json.JSONEncoder(indent=2)`` and a
+    newline; the golden tests check every document they write the same way."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(
+        value={"a": [None, True, -1.5, float("nan"), {}, [], {1: "x"}, "\u00e9\n"], 2: "k"},
+        step={"rule": "r", "dir": -1, "at": 10**30},
+    )  # every kind of value, whatever the draws
+    @given(
+        value=_VALUES,
+        step=st.dictionaries(st.text(max_size=3), st.text() | st.integers(), min_size=1, max_size=3),
+    )
+    def test_stdlib_bytes(self, value, step):
+        # one small dict shared at three depths, and a dict and a list over
+        # the size that is written item by item
+        big = {str(k): step if k % 2 else k for k in range(cli._BIG + 1)}
+        doc = {"value": value, "step": step, "deeper": [step, {"again": step}], "big": big}
+        doc["nested"] = {"long": [value, step, *range(cli._BIG)]}
+        for d in (doc, value, [value, step]):
+            assert _emitted(d) == (json.JSONEncoder(indent=2).encode(d) + "\n").encode()
+
+
+class TestSharedStepsOnRead:
+    """A read gives one dict for each distinct step of exact types; any
+    other object is decoded as ``json.load`` decodes it."""
+
+    @staticmethod
+    def write_part(tmp_path, garside_parts, edit=None):
+        gc, part = garside_parts("A2xA1")
+        completed, part_file = tmp_path / "completed.json", tmp_path / "part.json"
+        completed.write_text(json.dumps(ser.polygraph31_to_dict(gc.p31), indent=2))
+        doc = json.loads(json.dumps(ser.part_to_dict(part, gc.p31)))
+        if edit:
+            edit(doc)
+        part_file.write_text(json.dumps(doc, indent=2))
+        return gc.p31, completed, part_file
+
+    def test_written_part(self, tmp_path, garside_parts):
+        _, completed, part_file = self.write_part(tmp_path, garside_parts)
+        for f in (completed, part_file):
+            assert cli._load_json(str(f)) == json.loads(f.read_text())
+        doc = cli._load_json(str(part_file))
+        paths = []
+        for sphere in doc["spheres"]:
+            paths += [sphere["source"], sphere["target"]]
+            paths += [q for e in sphere["lhs"] + sphere["rhs"] for q in (e["pre"], e["post"])]
+        steps = [s for q in paths for s in q["steps"]]
+        values = {(s["rule"], s["dir"], s["at"]) for s in steps}
+        assert len({id(s) for s in steps}) == len(values) < len(steps)
+
+    @pytest.mark.parametrize("field, bad, good", [("dir", True, 1), ("dir", 1.0, 1), ("at", False, 0)])
+    def test_equal_value_of_another_type(self, tmp_path, garside_parts, capsys, field, bad, good):
+        # a valid step read first, then one equal to it as a value (True ==
+        # 1 == 1.0, False == 0); reduce refuses it as it refuses it alone
+        def edit(doc):
+            sphere = doc["spheres"][0]
+            sphere["source"]["steps"].insert(0, dict(valid, **{field: good}))
+            sphere["target"]["steps"].insert(0, dict(valid, **{field: bad}))
+
+        gc, _ = garside_parts("A2xA1")
+        valid = {"rule": gc.p31.base.rules[0].name, "dir": 1, "at": 1}
+        p31, completed, part_file = self.write_part(tmp_path, garside_parts, edit)
+        sphere = cli._load_json(str(part_file))["spheres"][0]
+        first, second = sphere["source"]["steps"][0], sphere["target"]["steps"][0]
+        assert first == second and first is not second
+        assert type(second[field]) is type(bad)
+        with pytest.raises(px.InputError) as alone:
+            ser.path_from_dict({"source": "", "steps": [second]}, p31.base)
+        assert main(["reduce", str(completed), "--part", str(part_file)]) == 2
+        assert capsys.readouterr().err == f"parse error: {alone.value}\n"

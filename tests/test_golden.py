@@ -23,9 +23,34 @@ import pytest
 
 import polycox as px
 from polycox import serialize as ser
+from polycox import cli
 from polycox.cli import main
 
 from conftest import E8, MATRICES, coxeter_monoid
+
+
+@pytest.fixture(autouse=True)
+def stdlib_json(monkeypatch, tmp_path):
+    """Every document a golden run reads decodes as ``json.load`` decodes
+    it, and every document it writes is ``json.JSONEncoder(indent=2)``'s
+    bytes and a newline."""
+    load, emit = cli._load_json, cli._emit
+
+    def checked_load(path):
+        doc = load(path)
+        with open(path) as fh:
+            assert doc == json.load(fh)
+        return doc
+
+    def checked_emit(doc, out):
+        emit(doc, str(tmp_path / "emitted.json"))
+        want = json.JSONEncoder(indent=2).encode(doc) + "\n"
+        assert (tmp_path / "emitted.json").read_bytes() == want.encode()
+        emit(doc, out)
+
+    monkeypatch.setattr(cli, "_load_json", checked_load)
+    monkeypatch.setattr(cli, "_emit", checked_emit)
+
 
 GOLDEN = {
     ("garside", "A2xA1", "completed"): "55c208c46654586272accf6d750dc7fd8e83b09c4a57a4e8ae543e9aed7166d9",

@@ -341,6 +341,11 @@ class TestArraySites:
             "generators",
             lambda bad: ser.matrix_from_dict({"generators": bad, "m": [[1]]}),
         ),
+        "matrix m": ("m", lambda bad: ser.matrix_from_dict({"generators": ["s"], "m": bad})),
+        "matrix row": (
+            "a row of m",
+            lambda bad: ser.matrix_from_dict({"generators": ["s"], "m": [bad]}),
+        ),
         "three_cells": ("three_cells", lambda bad: _read_presentation(three_cells=bad)),
         "steps": (
             "steps",
