@@ -18,10 +18,9 @@ from typing import Optional
 
 from . import garside, serialize, tietze
 from .completion import homotopical_complete
-from .coxeter import check_dihedral_cap, enumerate_group
+from .coxeter import enumerate_group
 from .errors import (
     BudgetError,
-    InfiniteOrUnknown,
     InputError,
     NielsenError,
     PolycoxError,
@@ -67,12 +66,13 @@ _BIG = 1000  # a container with more items is written one item at a time
 
 
 def _indented(doc):
-    """The text of ``json.JSONEncoder(indent=2).encode(doc)`` in chunks: the
-    document, its members and any container of more than _BIG items one
-    item at a time, any other value whole.  A dict of strings and ints is
-    rendered once per object and depth (a document shares its step dicts);
-    a bool, null, float or non-string key goes through the stdlib encoder."""
-    std, flat = json.JSONEncoder(indent=2).encode, {}
+    """The text of ``json.JSONEncoder(indent=2).encode(doc)`` in chunks, for
+    a document of strings, ints, lists and string-keyed dicts (any other
+    value is a TypeError): the document, its members and any container of
+    more than _BIG items one item at a time, any other value whole.  A dict
+    of strings and ints is rendered once per object and depth (a document
+    shares its step dicts)."""
+    flat = {}
 
     def whole(o, nl: str) -> str:  # nl: a newline and o's indentation
         t, inner = type(o), nl + "  "
@@ -86,25 +86,22 @@ def _indented(doc):
             if s is not None:
                 return s
             items, leaf = [], True
-            try:
-                for k, v in o.items():
-                    tv = type(v)
-                    if tv is str or tv is int:
-                        v = _ascii(v) if tv is str else repr(v)
-                    else:
-                        v, leaf = whole(v, inner), False
-                    items.append(_ascii(k) + ": " + v)
-            except TypeError:  # a key that is not a string
-                return std(o).replace("\n", nl)
+            for k, v in o.items():
+                tv = type(v)
+                if tv is str or tv is int:
+                    v = _ascii(v) if tv is str else repr(v)
+                else:
+                    v, leaf = whole(v, inner), False
+                items.append(_ascii(k) + ": " + v)
             s = "{" + inner + ("," + inner).join(items) + nl + "}"
             if leaf:
                 flat[id(o), nl] = s
             return s
-        return std(o).replace("\n", nl)
+        raise TypeError(f"a document holds no {t.__name__}")
 
     def stream(o, nl: str):
         t, inner = type(o), nl + "  "
-        if not o or not (t is list or t is dict and all(type(k) is str for k in o)):
+        if not o or not (t is list or t is dict):
             yield whole(o, nl)
             return
         sep, close = ("[", "]") if t is list else ("{", "}")
@@ -196,11 +193,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_garside(args) -> int:
     mat = serialize.matrix_from_dict(_load_json(args.input))
-    check_dihedral_cap(mat, args.budget_cosets)  # over the cap is exit 4, not 3
-    try:
-        group = enumerate_group(mat, args.budget_cosets)
-    except InfiniteOrUnknown as exc:
-        raise PreconditionError(f"W is not finite (or cap too small): {exc}") from exc
+    group = enumerate_group(mat, args.budget_cosets)
     budgets = dict(rule_budget=args.budget_rules, branching_budget=args.budget_branchings)
     extra = {}  # meta after the elements
     if args.stage == "raw":
@@ -268,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, **budgets: Optional[int]) -> None:
-        """Input, --out, -v and the --budget-NAME flags the subcommand honours;
+        """Input, --out and the --budget-NAME flags the subcommand honours;
         a negative budget is a parse error."""
 
         def budget(text: str) -> int:
@@ -281,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         for name, default in budgets.items():
             p.add_argument(f"--budget-{name}", type=budget, default=default)
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     rule_budgets = dict(rules=DEFAULT_RULE_BUDGET, branchings=DEFAULT_BRANCHING_BUDGET)
 

@@ -677,9 +677,6 @@ class ArtinProjection:
                 raise CoherenceError("projection produced a misbounded path")
             self._table[(s, x)] = path
 
-    def word(self, u: int) -> Word:
-        return self.group.word[u]
-
     def _entry(self, s: int, x: int) -> Path2:
         if (s, x) not in self._table:
             raise CoherenceError("projection table lacks a pair it needs")
@@ -706,11 +703,11 @@ class ArtinProjection:
         in exchange-normal form."""
         g = self.group
         src = compose(
-            whisker((), self.alpha_path(t, u), self.word(v)),
+            whisker((), self.alpha_path(t, u), g.word[v]),
             self.alpha_path(g.mult(t, u), v),
         )
         tgt = compose(
-            whisker(self.word(t), self.alpha_path(u, v), ()),
+            whisker(g.word[t], self.alpha_path(u, v), ()),
             self.alpha_path(t, g.mult(u, v)),
         )
         return normalize_path(src), normalize_path(tgt)

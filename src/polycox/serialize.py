@@ -133,11 +133,11 @@ def _step_dir(value) -> int:
     return value
 
 
-def _step_from_dict(s: dict, p: Polygraph2, memo: dict | None) -> Step2:
-    """One step; with ``memo``, a step whose rule is a string and whose
-    direction and offset are ints by type is checked once per value, so a
+def _step_from_dict(s: dict, p: Polygraph2, memo: dict) -> Step2:
+    """One step; a step whose rule is a string and whose direction and
+    offset are ints by type is checked once per value in ``memo``, so a
     bool or float never reuses a cached int."""
-    if memo is not None and type(s) is dict:
+    if type(s) is dict:
         key = r, d, i = s.get("rule"), s.get("dir"), s.get("at")
         if type(r) is str and type(d) is int and type(i) is int:
             step = memo.get(key)
@@ -148,17 +148,16 @@ def _step_from_dict(s: dict, p: Polygraph2, memo: dict | None) -> Step2:
 
 
 def path_from_dict(d: dict, p: Polygraph2, memo: dict | None = None) -> Path2:
-    """A path read unreplayed; with ``memo`` (see ``word_from_str``), one
-    Path2 per distinct source word and steps."""
+    """A path read unreplayed, through ``memo`` (see ``word_from_str``) or a
+    table of its own: one Path2 per distinct source word and steps."""
+    memo = {} if memo is None else memo
     try:
         source = word_from_str(p, d["source"], memo)
         steps = tuple([_step_from_dict(s, p, memo) for s in _array(d["steps"], "steps")])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad path document: {exc}") from exc
-    if memo is None:
-        return Path2._make(p, source, steps, None)  # every field checked above
     path = memo.get((source, steps))
-    if path is None:
+    if path is None:  # every field checked above
         path = memo[source, steps] = Path2._make(p, source, steps, None)
     return path
 

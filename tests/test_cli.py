@@ -318,6 +318,22 @@ class TestBudgetFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: a budget cannot be negative: -1" in capsys.readouterr().err
 
+    # artin enumerates only the finite rank-3 parabolics, so affine Ã2 is
+    # never enumerated there: it exits 0 with census 1,3,3,0
+    @pytest.mark.parametrize(
+        "cmd,name,cap",
+        [(cmd, "A3", 10) for cmd in ("garside", "artin", "coxeter")]
+        + [(cmd, "Atilde2", 2000) for cmd in ("garside", "coxeter")],
+    )
+    def test_unclosed_enumeration_exit_4(self, tmp_path, capsys, cmd, name, cap):
+        # polycox cannot tell an infinite W from a cap too small: one exit
+        # code and one message under every subcommand
+        f = write_matrix(tmp_path, name)
+        assert main([cmd, str(f), "--budget-cosets", str(cap)]) == 4
+        assert capsys.readouterr().err == (
+            f"budget exhausted: coset enumeration did not close within {cap} cosets\n"
+        )
+
 
 class TestGarsideCmd:
     def test_stages(self, tmp_path, capsys):
@@ -357,7 +373,7 @@ class TestGarsideCmd:
 
     def test_infinite_group_rejected(self, tmp_path):
         f = write_matrix(tmp_path, "Atilde2")
-        assert main(["garside", str(f), "--budget-cosets", "2000"]) == 3
+        assert main(["garside", str(f), "--budget-cosets", "2000"]) == 4
 
     def test_huge_entry_budget_exit(self, tmp_path, capsys):
         # an entry over the coset cap is a budget stop, as under coxeter and artin
@@ -890,29 +906,24 @@ def _emitted(doc) -> bytes:
             return fh.read()
 
 
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**64)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()  # non-ASCII and control characters included
-)
-_KEYS = st.text(max_size=3) | st.integers() | st.floats() | st.booleans() | st.none()
+# the values a document holds: strings (non-ASCII and control characters
+# included), ints of any size, lists and string-keyed objects
 _VALUES = st.recursive(
-    _SCALARS,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    st.integers() | st.integers(min_value=2**64) | st.text(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4),
     max_leaves=20,
 )
 
 
 class TestIndentedWriter:
     """``_emit`` writes the bytes of ``json.JSONEncoder(indent=2)`` and a
-    newline; the golden tests check every document they write the same way."""
+    newline for every document value; the golden tests check every document
+    they write the same way."""
 
     @settings(max_examples=100, deadline=None)
     @example(
-        value={"a": [None, True, -1.5, float("nan"), {}, [], {1: "x"}, "\u00e9\n"], 2: "k"},
+        value={"a": [-1, 10**30, {}, [], {"": "x"}, "\u00e9\n\x00"], "k": "\u2603"},
         step={"rule": "r", "dir": -1, "at": 10**30},
     )  # every kind of value, whatever the draws
     @given(
@@ -927,6 +938,13 @@ class TestIndentedWriter:
         doc["nested"] = {"long": [value, step, *range(cli._BIG)]}
         for d in (doc, value, [value, step]):
             assert _emitted(d) == (json.JSONEncoder(indent=2).encode(d) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [True, None, 1.5, float("nan"), {1: "x"}])
+    def test_other_values_rejected(self, value):
+        # no document holds a bool, null, float or non-string key
+        for doc in (value, [value], {"k": value}, {"k": [{"a": value}]}):
+            with pytest.raises(TypeError):
+                _emitted(doc)
 
 
 class TestSharedStepsOnRead:

@@ -606,9 +606,8 @@ class TestProjection:
     def test_words_are_reduced_expressions(self, groups):
         for name in ("A3", "B3", "H3"):
             g = groups(name)
-            proj = px.ArtinProjection(g)
             for e in range(1, g.size):
-                w = proj.word(e)
+                w = g.word[e]
                 assert len(w) == g.length[e]
                 assert g.mult_word(0, w) == e
 
