@@ -192,7 +192,6 @@ def complete_garside(
     """
     gp = garside_presentation(g)
     pg = Polygraph2(list(gp.pg.generators), list(gp.pg.rules))
-    n_alpha = len(pg.rules)
     gen = gp.gen_of_elt
     label = {e: pg.generators[i] for e, i in gen.items()}  # an element's name
     alpha = gp.alpha
@@ -214,19 +213,18 @@ def complete_garside(
             beta[(u, v, w)] = idx
 
     m = g.mult
-    elt = gp.elt_of_gen
-    beta_of_rule = {r: k for k, r in beta.items()}
+    key = [*alpha, *beta]  # rule id -> (u, v) of alpha or (u, v, w) of beta
     _, (a0, a1, _), (b0, b1, _) = _step_makers(alpha, beta)
 
     def family(br: Branching) -> Optional[tuple[FamilyTag, tuple, tuple]]:
         """The family of a critical branching with the two reduction paths
         of its confluence diagram, read off the branching's shape; None
         for a shape no family has.  A rule lookup that fails raises
-        KeyError."""
-        left, right = br.left.rule, br.right.rule
+        KeyError, and a key of the wrong kind ValueError."""
+        left, right = key[br.left.rule], key[br.right.rule]
         if br.right.pos == 0:  # beta/beta on one source u|vw
-            u, v1, w1 = beta_of_rule[left]
-            _, v2, w2 = beta_of_rule[right]
+            u, v1, w1 = left
+            _, v2, w2 = right
             if g.divides(v1, v2):
                 x = g.complement(v1, v2)
                 return (
@@ -242,10 +240,10 @@ def complete_garside(
             )
         if br.right.pos != 1:
             return None
-        if left < n_alpha:
-            u, v = (elt[x] for x in pg.rules[left].lhs)
-            if right < n_alpha:  # alpha/alpha on u|v|w
-                w = elt[pg.rules[right].lhs[1]]
+        if len(left) == 2:
+            u, v = left
+            if len(right) == 2:  # alpha/alpha on u|v|w
+                _, w = right
                 if (m(u, v), w) in alpha:
                     return (
                         FamilyTag("A", (u, v, w)),
@@ -257,7 +255,7 @@ def complete_garside(
                     (a0[u, v],),
                     (a1[v, w], b0[u, v, w]),
                 )
-            _, x, y = beta_of_rule[right]  # alpha/beta on u|v|xy
+            _, x, y = right  # alpha/beta on u|v|xy
             if (m(u, v), x) in alpha:
                 return (
                     FamilyTag("C", (u, v, x, y)),
@@ -269,15 +267,15 @@ def complete_garside(
                 (a0[u, v],),
                 (b1[v, x, y], b0[u, v, x], a1[x, y]),
             )
-        u, v, w = beta_of_rule[left]
-        if right < n_alpha:  # beta/alpha on u|vw|x
-            x = elt[pg.rules[right].lhs[1]]
+        u, v, w = left
+        if len(right) == 2:  # beta/alpha on u|vw|x
+            _, x = right
             return (
                 FamilyTag("E", (u, v, w, x)),
                 (b0[u, v, w], a1[w, x]),
                 (a1[m(v, w), x], b0[u, v, m(w, x)]),
             )
-        _, x, y = beta_of_rule[right]  # beta/beta on u|vw|xy
+        _, x, y = right  # beta/beta on u|vw|xy
         if (m(w, x), y) in alpha:
             return (
                 FamilyTag("F", (u, v, w, x, y)),
@@ -297,7 +295,7 @@ def complete_garside(
     for i, br in enumerate(branchings):
         try:
             found = family(br)
-        except KeyError:
+        except (KeyError, ValueError):
             found = None
         # the sides must begin with the branching's own two steps
         if found is None or found[1][0] != br.left or found[2][0] != br.right:

@@ -304,7 +304,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
         two = tuple(
             TwoCollapse(
                 base.rule_index(tc["rule"]),
-                base.generator_ids[tc["redundant"]] if "redundant" in tc else None,
+                base.generator_index(tc["redundant"]) if "redundant" in tc else None,
             )
             for tc in _array(d.get("two_cells", ()), "two_cells")
         )
@@ -324,7 +324,7 @@ def part_from_dict(d: dict, p31: Polygraph31) -> CollapsiblePart:
             names = _array(order.get(field, ()), f"order {field}")
             return {index(n): i for i, n in enumerate(names)}
 
-        gen_rank = rank("generators", base.generator_ids.__getitem__)
+        gen_rank = rank("generators", base.generator_index)
         rule_rank, cell_rank = rank("rules", base.rule_index), rank("cells", p31.cell_index)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad collapsible part document: {exc}") from exc

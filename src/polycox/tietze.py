@@ -33,10 +33,11 @@ from .words import Polygraph2, Rule, Word
 
 @dataclass(frozen=True, slots=True)
 class TwoCollapse:
-    """A collapsible rule; its single-generator side is the redundant cell."""
+    """A collapsible rule; it removes a one-letter side that the other side
+    lacks: ``redundant`` when declared, else the rhs if it is one, else the lhs."""
 
     rule: int
-    redundant: Optional[int] = None  # generator id; inferred when None
+    redundant: Optional[int] = None  # generator id
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +78,11 @@ class CollapsiblePart:
     )
 
 
-def _collapse_sides(rule: Rule) -> Optional[tuple[int, Word]]:
-    """(redundant generator, defining word) of a collapsible rule, or None.
-
-    The defining word may be empty (a unit rule collapses its
-    generator to the empty word)."""
-    if len(rule.rhs) == 1 and rule.rhs[0] not in rule.lhs:
-        return rule.rhs[0], rule.lhs
-    if len(rule.lhs) == 1 and rule.lhs[0] not in rule.rhs:
-        return rule.lhs[0], rule.rhs
-    return None
+def _collapse_sides(rule: Rule) -> dict[int, Word]:
+    """Each generator the rule collapses, a one-letter side that the other
+    side lacks, mapped to its defining word, which may be empty; rhs first."""
+    sides = ((rule.rhs, rule.lhs), (rule.lhs, rule.rhs))
+    return {one[0]: other for one, other in sides if len(one) == 1 and one[0] not in other}
 
 
 def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
@@ -104,10 +100,11 @@ def validate_collapsible(p31: Polygraph31, part: CollapsiblePart) -> list[str]:
 
 def _validate(
     p31: Polygraph31, part: CollapsiblePart, check_spheres: bool = True
-) -> tuple[list[str], dict[ThreeCollapse, Path2], set[int]]:
-    """The violations of ``validate_collapsible``, the replacements it
-    solved by collapsible 3-cell, so a reduction need not solve them again,
-    and the 3-cells the part makes redundant.
+) -> tuple[list[str], list[tuple[int, int, Word]], dict[int, Path2], set[int]]:
+    """The violations of ``validate_collapsible`` and all that a reduction
+    applies: each collapsible rule's (rule, generator, defining word), the
+    replacement solved for each redundant rule, and the 3-cells the part
+    makes redundant.  Each side of a collapsible 3-cell is normalized once.
 
     ``part.spheres`` is consumed once: each sphere is checked as it arrives
     and only its redundant cell is kept, so none outlives its check.  The
@@ -116,7 +113,8 @@ def _validate(
     every other check runs either way.
     """
     out: list[str] = []
-    solved: dict[ThreeCollapse, Path2] = {}
+    defs: list[tuple[int, int, Word]] = []
+    solved: dict[int, Path2] = {}
     pg = p31.base
     ow = part.order
 
@@ -149,30 +147,31 @@ def _validate(
             continue
         rule = pg.rules[tc.rule]
         sides = _collapse_sides(rule)
-        if sides is None:
+        if not sides:
             out.append(f"rule {rule.name!r} is not collapsible")
             continue
-        x, word = sides
-        if tc.redundant is not None and tc.redundant != x:
+        x = next(iter(sides)) if tc.redundant is None else tc.redundant
+        if x not in sides:
             out.append(f"rule {rule.name!r}: redundant generator mismatch")
             continue
+        defs.append((tc.rule, x, sides[x]))
         if x in gen_dead:
             out.append(f"generator {pg.generators[x]!r} eliminated twice")
         gen_dead.add(x)
         if tc.rule in rule_dead:
             out.append(f"rule {rule.name!r} is both collapsible and redundant")
-        rank_above(ow.gen_rank, "generator", pg.generators, x, set(word))
+        rank_above(ow.gen_rank, "generator", pg.generators, x, set(sides[x]))
 
     for tc in part.three_cells:
         if not (valid("3-cell", tc.cell, cell_names) and valid("rule", tc.redundant, rule_names)):
             continue
         cell = p31.cells[tc.cell]
+        src, tgt = normalize_path(cell.src), normalize_path(cell.tgt)
         try:
-            solved[tc] = _solve_replacement(pg, cell, tc.redundant)
+            solved[tc.redundant] = _solve_replacement(pg, cell.name, src, tgt, tc.redundant)
         except NielsenError as exc:
             out.append(str(exc))
-        steps = normalize_path(cell.src).steps + normalize_path(cell.tgt).steps
-        others = {s.rule for s in steps if s.rule != tc.redundant}
+        others = {s.rule for s in src.steps + tgt.steps if s.rule != tc.redundant}
         rank_above(ow.rule_rank, "rule", rule_names, tc.redundant, others)
 
     redundant: list[int] = []
@@ -203,11 +202,12 @@ def _validate(
         head.append("three_cells: a rule is designated redundant twice")
     if cell_dead & sphere_dead:
         head.append("a collapsible 3-cell is redundant for a sphere")
-    return head + out, solved, sphere_dead | cell_dead
+    return head + out, defs, solved, sphere_dead | cell_dead
 
 
-def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
-    """Solve, from a collapsible 3-cell, the path replacing rule ``rho``.
+def _solve_replacement(pg: Polygraph2, name: str, src: Path2, tgt: Path2, rho: int) -> Path2:
+    """Solve, from the collapsible 3-cell ``name`` with the normalized
+    sides ``src`` and ``tgt``, the path replacing rule ``rho``.
 
     The unique occurrence of rho is transposed to one side; the rest of the
     boundary, unwhiskered, is the replacement from lhs(rho) to rhs(rho).
@@ -217,12 +217,10 @@ def _solve_replacement(pg: Polygraph2, cell: ThreeCell, rho: int) -> Path2:
     rhs(rho).
     """
     rule = pg.rules[rho]
-    src = normalize_path(cell.src)
-    tgt = normalize_path(cell.tgt)
     occ = [(p, k) for p in (tgt, src) for k, s in enumerate(p.steps) if s.rule == rho]
     if len(occ) != 1:
         raise NielsenError(
-            f"3-cell {cell.name!r}: rule {rule.name!r} "
+            f"3-cell {name!r}: rule {rule.name!r} "
             f"occurs {len(occ)} times, need exactly 1"
         )
     ((hold, k),) = occ
@@ -256,24 +254,22 @@ def homotopical_reduce(
 
     The part is validated first and its violations raise one NielsenError,
     kept in its ``violations``; ``validate=False`` skips only the sphere
-    checks.  Then one pass, lowest cells first.  A redundant generator's
-    image is its defining word with the lower images substituted, in
-    increasing order of the generator.  A redundant rule's image is its
-    replacement, solved by validation from its collapsible 3-cell, with the
-    lower images spliced in, in increasing order of the rule.  A surviving
-    rule's image is its own step and a collapsible rule's is empty.
+    checks.  Then one pass, lowest cells first, applies what validation
+    decided.  A redundant generator's image is its defining word with the
+    lower images substituted, in increasing order of the generator.  A
+    redundant rule's image is its replacement with the lower images
+    spliced in, in increasing order of the rule.  A surviving rule's
+    image is its own step and a collapsible rule's is empty.
     Redundant 3-cells vanish with their spheres, and each surviving
     boundary is rewritten once through the images into the final
     polygraph, which replays it.  An empty part is the identity.
     """
-    bad, solved, dead_cells = _validate(p31, part, validate)
+    bad, defs, solved, dead_cells = _validate(p31, part, validate)
     if bad:
         raise NielsenError(*bad)
     base = p31.base
     ow = part.order
 
-    # (rule, generator, defining word); validation found each rule collapsible
-    defs = [(tc.rule, *_collapse_sides(base.rules[tc.rule])) for tc in part.two_cells]
     dead_gens = {x for _, x, _ in defs}
     # generator -> its image, a word over the surviving generators
     image: list[Optional[Word]] = [None] * base.n_generators
@@ -292,10 +288,9 @@ def homotopical_reduce(
     # rule -> its image, forward steps over the final rules at the offset
     # of its expanded lhs
     rule_image: dict[int, tuple[Step2, ...]] = {r: () for r, _, _ in defs}
-    redundant = {tc.redundant for tc in part.three_cells}
     rules: list[Rule] = []
     for i, r in enumerate(base.rules):
-        if i not in rule_image and i not in redundant:
+        if i not in rule_image and i not in solved:
             rule_image[i] = (Step2(len(rules), 1, 0),)
             rules.append(Rule(r.name, expand(r.lhs), expand(r.rhs)))
     final = Polygraph2(gen_names, rules)
@@ -311,8 +306,8 @@ def homotopical_reduce(
         return out
 
     # a replacement's other rules survive, collapse or are ranked below, so have their images
-    for tc in sorted(part.three_cells, key=lambda tc: ow.rule_rank[tc.redundant]):
-        rule_image[tc.redundant] = tuple(rewrite(solved[tc]))
+    for rho in sorted(solved, key=ow.rule_rank.__getitem__):
+        rule_image[rho] = tuple(rewrite(solved[rho]))
 
     def move(path: Path2) -> Path2:
         return Path2(final, expand(path.source), rewrite(path))

@@ -134,6 +134,12 @@ class Polygraph2:
         except (KeyError, TypeError):
             raise InputError(f"no rule named {name!r}") from None
 
+    def generator_index(self, name: str) -> int:
+        try:
+            return self.generator_ids[name]
+        except (KeyError, TypeError):
+            raise InputError(f"no generator named {name!r}") from None
+
     def word_str(self, w: Word) -> str:
         return self.separator.join([self.generators[g] for g in w])
 

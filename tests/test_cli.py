@@ -161,6 +161,20 @@ class TestReduce:
         want = ser.polygraph31_to_dict(px.homotopical_reduce(g3.p31, part))
         assert json.loads(out.read_text())["surviving"] == want
 
+    def test_declared_lhs_of_a_one_letter_rule(self, tmp_path):
+        # r: a => b collapses along either side, and the part picks a
+        completed = tmp_path / "completed.json"
+        rule = {"id": "r", "lhs": "a", "rhs": "b"}
+        completed.write_text(json.dumps({"generators": ["a", "b"], "rules": [rule]}))
+        part_file = tmp_path / "part.json"
+        part = {"two_cells": [{"rule": "r", "redundant": "a"}], "order": {"generators": ["b", "a"]}}
+        part_file.write_text(json.dumps(part))
+        out = tmp_path / "reduced.json"
+        assert main(["reduce", str(completed), "--part", str(part_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["removed"] == {"generators": ["a"], "rules": ["r"], "three_cells": []}
+        assert doc["surviving"]["generators"] == ["b"]
+
     def test_empty_part_identity(self, tmp_path, b3plus_completed, capsys):
         p31, _ = b3plus_completed
         completed = tmp_path / "completed.json"
@@ -706,6 +720,42 @@ class TestParseErrorMessages:
             P31,
             {"three_cells": [{"redundant": "r"}]},
             "bad collapsible part document: 'cell'",
+        ),
+        "part generator null": (
+            "reduce",
+            P31,
+            {"two_cells": [{"rule": "r", "redundant": None}]},
+            "no generator named None",
+        ),
+        "part generator an int": (
+            "reduce",
+            P31,
+            {"two_cells": [{"rule": "r", "redundant": 3}]},
+            "no generator named 3",
+        ),
+        "part generator a list": (
+            "reduce",
+            P31,
+            {"two_cells": [{"rule": "r", "redundant": ["a"]}]},
+            "no generator named ['a']",
+        ),
+        "order generator null": (
+            "reduce",
+            P31,
+            {"order": {"generators": [None]}},
+            "no generator named None",
+        ),
+        "order generator an int": (
+            "reduce",
+            P31,
+            {"order": {"generators": [3]}},
+            "no generator named 3",
+        ),
+        "order generator a list": (
+            "reduce",
+            P31,
+            {"order": {"generators": [["a"]]}},
+            "no generator named ['a']",
         ),
         "empty lhs": (
             "complete",

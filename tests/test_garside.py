@@ -434,9 +434,9 @@ class TestGarsidePart:
         calls = []
         real = tietze._solve_replacement
 
-        def counted(pg, cell, rho):
-            calls.append((cell.name, rho))
-            return real(pg, cell, rho)
+        def counted(pg, name, src, tgt, rho):
+            calls.append((name, rho))
+            return real(pg, name, src, tgt, rho)
 
         monkeypatch.setattr(tietze, "_solve_replacement", counted)
         g = groups("A2xA1")

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycox as px
 import polycox.completion as completion
@@ -167,7 +170,8 @@ class TestValidateCollapsible:
             for cell in p31.cells:
                 for rho, rule in enumerate(pg.rules):
                     try:
-                        rep = tietze._solve_replacement(pg, cell, rho)
+                        src, tgt = px.normalize_path(cell.src), px.normalize_path(cell.tgt)
+                        rep = tietze._solve_replacement(pg, cell.name, src, tgt, rho)
                     except px.NielsenError:
                         continue
                     assert (rep.source, rep.target) == (rule.lhs, rule.rhs)
@@ -290,6 +294,76 @@ class TestHomotopicalReduce:
         assert ser.polygraph31_to_dict(px.homotopical_reduce(flipped, part)) == (
             ser.polygraph31_to_dict(px.homotopical_reduce(p31, part))
         )
+
+
+def a_to_b():
+    """r: a => b without 3-cells, and the part collapsing r along a, its
+    lhs, where the rhs-first inference would pick b."""
+    p31 = px.Polygraph31(px.Polygraph2(["a", "b"], [px.Rule("r", (0,), (1,))]))
+    order = px.OrderWitness({0: 1, 1: 0}, {}, {})
+    return p31, px.CollapsiblePart((px.TwoCollapse(0, redundant=0),), order=order)
+
+
+class TestDeclaredSide:
+    """A declared generator picks the side its rule collapses along, and
+    the reduction removes the generator validation accepted."""
+
+    @pytest.mark.parametrize("check_spheres", [True, False])
+    def test_declared_lhs_validates(self, check_spheres):
+        p31, part = a_to_b()
+        assert tietze._validate(p31, part, check_spheres)[0] == []
+
+    @pytest.mark.parametrize("round_trip", [False, True])
+    def test_declared_lhs_removed(self, round_trip):
+        p31, part = a_to_b()
+        if round_trip:
+            p31 = ser.polygraph31_from_dict(json.loads(json.dumps(ser.polygraph31_to_dict(p31))))
+            part = ser.part_from_dict(json.loads(json.dumps(ser.part_to_dict(part, p31))), p31)
+        for validate in (True, False):
+            red = px.homotopical_reduce(p31, part, validate=validate)
+            assert (red.base.generators, red.base.rules, red.cells) == (["b"], [], [])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_rule_collapses_exactly_a_lone_side(self, data):
+        # u => v on at most three letters, each side at most two long, with
+        # every declared generator and with none
+        n = data.draw(st.integers(1, 3), label="letters")
+        u = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2), label="u"))
+        v = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="v"))
+        p31 = px.Polygraph31(px.Polygraph2("abc"[:n], [px.Rule("r", u, v)]))
+        # a one-letter side that the other side lacks, with its defining word, rhs first
+        sides = [(a[0], b) for a, b in ((v, u), (u, v)) if len(a) == 1 and a[0] not in b]
+        # words of length <= 4 stay connected to their images within length 8
+        classes_in = oracles.closure_classes([(u, v)], n, 4, 8)
+        for declared in (None, *range(n)):
+            x = sides[0][0] if declared is None and sides else declared
+            word = dict(sides).get(x)
+            order = px.OrderWitness({g: int(g == x) for g in range(n)}, {}, {})
+            part = px.CollapsiblePart((px.TwoCollapse(0, declared),), order=order)
+            bad = px.validate_collapsible(p31, part)
+            if word is None:
+                mismatch = "rule 'r': redundant generator mismatch"
+                assert bad == [mismatch if sides else "rule 'r' is not collapsible"]
+                with pytest.raises(px.NielsenError):
+                    px.homotopical_reduce(p31, part, validate=False)
+                continue
+            assert bad == []
+            red = px.homotopical_reduce(p31, part)
+            keep = [g for g in range(n) if g != x]
+            assert red.base.generators == ["abc"[g] for g in keep]
+            assert (red.base.rules, red.cells) == ([], [])
+            # x -> its defining word, the rest renumbered, is a bijection of classes
+            image = {g: (i,) for i, g in enumerate(keep)}
+            image[x] = tuple(h for g in word for h in image[g])
+            rules_out = [(r.lhs, r.rhs) for r in red.base.rules]
+            classes_out = oracles.closure_classes(rules_out, n - 1, 8, 8)
+            mapping = {}
+            for w, cls in classes_in.items():
+                img = classes_out[tuple(h for g in w for h in image[g])]
+                assert mapping.setdefault(cls, img) == img
+            assert len(set(mapping)) == len(set(mapping.values()))
+            assert {classes_out[w] for w in oracles.words_up_to(n - 1, 4)} <= set(mapping.values())
 
 
 class TestNielsenInvertRule:
